@@ -39,7 +39,7 @@ from .montecarlo import (
     write_replicate_csv,
     write_summary_json,
 )
-from .simulate import ModeTrajectory, TimeGrid, simulate_solution
+from .simulate import ModeTrajectory, TimeGrid, _true_mode, simulate_solution
 from .spectrum import check_hyperbolic, classify_algebraic, consistency_conditions, NonAlgebraicSpectrumError
 
 EXIT_OK = 0
@@ -166,7 +166,8 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _read_trajectories(path, dt):
+def _read_trajectories(path, spec, params, grid):
+    """Mode trajectories from a `simulate` CSV, with each mode's lam, mu and scale restored."""
     rows = {}
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -179,17 +180,22 @@ def _read_trajectories(path, dt):
     out = []
     for k in sorted(rows):
         entries = sorted(rows[k])
-        u = np.array([e[1] for e in entries])
+        if [e[0] for e in entries] != list(range(grid.n_steps + 1)):
+            raise ConfigError(
+                f"{path}: mode {k} has {len(entries)} rows, not t_index 0..{grid.n_steps} "
+                f"of the configured grid (simulated with another --dt-steps?)")
+        lam, mu, scale = _true_mode(spec, params, k)
+        u = np.array([e[1] for e in entries]) * scale
         v = np.array([e[2] for e in entries])
         dw = np.array([e[3] for e in entries if e[3] is not None])
-        out.append(ModeTrajectory(k, u, v, dw, 1.0, grid_dt=dt))
+        out.append(ModeTrajectory(k, u, v, dw, scale, lam, mu, grid.dt))
     return out
 
 
 def cmd_estimate(args):
     cfg, out = _resolve(args)
     started = _now()
-    trajs = _read_trajectories(args.trajectories, cfg["grid"].dt)
+    trajs = _read_trajectories(args.trajectories, cfg["spec"], cfg["params"], cfg["grid"])
     N = len(trajs)
     pv = psi_curve(cfg["spec"], cfg["params"], [N])[0]
     res = estimate_from_trajectories(trajs, cfg["spec"], cfg["params"], pv)
@@ -205,6 +211,7 @@ def cmd_estimate(args):
         "stats": {f: getattr(stats, f) for f in
                   ("A1", "A2", "F1", "F2", "K1", "K2", "K12", "L1", "L2")},
         "endpoint_variant": stats.endpoint_variant,
+        "underresolved_modes": res.underresolved_modes,
         "grid": {"T": cfg["params"].T, "n_steps": cfg["grid"].n_steps},
         "seed": cfg["experiment"]["seed"],
     }

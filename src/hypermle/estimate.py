@@ -23,9 +23,12 @@ Two computational variants exist for the time integrals:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .simulate import UnderresolvedModeWarning, _underresolved
 
 __all__ = [
     "Stats",
@@ -76,6 +79,7 @@ class EstimateResult:
     D_N: float = math.nan
     iota1: float = math.nan
     iota2: float = math.nan
+    underresolved_modes: int = 0
 
 
 class _Kahan:
@@ -309,10 +313,23 @@ def error_decomposition(trajectories, spec, params, increments="residual"):
 
 def estimate_from_trajectories(trajectories, spec, params=None, psi_values=None,
                                use_endpoint_identities=True):
-    """Full estimation report: estimator, normalizers, normalized errors, diagnostics."""
+    """Full estimation report: estimator, normalizers, normalized errors, diagnostics.
+
+    Warns UnderresolvedModeWarning when the grid misses some mode's
+    oscillation: the endpoint equations then amplify grid noise and the
+    estimate may be far off (their count is reported as underresolved_modes).
+    """
     stats = sufficient_statistics(trajectories, spec, use_endpoint_identities)
     th1, th2 = mle(stats)
     res = EstimateResult(th1, th2)
+    res.underresolved_modes = sum(_underresolved(t.lam, t.mu, t.grid_dt) for t in trajectories)
+    if res.underresolved_modes:
+        warnings.warn(
+            f"{res.underresolved_modes} of {len(trajectories)} modes oscillate faster than "
+            "the grid resolves (ell*dt > pi); the estimate is unreliable",
+            UnderresolvedModeWarning,
+            stacklevel=2,
+        )
     res.D_N = (stats.K12 ** 2) / (stats.K1 * stats.K2)
     if psi_values is not None:
         res.psi1 = psi_values.psi1

@@ -4,10 +4,13 @@ The mode response kernel f solves f'' - mu f' + lam f = 0 with f(0)=0,
 f'(0)=1.  Everything the estimator theory needs reduces to f, f', the
 functions M and V, and a handful of integrals of f^2 and f'^2 over [0, T].
 
-Integrals are computed by adaptive quadrature where the integrand is
-resolvable and by exact antiderivatives (or their phase-averaged envelope,
-relative error O(1/(l*T))) where the oscillation frequency l makes panel
-counts infeasible.  The regimes overlap and are cross-checked in the tests.
+For lam > 0 the energy integrals are sums of exponential moments and are
+evaluated in closed form: by a series in (mu^2/4 - lam) T^2 when the total
+phase l*T is below 0.5 (or strong damping, l <= |mu|/16, confines the
+kernel to where it is), by exact antiderivatives up to phase 1e7, and by
+their phase-averaged envelope (relative error O(1/(l*T))) beyond, or when
+lam itself leaves the float range.  Only lam <= 0 modes and covariance_u use
+adaptive quadrature; the tests use it as an independent oracle.
 """
 from __future__ import annotations
 
@@ -44,10 +47,11 @@ ROOT_REAL = "real_pair"
 DOUBLE_ROOT_BAND = 1e-8
 # below this value of (l*t)^2 the sin/sinh branches are evaluated by one series
 _SERIES_X = 0.25
+# largest exponent taken through exp(); e^700 is within the float range
 _EXP_MAX = 700.0
 
-# oscillation handling thresholds, in units of total phase l*T
-_QUAD_PHASE_MAX = 4096 * math.pi   # beyond: exact antiderivatives
+# regime thresholds of the energy integrals, in units of total phase l*T
+_SERIES_PHASE_MAX = math.sqrt(_SERIES_X)  # below: series in (l*T)^2
 _ENVELOPE_PHASE_MIN = 1e7          # beyond: drop O(1/(l*T)) oscillatory terms
 
 
@@ -260,7 +264,7 @@ class ScaledIntegrals:
     lam_iif2  = lam * int (T-t) f^2      (= lam * double integral of f^2)
     iifd2     =       int (T-t) f'^2
     sqlam_if  = sqrt(lam) * int f
-    regime    = "quadrature" | "closed" | "envelope"
+    regime    = "closed" | "envelope"
     """
 
     lam_if2: float
@@ -271,48 +275,71 @@ class ScaledIntegrals:
     regime: str
 
 
-def _quad_edges(T, ell, damp_rate):
-    """Oscillation-resolving uniform panels plus geometric panels into any boundary layer."""
-    n_osc = int(min(max(8, math.ceil(ell * T / math.pi) + 4), 4200))
-    edges = set(np.linspace(0.0, T, n_osc + 1).tolist())
-    if damp_rate * T > 50.0:
-        j_max = min(int(math.ceil(math.log2(damp_rate * T))) + 4, 1000)
-        edges.update(T * 2.0 ** (-j) for j in range(1, j_max))
-    return np.array(sorted(edges))
+# Coefficients of S^2, S*C and C^2 as power series in y = (l t)^2 (see
+# _sc_series), and of S itself; 14 terms reach machine precision for |y| < 1/4.
+_SERIES_J = np.arange(14)
+_FACT = np.array([math.factorial(n) for n in range(2 * len(_SERIES_J) + 1)], dtype=float)
+_S2_COEF = 2.0 ** (2 * _SERIES_J + 1) / _FACT[2 * _SERIES_J + 2]
+_SC_COEF = 4.0 ** _SERIES_J / _FACT[2 * _SERIES_J + 1]
+_C2_COEF = np.where(_SERIES_J == 0, 1.0, 2.0 ** (2 * _SERIES_J - 1) / _FACT[2 * _SERIES_J])
+_S_COEF = 1.0 / _FACT[2 * _SERIES_J + 1]
 
 
-def _integrals_quadrature(lam, mu, T, rtol, ell):
+def _phi(z, n_max):
+    """phi_n(z) = int_0^1 s^n e^{zs} ds for n = 0..n_max, free of cancellation.
+
+    Positive series where they converge fast (z >= 0: sum z^i/(i! (n+i+1));
+    z < 0: e^z sum |z|^i n!/(n+i+1)!), and elsewhere the forward recursion
+    phi_n = (e^z - n phi_{n-1})/z, which is stable there (|z| > n).
+    """
+    a = abs(z)
+    # the series serve n >= z - 30 (z >= 0) and n >= |z| - 1 (z < 0); the recursion the rest
+    n_rec = min(max(math.ceil(z - 30.0 if z >= 0.0 else a - 1.0), 0), n_max + 1)
+    out = np.empty(n_max + 1)
+    if n_rec > 0:
+        ez = math.exp(z)
+        out[0] = math.expm1(z) / z
+        for n in range(1, n_rec):
+            out[n] = (ez - n * out[n - 1]) / z
+    if n_rec <= n_max:
+        n = np.arange(n_rec, n_max + 1)[None, :]
+        i = np.arange(int(a + 10.0 * math.sqrt(a) + 40.0))[:, None]
+        if z >= 0.0:
+            zi = np.cumprod(np.concatenate(([1.0], z / i[1:, 0])))
+            out[n_rec:] = (zi[:, None] / (n + i + 1)).sum(axis=0)
+        else:
+            terms = np.cumprod(np.vstack([1.0 / (n + 1), a / (n + i[1:] + 1)]), axis=0)
+            out[n_rec:] = math.exp(z) * terms.sum(axis=0)
+    return out
+
+
+def _integrals_series(lam, mu, T):
+    """Energy integrals for (l*T)^2 < 1/4 or l <= -mu/16, any sign of the discriminant.
+
+    With y = (mu^2/4 - lam) T^2, f = t e^{bt} S and f' = e^{bt} (b t S + C) at
+    argument y (t/T)^2, so every integral is a series in y whose terms are the
+    moments int_0^T t^n e^{mu t} dt = T^{n+1} phi_n(mu T) (e^{bt} for int f);
+    the (T - t) weights take T^{n+2} (phi_n - phi_{n+1}).
+    """
     b = 0.5 * mu
-    damp = abs(b) + (ell if b * b - lam > 0.0 else 0.0)
-    edges = _quad_edges(T, ell, damp)
+    beta = b * T
+    y_pow = ((b * b - lam) * T * T) ** _SERIES_J
+    n_terms = len(_SERIES_J)
 
-    def f2(s):
-        f, _ = fund_solution(lam, mu, s)
-        return f * f
+    def energies(p):
+        """(int t^2 S^2, int (b t S + C)^2) weights contracted with moments p."""
+        even, odd, even2 = p[0:2 * n_terms:2], p[1:2 * n_terms:2], p[2:2 * n_terms + 1:2]
+        f2 = y_pow @ (_S2_COEF * even2)
+        fd2 = y_pow @ (beta * beta * _S2_COEF * even2 + 2.0 * beta * _SC_COEF * odd
+                       + _C2_COEF * even)
+        return f2, fd2
 
-    def fd2(s):
-        _, fd = fund_solution(lam, mu, s)
-        return fd * fd
-
-    def wf2(s):
-        f, _ = fund_solution(lam, mu, s)
-        return (T - s) * f * f
-
-    def wfd2(s):
-        _, fd = fund_solution(lam, mu, s)
-        return (T - s) * fd * fd
-
-    def fval(s):
-        f, _ = fund_solution(lam, mu, s)
-        return f
-
-    if2, _ = integrate(f2, 0.0, T, rtol=rtol, atol=1e-300, edges=edges)
-    ifd2, _ = integrate(fd2, 0.0, T, rtol=rtol, atol=1e-300, edges=edges)
-    iif2, _ = integrate(wf2, 0.0, T, rtol=rtol, atol=1e-300, edges=edges)
-    iifd2, _ = integrate(wfd2, 0.0, T, rtol=rtol, atol=1e-300, edges=edges)
-    intf, _ = integrate(fval, 0.0, T, rtol=rtol, atol=1e-300, edges=edges)
-    sq = math.sqrt(lam) if lam > 0 else 0.0
-    return ScaledIntegrals(lam * if2, ifd2, lam * iif2, iifd2, sq * intf, "quadrature")
+    phi = _phi(mu * T, 2 * n_terms + 1)
+    if2, ifd2 = energies(phi)
+    iif2, iifd2 = energies(phi[:-1] - phi[1:])
+    intf = y_pow @ (_S_COEF * _phi(beta, 2 * n_terms - 1)[1::2])
+    return ScaledIntegrals(lam * T ** 3 * if2, T * ifd2, lam * T ** 4 * iif2, T * T * iifd2,
+                           math.sqrt(lam) * T * T * intf, "closed")
 
 
 def _integrals_closed_complex(lam, mu, T, ell):
@@ -347,8 +374,7 @@ def _integrals_closed_real(lam, mu, T, ell):
     ifd2 = (r_plus ** 2 * p0p - 2.0 * lam * p0c + r_minus ** 2 * p0m) / four_ell2
     iifd2 = (r_plus ** 2 * w0p - 2.0 * lam * w0c + r_minus ** 2 * w0m) / four_ell2
     intf = (_p0(r_plus, T) - _p0(r_minus, T)) / (2.0 * ell)
-    sq = math.sqrt(lam) if lam > 0 else 0.0
-    return ScaledIntegrals(lam * if2, ifd2, lam * iif2, iifd2, sq * intf, "closed")
+    return ScaledIntegrals(lam * if2, ifd2, lam * iif2, iifd2, math.sqrt(lam) * intf, "closed")
 
 
 def _integrals_envelope(log_lam, mu, T):
@@ -376,14 +402,16 @@ def _integrals_envelope(log_lam, mu, T):
     return ScaledIntegrals(lam_if2, ifd2, lam_iif2, iifd2, 0.0, "envelope")
 
 
-def scaled_mode_integrals(mu, T, lam=None, log_lam=None, rtol=1e-9):
-    """Dispatch between quadrature, antiderivative, and envelope evaluation."""
+def scaled_mode_integrals(mu, T, lam=None, log_lam=None):
+    """Dispatch between series, antiderivative, and envelope evaluation (lam > 0)."""
     if T <= 0.0:
         raise ValueError("T must be positive")
     if log_lam is None:
         if lam is None:
             raise ValueError("either lam or log_lam is required")
-        log_lam = math.log(lam) if lam > 0.0 else None
+        if not lam > 0.0:
+            raise ValueError("scaled mode integrals require lam > 0")
+        log_lam = math.log(lam)
     if lam is None:
         if log_lam > _EXP_MAX:
             return _integrals_envelope(log_lam, mu, T)
@@ -394,15 +422,16 @@ def scaled_mode_integrals(mu, T, lam=None, log_lam=None, rtol=1e-9):
     ell = math.sqrt(abs(disc))
     phase = ell * T
 
-    if disc < 0.0:
-        if phase < 0.5 or phase <= _QUAD_PHASE_MAX:
-            return _integrals_quadrature(lam, mu, T, rtol, ell)
-        if phase <= _ENVELOPE_PHASE_MIN:
-            return _integrals_closed_complex(lam, mu, T, ell)
-        return _integrals_envelope(math.log(lam), mu, T)
-    if phase < 0.5:
-        return _integrals_quadrature(lam, mu, T, rtol, 0.0)
-    return _integrals_closed_real(lam, mu, T, ell)
+    # Under strong damping (ell <= |b|/8) e^{bt} confines the integrands to
+    # t ~ 1/|b|, where the antiderivatives cancel by (b/ell)^2 while the series
+    # terms shrink by (ell/b)^2 <= 1/64 each, whatever the phase.
+    if phase < _SERIES_PHASE_MAX or 8.0 * ell <= -b:
+        return _integrals_series(lam, mu, T)
+    if disc > 0.0:
+        return _integrals_closed_real(lam, mu, T, ell)
+    if phase <= _ENVELOPE_PHASE_MIN:
+        return _integrals_closed_complex(lam, mu, T, ell)
+    return _integrals_envelope(math.log(lam), mu, T)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +448,10 @@ class ModeMoments:
     Eu2T: float
 
 
-def mode_moments(lam, mu, T, tol=1e-9):
+def mode_moments(lam, mu, T):
     """Energy integrals of one mode; Eu2T equals int_f2 by construction."""
     if lam > 0.0:
-        si = scaled_mode_integrals(mu, T, lam=lam, rtol=tol)
+        si = scaled_mode_integrals(mu, T, lam=lam)
         int_f2 = si.lam_if2 / lam
         dbl_f2 = si.lam_iif2 / lam
         return ModeMoments(int_f2, si.ifd2, dbl_f2, si.iifd2, int_f2)
@@ -444,14 +473,14 @@ def mode_moments(lam, mu, T, tol=1e-9):
         _, fd = fund_solution(lam, mu, s)
         return (T - s) * fd * fd
 
-    int_f2, _ = integrate(f2, 0.0, T, rtol=tol, atol=1e-300)
-    int_fd2, _ = integrate(fd2, 0.0, T, rtol=tol, atol=1e-300)
-    dbl_f2, _ = integrate(wf2, 0.0, T, rtol=tol, atol=1e-300)
-    dbl_fd2, _ = integrate(wfd2, 0.0, T, rtol=tol, atol=1e-300)
+    int_f2, _ = integrate(f2, 0.0, T, atol=1e-300)
+    int_fd2, _ = integrate(fd2, 0.0, T, atol=1e-300)
+    dbl_f2, _ = integrate(wf2, 0.0, T, atol=1e-300)
+    dbl_fd2, _ = integrate(wfd2, 0.0, T, atol=1e-300)
     return ModeMoments(int_f2, int_fd2, dbl_f2, dbl_fd2, int_f2)
 
 
-def covariance_u(lam, mu, s, t, rtol=1e-9):
+def covariance_u(lam, mu, s, t):
     """E u(s)u(t) = int_0^{min(s,t)} f(s-r) f(t-r) dr."""
     if s < 0.0 or t < 0.0:
         raise ValueError("covariance_u requires s, t >= 0")
@@ -466,7 +495,7 @@ def covariance_u(lam, mu, s, t, rtol=1e-9):
         fb, _ = fund_solution(lam, mu, t - r)
         return fa * fb
 
-    val, _ = integrate(kernel, 0.0, m, rtol=rtol, atol=1e-300, initial_panels=panels)
+    val, _ = integrate(kernel, 0.0, m, atol=1e-300, initial_panels=panels)
     return val
 
 
@@ -510,7 +539,7 @@ class PsiValues:
     psi2_asym: float
 
 
-def _psi_mode_terms(spec, params, ks, rtol):
+def _psi_mode_terms(spec, params, ks):
     """Per-mode contributions to (psi1, psi2, psi12, psi1_asym, psi2_asym)."""
     from .spectrum import lambda_mu_slog  # late import: avoid a module cycle
 
@@ -519,7 +548,7 @@ def _psi_mode_terms(spec, params, ks, rtol):
         (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, k)
         if s_lam <= 0.0:
             raise ValueError(f"psi requires positive evolution eigenvalues; mode {k} fails")
-        si = scaled_mode_integrals(mu, params.T, log_lam=l_lam, rtol=rtol)
+        si = scaled_mode_integrals(mu, params.T, log_lam=l_lam)
 
         s_tau, l_tau = spec.tau.slog(k)
         s_nu, l_nu = spec.nu.slog(k)
@@ -549,21 +578,21 @@ def _psi_mode_terms(spec, params, ks, rtol):
     return out
 
 
-def psi(spec, params, N, rtol=1e-9):
-    """Exact (quadrature-grade) and asymptotic normalizers at the true parameters."""
+def psi(spec, params, N):
+    """Exact and asymptotic normalizers at the true parameters."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    terms = _psi_mode_terms(spec, params, range(1, N + 1), rtol)
+    terms = _psi_mode_terms(spec, params, range(1, N + 1))
     sums = terms.sum(axis=0)
     return PsiValues(N, sums[0], sums[1], sums[2], sums[3], sums[4])
 
 
-def psi_curve(spec, params, N_list, rtol=1e-9):
+def psi_curve(spec, params, N_list):
     """PsiValues at every N in an increasing list, sharing per-mode work."""
     N_list = [int(n) for n in N_list]
     if any(n < 1 for n in N_list) or sorted(N_list) != N_list:
         raise ValueError("N_list must be increasing positive integers")
-    terms = _psi_mode_terms(spec, params, range(1, max(N_list) + 1), rtol)
+    terms = _psi_mode_terms(spec, params, range(1, max(N_list) + 1))
     csums = np.cumsum(terms, axis=0)
     return [
         PsiValues(n, csums[n - 1, 0], csums[n - 1, 1], csums[n - 1, 2], csums[n - 1, 3], csums[n - 1, 4])

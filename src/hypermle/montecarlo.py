@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimate import _mode_sums, _mode_coeffs, _mode_contrib, _Kahan
-from .fundamental import psi_curve
-from .simulate import _scaled_transition, _psd_factor, _run_chain, mode_stream
+from .estimate import _decomposition_errors, _mode_sums, _mode_coeffs, _mode_contrib, _Kahan
+from .fundamental import _EXP_MAX, psi_curve
+from .simulate import _psd_factor, _run_chain, _scaled_transition, _underresolved, mode_stream
 from .spectrum import lambda_mu_slog
 
 __all__ = [
@@ -45,9 +45,6 @@ __all__ = [
     "two_sample_ks",
     "exp_weight_lln_fixture",
 ]
-
-_EXP_MAX = 700.0
-
 
 @dataclass
 class ExperimentConfig:
@@ -89,7 +86,7 @@ class BatchResult:
     excluded: np.ndarray            # boolean: singular-system replicates
     route: str
     underresolved_modes: int
-    identity_max_rel: float         # worst |reconstructed - direct| / |direct|
+    identity_max_rel: float         # worst |reconstructed - direct| / RMS(direct)
     psi1: float = math.nan
     psi2: float = math.nan
     psi12: float = math.nan
@@ -98,16 +95,16 @@ class BatchResult:
 _ACC_KEYS = ("A1", "A2", "F1", "F2", "K1", "K2", "K12", "L1", "L2", "iota1", "iota2")
 
 
-def _mode_task(spec, params, k, lam_tuple, grid, seed, M, check_identity, rtol):
+def _mode_task(spec, params, k, lam_tuple, grid, seed, M, check_identity):
     """Everything mode k contributes, independent of all other modes."""
     s_lam, l_lam, mu = lam_tuple
     dt = grid.dt
     if s_lam > 0.0:
-        P, Q, scale = _scaled_transition(mu, dt, log_lam=l_lam, rtol=rtol, warn=False)
+        P, Q, scale = _scaled_transition(mu, dt, log_lam=l_lam, warn=False)
         lam = math.exp(l_lam)
     else:
         lam = s_lam * math.exp(l_lam) if s_lam != 0.0 else 0.0
-        P, Q, scale = _scaled_transition(mu, dt, lam=lam, rtol=rtol, warn=False)
+        P, Q, scale = _scaled_transition(mu, dt, lam=lam, warn=False)
     S, _ = _psd_factor(Q)
 
     xi = np.empty((grid.n_steps, 3, M))
@@ -126,8 +123,49 @@ def _mode_task(spec, params, k, lam_tuple, grid, seed, M, check_identity, rtol):
     return contrib, contrib_raw
 
 
-def run_replicates(spec, params, N, grid, seed, M, check_identity=None, rtol=1e-9,
-                   workers=1):
+def _solve_batch(vals):
+    """Per-replicate normal-equation solutions and decomposition errors from summed statistics.
+
+    Returns (th1, th2, dec1, dec2, D, excluded); replicates whose information
+    matrix is singular or nearly so are excluded and get NaN estimates.
+    """
+    K1, K2, K12 = vals["K1"], vals["K2"], vals["K12"]
+    det = K1 * K2 - K12 * K12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = det / (K1 * K2)
+    excluded = ~((K1 > 0.0) & (K2 > 0.0) & (gap > 1e-12))
+    safe_det = np.where(excluded, 1.0, det)
+
+    rhs1 = vals["A1"] - vals["F1"] - vals["L1"]
+    rhs2 = vals["A2"] - vals["F2"] - vals["L2"]
+    th1 = (K2 * rhs1 - K12 * rhs2) / safe_det
+    th2 = (K1 * rhs2 - K12 * rhs1) / safe_det
+    th1[excluded] = np.nan
+    th2[excluded] = np.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dec1, dec2, D = _decomposition_errors(K1, K2, K12, vals["iota1"], vals["iota2"])
+    return th1, th2, dec1, dec2, D, excluded
+
+
+def _identity_defect(raw, params):
+    """Worst |decomposition - (mle - theta)| over the batch, in units of the RMS error.
+
+    With raw sums and residual increments the identity is exact up to
+    rounding.  The RMS error, not each replicate's own error (near zero now
+    and then), sets the scale.
+    """
+    th1, th2, dec1, dec2, _, excluded = _solve_batch(raw)
+    ok = ~excluded
+    if not np.any(ok):
+        return math.nan
+    worst = 0.0
+    for th, dec, theta in ((th1, dec1, params.theta1), (th2, dec2, params.theta2)):
+        err = th[ok] - theta
+        worst = max(worst, float(np.max(np.abs(dec[ok] - err)) / np.sqrt(np.mean(err * err))))
+    return worst
+
+
+def run_replicates(spec, params, N, grid, seed, M, check_identity=None, workers=1):
     """Simulate M replicates of modes 1..N and reduce them to estimator outcomes.
 
     Modes are independent work items; with workers > 1 they are computed on a
@@ -147,11 +185,7 @@ def run_replicates(spec, params, N, grid, seed, M, check_identity=None, rtol=1e-
             raise ValueError(f"mode {k}: lambda beyond float range; cannot simulate")
         lam_cache.append((s_lam, l_lam, mu))
         if s_lam > 0.0:
-            b = 0.5 * mu
-            lam = math.exp(l_lam)
-            disc = b * b - lam
-            if disc < 0.0 and math.sqrt(-disc) * dt > math.pi:
-                underresolved += 1
+            underresolved += _underresolved(math.exp(l_lam), mu, dt)
     resolved = underresolved == 0
     if check_identity is None:
         check_identity = resolved
@@ -168,13 +202,12 @@ def run_replicates(spec, params, N, grid, seed, M, check_identity=None, rtol=1e-
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
                 lambda k: _mode_task(spec, params, k, lam_cache[k - 1], grid, seed, M,
-                                     check_identity, rtol),
+                                     check_identity),
                 range(1, N + 1),
             ))
     else:
         results = [
-            _mode_task(spec, params, k, lam_cache[k - 1], grid, seed, M,
-                       check_identity, rtol)
+            _mode_task(spec, params, k, lam_cache[k - 1], grid, seed, M, check_identity)
             for k in range(1, N + 1)
         ]
 
@@ -186,24 +219,7 @@ def run_replicates(spec, params, N, grid, seed, M, check_identity=None, rtol=1e-
                 acc_raw[key].add(contrib_raw[key])
 
     vals = {key: np.atleast_1d(acc_end[key].total()) for key in _ACC_KEYS}
-    K1, K2, K12 = vals["K1"], vals["K2"], vals["K12"]
-    det = K1 * K2 - K12 * K12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = det / (K1 * K2)
-    excluded = ~((K1 > 0.0) & (K2 > 0.0) & (gap > 1e-12))
-    safe_det = np.where(excluded, 1.0, det)
-
-    rhs1 = vals["A1"] - vals["F1"] - vals["L1"]
-    rhs2 = vals["A2"] - vals["F2"] - vals["L2"]
-    th1 = (K2 * rhs1 - K12 * rhs2) / safe_det
-    th2 = (K1 * rhs2 - K12 * rhs1) / safe_det
-    th1[excluded] = np.nan
-    th2[excluded] = np.nan
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        D = (K12 * K12) / (K1 * K2)
-        dec1 = (vals["iota1"] / K1 - vals["iota2"] * K12 / (K1 * K2)) / (1.0 - D)
-        dec2 = (vals["iota2"] / K2 - vals["iota1"] * K12 / (K1 * K2)) / (1.0 - D)
+    th1, th2, dec1, dec2, D, excluded = _solve_batch(vals)
 
     route = "stats" if resolved else "decomposition"
     if route == "stats":
@@ -218,26 +234,12 @@ def run_replicates(spec, params, N, grid, seed, M, check_identity=None, rtol=1e-
 
     identity_max_rel = math.nan
     if check_identity:
-        raw = {key: np.atleast_1d(acc_raw[key].total()) for key in _ACC_KEYS}
-        rdet = raw["K1"] * raw["K2"] - raw["K12"] ** 2
-        ok = rdet > 0.0
-        r1 = (raw["K2"] * (raw["A1"] - raw["F1"] - raw["L1"])
-              - raw["K12"] * (raw["A2"] - raw["F2"] - raw["L2"])) / rdet - params.theta1
-        r2 = (raw["K1"] * (raw["A2"] - raw["F2"] - raw["L2"])
-              - raw["K12"] * (raw["A1"] - raw["F1"] - raw["L1"])) / rdet - params.theta2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Dr = raw["K12"] ** 2 / (raw["K1"] * raw["K2"])
-            q1 = (raw["iota1"] / raw["K1"] - raw["iota2"] * raw["K12"] / (raw["K1"] * raw["K2"])) / (1 - Dr)
-            q2 = (raw["iota2"] / raw["K2"] - raw["iota1"] * raw["K12"] / (raw["K1"] * raw["K2"])) / (1 - Dr)
-            rel = np.maximum(
-                np.abs(q1 - r1) / np.maximum(np.abs(r1), 1e-300),
-                np.abs(q2 - r2) / np.maximum(np.abs(r2), 1e-300),
-            )
-        identity_max_rel = float(np.max(rel[ok])) if np.any(ok) else math.nan
+        identity_max_rel = _identity_defect(
+            {key: np.atleast_1d(acc_raw[key].total()) for key in _ACC_KEYS}, params)
 
     return BatchResult(
         N=N, theta1_hat=th1, theta2_hat=th2, err1=err1, err2=err2,
-        iota1=vals["iota1"], iota2=vals["iota2"], K1=K1, K2=K2, K12=K12,
+        iota1=vals["iota1"], iota2=vals["iota2"], K1=vals["K1"], K2=vals["K2"], K12=vals["K12"],
         D_N=D, excluded=excluded, route=route,
         underresolved_modes=underresolved, identity_max_rel=identity_max_rel,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import fund_solution, scaled_mode_integrals
+from .fundamental import _EXP_MAX, fund_solution, scaled_mode_integrals
 from .quadrature import integrate
 from .spectrum import lambda_mu_slog
 
@@ -35,7 +35,6 @@ __all__ = [
     "mode_stream",
 ]
 
-_EXP_MAX = 700.0
 _LN2 = math.log(2.0)
 
 
@@ -97,6 +96,26 @@ def _pow2_scale(log_lam):
     return math.ldexp(1.0, e)
 
 
+def _underresolved(lam, mu, dt):
+    """Whether a grid of step dt misses the oscillation of mode (lam, mu): ell*dt > pi."""
+    b = 0.5 * mu
+    disc = b * b - lam
+    return disc < 0.0 and math.sqrt(-disc) * dt > math.pi
+
+
+def _true_mode(spec, params, k):
+    """(lam, mu, scale) of mode k at the true parameters, as simulate_solution runs it.
+
+    The scale is the one _scaled_transition derives from lam, so a trajectory
+    file read back with it reproduces the simulated coordinates exactly.
+    """
+    (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, k)
+    if l_lam > _EXP_MAX:
+        raise ValueError(f"mode {k}: lambda exceeds the float range; simulation unsupported")
+    lam = s_lam * math.exp(l_lam) if s_lam != 0.0 else 0.0
+    return lam, mu, _pow2_scale(math.log(lam) if lam > 0.0 else None)
+
+
 def _psd_factor(Q):
     w, V = np.linalg.eigh(Q)
     clip = max(0.0, -float(w.min()))
@@ -107,7 +126,7 @@ def _psd_factor(Q):
     return S, clip
 
 
-def _scaled_transition(mu, dt, log_lam=None, lam=None, rtol=1e-9, warn=True):
+def _scaled_transition(mu, dt, log_lam=None, lam=None, warn=True):
     """Propagator and noise covariance in (scale*u, v, w) coordinates.
 
     Returns (P, Q, scale).  P is 2x2 over the state, Q the 3x3 covariance of
@@ -122,11 +141,9 @@ def _scaled_transition(mu, dt, log_lam=None, lam=None, rtol=1e-9, warn=True):
     if lam is None:
         lam = math.exp(log_lam)
 
-    b = 0.5 * mu
-    disc = b * b - lam
-    if warn and disc < 0.0 and math.sqrt(-disc) * dt > math.pi:
+    if warn and _underresolved(lam, mu, dt):
         warnings.warn(
-            f"mode oscillation unresolved: ell*dt = {math.sqrt(-disc) * dt:.3g} > pi",
+            f"mode oscillation unresolved: ell*dt = {math.sqrt(lam - 0.25 * mu * mu) * dt:.3g} > pi",
             UnderresolvedModeWarning,
             stacklevel=3,
         )
@@ -138,7 +155,7 @@ def _scaled_transition(mu, dt, log_lam=None, lam=None, rtol=1e-9, warn=True):
         scale = _pow2_scale(log_lam)
         lam_over_s2 = math.exp(log_lam - 2.0 * math.log(scale)) if scale != 1.0 else lam
         sf = scale * f
-        si = scaled_mode_integrals(mu, dt, log_lam=log_lam, rtol=rtol)
+        si = scaled_mode_integrals(mu, dt, log_lam=log_lam)
         q_uu = si.lam_if2 / lam_over_s2
         q_uv = sf * sf / (2.0 * scale)
         q_uw = si.sqlam_if / math.sqrt(lam_over_s2)
@@ -165,19 +182,19 @@ def _scaled_transition(mu, dt, log_lam=None, lam=None, rtol=1e-9, warn=True):
         fs, _ = fund_solution(lam, mu, s)
         return fs
 
-    if2, _ = integrate(f2, 0.0, dt, rtol=rtol, atol=1e-300)
-    ifd2, _ = integrate(fd2, 0.0, dt, rtol=rtol, atol=1e-300)
-    intf, _ = integrate(fv, 0.0, dt, rtol=rtol, atol=1e-300)
+    if2, _ = integrate(f2, 0.0, dt, atol=1e-300)
+    ifd2, _ = integrate(fd2, 0.0, dt, atol=1e-300)
+    intf, _ = integrate(fv, 0.0, dt, atol=1e-300)
     P = np.array([[g, f], [-lam * f, fd]])
     Q = np.array([[if2, f * f / 2.0, intf], [f * f / 2.0, ifd2, f], [intf, f, dt]])
     return P, Q, 1.0
 
 
-def transition(lam, mu, dt, rtol=1e-9):
+def transition(lam, mu, dt):
     """Exact one-step propagator and joint noise covariance in plain (u, v, w) coordinates."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    P, Q, s = _scaled_transition(mu, dt, lam=lam, rtol=rtol)
+    P, Q, s = _scaled_transition(mu, dt, lam=lam)
     D = np.array([1.0 / s, 1.0, 1.0])
     P_plain = P.copy()
     P_plain[0, 1] /= s
@@ -236,14 +253,8 @@ def simulate_solution(spec, params, N, grid, seed, replicate=0):
         raise ValueError(f"N must lie in [1, {spec.k_max}]")
     out = []
     for k in range(1, N + 1):
-        (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, k)
-        lam = s_lam * math.exp(l_lam) if (s_lam != 0.0 and l_lam <= _EXP_MAX) else (
-            math.inf if s_lam > 0.0 else 0.0)
-        if l_lam > _EXP_MAX:
-            raise ValueError(f"mode {k}: lambda exceeds the float range; simulation unsupported")
-        rng = mode_stream(seed, replicate, k)
-        traj = simulate_mode(lam, mu, grid, rng, k=k)
-        out.append(traj)
+        lam, mu, _ = _true_mode(spec, params, k)
+        out.append(simulate_mode(lam, mu, grid, mode_stream(seed, replicate, k), k=k))
     return out
 
 

@@ -19,13 +19,6 @@ def slog_from_float(x):
     return sign, log_abs
 
 
-def slog_to_float(sign, log_abs):
-    """Back to a float; overflows saturate to +-inf, underflows to (signed) 0."""
-    with np.errstate(over="ignore"):
-        out = np.asarray(sign, dtype=float) * np.exp(log_abs)
-    return out
-
-
 def slog_scale(sign, log_abs, c):
     """Multiply the represented value by the float scalar c."""
     cs, cl = slog_from_float(c)
@@ -64,12 +57,6 @@ def slog_add(sign_a, log_a, sign_b, log_b):
     out_sign = np.where(small_s == 0.0, big_s, out_sign)
     out_log = np.where(small_s == 0.0, big_l, out_log)
     return out_sign, out_log
-
-
-def slog_mul(sign_a, log_a, sign_b, log_b):
-    sign = np.asarray(sign_a, dtype=float) * np.asarray(sign_b, dtype=float)
-    log = np.where(sign == 0.0, NEG_INF, np.asarray(log_a, dtype=float) + np.asarray(log_b, dtype=float))
-    return sign, log
 
 
 def log_cumsum_exp(log_terms):

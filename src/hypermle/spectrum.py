@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fundamental import m_func_log
+from .fundamental import _EXP_MAX, m_func_log
 from .slog import slog_add, slog_scale, log_cumsum_exp
 
 __all__ = [
@@ -75,11 +75,6 @@ class Generator:
             return 0.0
         with np.errstate(over="ignore"):
             return float(s * np.exp(l))
-
-    def value_array(self, ks):
-        s, l = self.slog_array(ks)
-        with np.errstate(over="ignore"):
-            return s * np.exp(l)
 
     def k_max(self):
         return None  # unbounded unless the generator says otherwise
@@ -586,7 +581,7 @@ def _positive_under_shift(lam_signs, lam_logs, shift):
 
 def _shifted_values(signs, logs, shift):
     # saturating at e^700 keeps order comparisons meaningful past the float range
-    vals = signs * np.exp(np.minimum(logs, 700.0))
+    vals = signs * np.exp(np.minimum(logs, _EXP_MAX))
     return np.where(signs == 0.0, 0.0, vals) + shift
 
 
@@ -720,10 +715,8 @@ def classify_algebraic(spec, params, k_range=(1, 1000)):
 
     # lambda exponents per corner must agree
     alphas = []
-    ek = _power_exponent_exact(spec.kappa)
-    et = _power_exponent_exact(spec.tau)
     for th in params.theta1_box:
-        exact = _affine_power_exponent(spec.kappa, spec.tau, ek, et, th)
+        exact = _affine_power_exponent(spec.kappa, spec.tau, th)
         if exact is not None:
             alphas.append(exact)
             continue
@@ -821,7 +814,7 @@ def _affine_power_lead(gen_a, gen_b, theta):
     return top, lead
 
 
-def _affine_power_exponent(gen_a, gen_b, ea, eb, theta):
+def _affine_power_exponent(gen_a, gen_b, theta):
     r = _affine_power_lead(gen_a, gen_b, theta)
     return None if r is None else r[0]
 

@@ -2,8 +2,12 @@
 import json
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def run_cli(*argv, cwd=None):
@@ -119,6 +123,49 @@ class TestSimulateEstimateRoundTrip:
         # file route reproduces the in-process estimate exactly
         assert doc["theta1_hat"] == ref.theta1_hat
         assert doc["theta2_hat"] == ref.theta2_hat
+
+    def test_scaled_modes_round_trip(self, outdir):
+        # kappa_k tau_k = e^{3k} overflows past k = 236 unless the file route
+        # restores each mode's power-of-two scale as the simulation used it
+        cfg_path = str(CONFIGS / "sec5_exponential.json")
+        common = ("--config", cfg_path, "--n-list", "237", "--dt-steps", "1024",
+                  "--seed", "3", "--out", str(outdir))
+        res = run_cli("simulate", *common)
+        assert res.returncode == 0, res.stderr
+        res = run_cli("estimate", *common, "--trajectories", str(outdir / "trajectories.csv"))
+        assert res.returncode == 0, res.stderr
+        doc = json.loads((outdir / "estimate.json").read_text())
+
+        from hypermle.config import load_config
+        from hypermle.estimate import estimate_from_trajectories
+        from hypermle.simulate import TimeGrid, UnderresolvedModeWarning, simulate_solution
+
+        cfg = load_config(cfg_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnderresolvedModeWarning)
+            trajs = simulate_solution(cfg["spec"], cfg["params"], 237, TimeGrid(1.0, 1024), 3)
+            ref = estimate_from_trajectories(trajs, cfg["spec"])
+        assert doc["theta1_hat"] == ref.theta1_hat
+        assert doc["theta2_hat"] == ref.theta2_hat
+
+    def test_trajectory_grid_must_match_config(self, outdir):
+        common = ("--config", str(CONFIGS / "alg_ex1.json"), "--n-list", "3",
+                  "--out", str(outdir))
+        res = run_cli("simulate", *common, "--dt-steps", "256")
+        assert res.returncode == 0, res.stderr
+        res = run_cli("estimate", *common, "--trajectories", str(outdir / "trajectories.csv"))
+        assert res.returncode == 1
+        assert "t_index 0..4096" in res.stderr
+        assert not (outdir / "estimate.json").exists()
+
+    def test_underresolved_modes_reported(self, outdir):
+        common = ("--config", str(CONFIGS / "sec5_exponential.json"), "--n-list", "12",
+                  "--seed", "3", "--out", str(outdir))
+        run_cli("simulate", *common)
+        res = run_cli("estimate", *common, "--trajectories", str(outdir / "trajectories.csv"))
+        assert res.returncode == 0, res.stderr
+        assert "UnderresolvedModeWarning" in res.stderr
+        assert json.loads((outdir / "estimate.json").read_text())["underresolved_modes"] == 3
 
     def test_manifest_lists_outputs(self, ex1_config, outdir):
         run_cli("simulate", "--config", ex1_config, "--n-list", "3")

@@ -1,10 +1,12 @@
 """Normal-equation statistics, the closed-form estimator, and the error identity."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from hypermle.equations import preset
 from hypermle.estimate import (
     SingularSystemError,
     Stats,
@@ -15,7 +17,7 @@ from hypermle.estimate import (
 )
 from hypermle.fundamental import psi
 from hypermle.montecarlo import run_replicates
-from hypermle.simulate import TimeGrid, simulate_solution
+from hypermle.simulate import TimeGrid, UnderresolvedModeWarning, simulate_solution
 from hypermle.spectrum import Constant, ModelParams, PowerLaw, SpectrumSpec
 
 EX1 = SpectrumSpec(Constant(0), PowerLaw(1, 2), Constant(0), Constant(1))
@@ -179,3 +181,23 @@ class TestEstimateResult:
         assert res.norm_err1 == pytest.approx(math.sqrt(pv.psi1) * (res.theta1_hat - 1.0))
         assert 0.0 <= res.D_N < 1.0
         assert math.isfinite(res.iota1) and math.isfinite(res.iota2)
+
+
+class TestUnderresolvedModes:
+    def test_exponential_spectrum_counted_and_warned(self):
+        # sec5: ell_k ~ e^k, so modes k >= 10 oscillate faster than dt = 1/4096 resolves
+        spec, params = preset("sec5_example")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnderresolvedModeWarning)
+            trajs = simulate_solution(spec, params, 12, TimeGrid(1.0, 4096), seed=3)
+        with pytest.warns(UnderresolvedModeWarning):
+            res = estimate_from_trajectories(trajs, spec, params)
+        assert res.underresolved_modes == 3
+
+    def test_resolved_grid_reports_zero_without_warning(self):
+        spec, params = preset("alg_ex1", d=1)
+        trajs = simulate_solution(spec, params, 40, TimeGrid(1.0, 4096), seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UnderresolvedModeWarning)
+            res = estimate_from_trajectories(trajs, spec, params)
+        assert res.underresolved_modes == 0

@@ -3,8 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+import hypermle.fundamental as fundamental
+import hypermle.simulate as simulate
+from hypermle.equations import preset
 from hypermle.fundamental import (
     FundamentalOverflowError,
     ModeMoments,
@@ -22,6 +27,9 @@ from hypermle.fundamental import (
     upsilon,
     v_func,
 )
+from hypermle.montecarlo import run_replicates
+from hypermle.quadrature import integrate
+from hypermle.simulate import TimeGrid, transition
 from hypermle.spectrum import Constant, ModelParams, PowerLaw, SpectrumSpec
 
 
@@ -38,6 +46,45 @@ def ode_oracle(lam, mu, t_eval, rtol=1e-11, atol=1e-13):
     )
     order = np.argsort(np.argsort(t_eval))
     return sol.y[0][order], sol.y[1][order]
+
+
+def quadrature_oracle(lam, mu, T, rtol):
+    """The scaled energy integrals, sqrt(lam) int f and sqrt(lam) int |f| by adaptive quadrature.
+
+    Panels resolve every half oscillation of f, plus geometric panels toward
+    t = 0 where the fast exponential rate |b| (+ ell for real roots) makes a
+    boundary layer.
+    """
+    b = 0.5 * mu
+    disc = b * b - lam
+    ell = math.sqrt(abs(disc))
+    edges = set(np.linspace(0.0, T, math.ceil(ell * T / math.pi) + 9).tolist())
+    rate = abs(b) + (ell if disc > 0.0 else 0.0)
+    if rate * T > 50.0:
+        edges.update(T * 2.0 ** -j for j in range(1, math.ceil(math.log2(rate * T)) + 4))
+    edges = np.array(sorted(edges))
+
+    def quad(g):
+        return integrate(g, 0.0, T, rtol=rtol, atol=1e-300, edges=edges)[0]
+
+    def f(s):
+        return fund_solution(lam, mu, s)[0]
+
+    def fd(s):
+        return fund_solution(lam, mu, s)[1]
+
+    sq = math.sqrt(lam)
+    return {
+        "lam_if2": lam * quad(lambda s: f(s) ** 2),
+        "ifd2": quad(lambda s: fd(s) ** 2),
+        "lam_iif2": lam * quad(lambda s: (T - s) * f(s) ** 2),
+        "iifd2": quad(lambda s: (T - s) * fd(s) ** 2),
+        "sqlam_if": sq * quad(f),
+        "sqlam_iabsf": sq * quad(lambda s: np.abs(f(s))),
+    }
+
+
+_ENERGIES = ("lam_if2", "ifd2", "lam_iif2", "iifd2")
 
 
 class TestCharacteristicRoots:
@@ -185,7 +232,7 @@ class TestModeMoments:
         assert mm.double_int_f2 == pytest.approx(math.pi ** 2, rel=1e-9)
 
     def test_closed_matches_quadrature_on_overlap(self):
-        from hypermle.fundamental import _integrals_closed_complex, _integrals_quadrature
+        from hypermle.fundamental import _integrals_closed_complex
 
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -194,10 +241,10 @@ class TestModeMoments:
             if mu * mu >= 4 * lam * 0.9:
                 continue
             ell = math.sqrt(lam - mu * mu / 4)
-            q = _integrals_quadrature(lam, mu, 1.0, 1e-11, ell)
+            q = quadrature_oracle(lam, mu, 1.0, 1e-11)
             c = _integrals_closed_complex(lam, mu, 1.0, ell)
-            for fieldname in ("lam_if2", "ifd2", "lam_iif2", "iifd2"):
-                assert getattr(q, fieldname) == pytest.approx(getattr(c, fieldname), rel=1e-9)
+            for fieldname in _ENERGIES:
+                assert q[fieldname] == pytest.approx(getattr(c, fieldname), rel=1e-9)
 
     def test_envelope_matches_closed_at_high_frequency(self):
         from hypermle.fundamental import _integrals_closed_complex, _integrals_envelope
@@ -221,6 +268,63 @@ class TestModeMoments:
         for lam in (1e4, 1e6):
             mm = mode_moments(lam, -1.0, 1.0)
             assert mm.double_int_f2 * lam == pytest.approx(m_func(-1.0), rel=0.01)
+
+
+@st.composite
+def energy_modes(draw):
+    """(lam, mu, T) with total phase 1e-6..1e4, |mu| T up to 1e4, and all three root kinds."""
+    rnd = draw(st.randoms(use_true_random=False))
+    T = 10.0 ** rnd.uniform(-3.0, 1.0)
+    if draw(st.booleans()):
+        mu_T = -(10.0 ** rnd.uniform(-3.0, 4.0))
+    else:
+        mu_T = 10.0 ** rnd.uniform(-3.0, math.log10(300.0))  # e^{mu T} stays finite
+    b = 0.5 * mu_T / T
+    kind = draw(st.sampled_from(["complex", "double", "real"]))
+    if kind == "double":
+        return b * b, 2.0 * b, T
+    if kind == "complex":
+        phase = 10.0 ** rnd.uniform(-6.0, 4.0)
+        return b * b + (phase / T) ** 2, 2.0 * b, T
+    phase = abs(b) * T * 10.0 ** rnd.uniform(-6.0, -1e-3)  # real roots: ell < |b|
+    return b * b - (phase / T) ** 2, 2.0 * b, T
+
+
+class TestIntegralsProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(energy_modes())
+    @example((1.0, -2.0, 50.0))               # double root, disc = 0 exactly
+    @example((0.09, 0.0, 1.0))                # complex, (ell T)^2 = 0.09 < 1/4
+    @example((4.0, 0.0, 1.0))                 # complex, (ell T)^2 = 4 > 1/4
+    @example((3.99, -4.0, 1.0))               # real, (ell T)^2 = 0.01
+    @example((3.0, -4.0, 1.0))                # real, (ell T)^2 = 1
+    @example((2.5e7 + 1e6, -1e4, 1.0))        # |mu| T = 1e4, ell = 1e3
+    @example((2.5e7 + 1.0, -1e4, 1.0))        # |mu| T = 1e4, ell = 1: strongly damped
+    @example((2.5e7 - 1e6, -1e4, 1.0))        # |mu| T = 1e4, real roots
+    @example((22501.0, 300.0, 1.0))           # growing, phase 1
+    @example((1e8 + 2500.0, -100.0, 1.0))     # phase 1e4
+    def test_matches_quadrature_oracle(self, mode):
+        lam, mu, T = mode
+        si = scaled_mode_integrals(mu, T, lam=lam)
+        q = quadrature_oracle(lam, mu, T, 1e-12)
+        for name in _ENERGIES:
+            assert getattr(si, name) == pytest.approx(q[name], rel=1e-10, abs=0.0), name
+        assert abs(si.sqlam_if - q["sqlam_if"]) <= 1e-10 * q["sqlam_iabsf"]
+
+
+def test_no_quadrature_on_positive_lambda_paths(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature ran for a lam > 0 mode")
+
+    monkeypatch.setattr(fundamental, "integrate", refuse)
+    monkeypatch.setattr(simulate, "integrate", refuse)
+    spec, params = preset("alg_ex1", d=1)
+    psi_curve(spec, params, [600])
+    psi_curve(*preset("sec5_example"), [300])
+    mode_moments(1.0, -2.0, 50.0)
+    for k in range(1, 41):
+        transition(float(k * k), -0.5, 1.0 / 4096)
+    run_replicates(spec, params, 5, TimeGrid(1.0, 256), seed=1, M=2)
 
 
 class TestCovariance:
@@ -260,7 +364,6 @@ class TestPredictedMoments:
     def test_variance_oracle_against_covariance(self):
         # Var int u^2 = 4 int_0^T int_0^t cov(s,t)^2 ds dt (Gaussian process identity)
         lam, mu, T = 2.0e4, -2.0, 1.0
-        from hypermle.quadrature import integrate
 
         def inner(t_arr):
             out = np.empty_like(t_arr)

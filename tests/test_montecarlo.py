@@ -107,6 +107,12 @@ class TestHarness:
         # opportunistic identity check ran and held on every replicate
         assert all(r["identity_max_rel"] < 1e-9 for r in rows)
 
+    def test_identity_defect_measured_against_rms_error(self):
+        # one replicate's error here is near zero; the defect is not
+        spec, params = preset("alg_ex1", d=1)
+        batch = run_replicates(spec, params, 10, TimeGrid(1.0, 4096), seed=210001, M=48)
+        assert batch.identity_max_rel < 1e-9
+
     def test_normality_report_shape(self):
         rep = run_normality(self.cfg)
         assert rep.N == 40
