@@ -28,7 +28,7 @@ from . import __version__
 from .config import ConfigError, load_config
 from .equations import preset as make_preset
 from .estimate import SingularSystemError, estimate_from_trajectories
-from .fundamental import QuadratureError, psi_curve
+from .fundamental import FundamentalOverflowError, QuadratureError, psi_curve
 from .montecarlo import (
     ExperimentConfig,
     fit_growth,
@@ -337,7 +337,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularSystemError, QuadratureError, ValueError) as exc:
+    except (SingularSystemError, QuadratureError, FundamentalOverflowError, ValueError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -246,24 +246,34 @@ def sufficient_statistics(trajectories, spec, use_endpoint_identities=True):
     )
 
 
+def _solve_normal(s):
+    """(th1, th2, 1 - D_N) from the nine statistics in s, scalars or equal-shape arrays.
+
+    A singular system gives inf or NaN rather than raising; callers decide
+    what counts as singular.
+    """
+    K1, K2, K12 = s["K1"], s["K2"], s["K12"]
+    det = K1 * K2 - K12 * K12
+    rhs1 = s["A1"] - s["F1"] - s["L1"]
+    rhs2 = s["A2"] - s["F2"] - s["L2"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.divide(K2 * rhs1 - K12 * rhs2, det), np.divide(K1 * rhs2 - K12 * rhs1, det),
+                np.divide(det, K1 * K2))
+
+
 def mle(stats, min_gap=1e-12):
     """Unique solution of the normal equations; raises on (near-)singularity."""
-    K1, K2, K12 = stats.K1, stats.K2, stats.K12
+    K1, K2 = stats.K1, stats.K2
     if not (K1 > 0.0) or not (K2 > 0.0):
         raise SingularSystemError(
             f"degenerate information: K1={K1:.3g}, K2={K2:.3g} "
             "(a parameter without information cannot be estimated)"
         )
-    det = K1 * K2 - K12 * K12
-    gap = det / (K1 * K2)
+    th1, th2, gap = _solve_normal(vars(stats))
     if gap < min_gap:
         raise SingularSystemError(
             f"near-singular system: 1 - D_N = {gap:.3e} < {min_gap:.1e}", conditioning=gap
         )
-    rhs1 = stats.A1 - stats.F1 - stats.L1
-    rhs2 = stats.A2 - stats.F2 - stats.L2
-    th1 = (K2 * rhs1 - K12 * rhs2) / det
-    th2 = (K1 * rhs2 - K12 * rhs1) / det
     return th1, th2
 
 

@@ -403,9 +403,15 @@ def _integrals_envelope(log_lam, mu, T):
 
 
 def scaled_mode_integrals(mu, T, lam=None, log_lam=None):
-    """Dispatch between series, antiderivative, and envelope evaluation (lam > 0)."""
+    """Dispatch between series, antiderivative, and envelope evaluation (lam > 0).
+
+    Every integral carries the factor e^{mu T}; beyond e^_EXP_MAX it raises
+    FundamentalOverflowError, as the real-root antiderivatives do.
+    """
     if T <= 0.0:
         raise ValueError("T must be positive")
+    if mu * T > _EXP_MAX:
+        raise FundamentalOverflowError(mu * T)
     if log_lam is None:
         if lam is None:
             raise ValueError("either lam or log_lam is required")

@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimate import _decomposition_errors, _mode_sums, _mode_coeffs, _mode_contrib, _Kahan
+from .estimate import (_decomposition_errors, _mode_coeffs, _mode_contrib, _mode_sums,
+                       _solve_normal, _Kahan)
 from .fundamental import _EXP_MAX, psi_curve
 from .simulate import _psd_factor, _run_chain, _scaled_transition, _underresolved, mode_stream
 from .spectrum import lambda_mu_slog
@@ -107,10 +108,10 @@ def _mode_task(spec, params, k, lam_tuple, grid, seed, M, check_identity):
         P, Q, scale = _scaled_transition(mu, dt, lam=lam, warn=False)
     S, _ = _psd_factor(Q)
 
-    xi = np.empty((grid.n_steps, 3, M))
+    buf = np.empty((M, grid.n_steps, 3))  # each replicate's draws are contiguous
     for m in range(M):
-        xi[:, :, m] = mode_stream(seed, m, k).standard_normal((grid.n_steps, 3))
-    u, v, dw = _run_chain(P, S, xi)
+        mode_stream(seed, m, k).standard_normal(out=buf[m])
+    u, v, dw = _run_chain(P, S, buf.transpose(1, 2, 0))
 
     sums = _mode_sums(u, v, dw, dt, lam_over_s=lam / scale, mu=mu,
                       residual=check_identity)
@@ -130,16 +131,8 @@ def _solve_batch(vals):
     matrix is singular or nearly so are excluded and get NaN estimates.
     """
     K1, K2, K12 = vals["K1"], vals["K2"], vals["K12"]
-    det = K1 * K2 - K12 * K12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = det / (K1 * K2)
+    th1, th2, gap = _solve_normal(vals)
     excluded = ~((K1 > 0.0) & (K2 > 0.0) & (gap > 1e-12))
-    safe_det = np.where(excluded, 1.0, det)
-
-    rhs1 = vals["A1"] - vals["F1"] - vals["L1"]
-    rhs2 = vals["A2"] - vals["F2"] - vals["L2"]
-    th1 = (K2 * rhs1 - K12 * rhs2) / safe_det
-    th2 = (K1 * rhs2 - K12 * rhs1) / safe_det
     th1[excluded] = np.nan
     th2[excluded] = np.nan
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -7,6 +7,15 @@ increment) whose 3x3 covariance comes from the fundamental solution.  The
 grid therefore introduces no bias in the marginal law of (u, v) at grid
 times; only time-integrated statistics see the step size.
 
+A path is that linear recurrence run as a blocked scan (the matrix form of
+a prefix scan): a matmul with a block-Toeplitz operator of powers of the
+propagator gives every block of _BLOCK steps its response from a zero
+start, a loop over the blocks carries the state from one block to the
+next, and one more matmul adds each block's response to its start.  The
+same engine serves one path (simulate_mode) and a batch of replicates
+(montecarlo._mode_task); it differs from stepping the recurrence only by
+rounding.
+
 Stiff modes are propagated in energy coordinates (sqrt(lam)*u, v) with a
 power-of-two scale, so extreme eigenvalues neither overflow nor lose the
 state to underflow; rescaling by the exact power of two is lossless.
@@ -36,6 +45,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+# steps one block matmul of _run_chain advances
+_BLOCK = 16
 
 
 class UnderresolvedModeWarning(UserWarning):
@@ -212,26 +224,66 @@ def mode_stream(seed, replicate, k):
 
 
 def _run_chain(P, S, xi):
-    """Iterate the exact transition.  xi: (n, 3, M) standard normals.
+    """Iterate the exact transition as a blocked scan.  xi: (n, 3, M) standard normals.
+
+    Step i maps the state x = (u, v) to P x + S[:2] xi[i] and draws the
+    Brownian increment S[2] xi[i].  Over a block of B = _BLOCK steps that
+    starts from x_b, the states are L xi_b + P^{j+1} x_b (j = 0..B-1), where
+    L is the lower block-Toeplitz operator with block (j, i) = P^{j-i} S[:2].
+    One matmul per component over all blocks writes each block's zero-start
+    response straight into u and v, a loop over the n/B blocks carries
+    x_{b+1} = (last response of block b) + P^B x_b, and one more matmul per
+    component adds P^{j+1} x_b.  The n mod B steps left over (all of them when n < B) use
+    the leading rows and columns of L.  This is the same recurrence; only
+    the rounding differs from stepping (about 1e-14 of a path's largest
+    value).  dw is formed elementwise, exactly as S[2] xi.
 
     Returns (u, v, dw) with u, v of shape (n+1, M) and dw of shape (n, M),
-    in the scaled coordinates of P and S.
+    in the scaled coordinates of P and S.  Each replicate's path is
+    contiguous (the arrays are transposed views), and the values do not
+    depend on the memory layout of xi.
     """
     n, _, m = xi.shape
-    noise = np.einsum("ij,njm->nim", S, xi)
-    u = np.empty((n + 1, m))
-    v = np.empty((n + 1, m))
-    u[0] = 0.0
-    v[0] = 0.0
-    a, bb = P[0, 0], P[0, 1]
-    c, d = P[1, 0], P[1, 1]
-    cu = np.zeros(m)
-    cv = np.zeros(m)
-    for i in range(n):
-        cu, cv = a * cu + bb * cv + noise[i, 0], c * cu + d * cv + noise[i, 1]
-        u[i + 1] = cu
-        v[i + 1] = cv
-    return u, v, noise[:, 2, :]
+    B = _BLOCK
+    nb, rem = divmod(n, B)
+    full = nb * B
+
+    powers = [np.eye(2)]
+    for _ in range(B):
+        powers.append(P @ powers[-1])
+    G = np.stack(powers[:B]) @ S[:2]                  # G[d] = P^d S[:2]
+    # L's rows are ordered (component, step), so each component's response is one slice
+    L = np.zeros((2, B, B, 3))
+    j, i = np.tril_indices(B)
+    L[:, j, i, :] = G[j - i].transpose(1, 0, 2)
+    LT = L.reshape(2 * B, 3 * B).T
+    C = np.stack(powers[1:]).transpose(1, 2, 0)       # C[c, :, j] = row c of P^{j+1}
+
+    # Replicate-major throughout, so BLAS sees one memory layout whatever that of
+    # xi (a view of draws filled replicate by replicate, otherwise a copy); the
+    # results are transposed views in which each replicate's path is contiguous.
+    z = np.ascontiguousarray(xi.transpose(2, 0, 1)).reshape(m, 3 * n)
+    dw = np.multiply(z[:, 0::3], S[2, 0])
+    tmp = np.multiply(z[:, 1::3], S[2, 1])
+    dw += tmp
+    dw += np.multiply(z[:, 2::3], S[2, 2], out=tmp)
+
+    uv = np.empty((2, m, n + 1))
+    uv[:, :, 0] = 0.0
+    blocks = uv[:, :, 1:full + 1].reshape(2, m, nb, B)  # views: written in place
+    for c in range(2):                                # zero-start responses of every block
+        np.matmul(z[:, :3 * full].reshape(m, nb, 3 * B), LT[:, c * B:(c + 1) * B], out=blocks[c])
+    x = np.zeros((nb + 1, 2, m))                      # x[b]: state where block b starts
+    x[1:] = blocks[..., -1].transpose(2, 0, 1)
+    for b in range(nb):
+        x[b + 1] += powers[B] @ x[b]
+    corr = tmp[:, :full].reshape(m, nb, B)
+    for c in range(2):
+        blocks[c] += np.matmul(x[:nb].transpose(2, 0, 1), C[c], out=corr)
+        # the remainder: leading rows and columns of L's component c
+        uv[c, :, full + 1:] = (z[:, 3 * full:] @ LT[:3 * rem, c * B:c * B + rem]
+                               + x[nb].T @ C[c, :, :rem])
+    return uv[0].T, uv[1].T, dw.T
 
 
 def simulate_mode(lam, mu, grid, rng, k=1):

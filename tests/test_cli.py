@@ -100,6 +100,22 @@ class TestPsi:
         spec, params = preset("alg_ex1", d=1, theta2=-0.5)
         assert float(row[1]) == pytest.approx(psi(spec, params, 1).psi1, rel=1e-12)
 
+    def test_overflowing_mode_exits_four(self, tmp_path, outdir):
+        # hyperbolic, but mu = 800 makes e^{mu T} overflow the mode integrals
+        power = {"kind": "power_law", "coefficient": 1.0, "exponent": 2.0}
+        cfg = write_config(tmp_path / "grow.json", {
+            "spectrum": {"kappa": power, "tau": power,
+                         "rho": {"kind": "constant", "coefficient": 800.0},
+                         "nu": {"kind": "constant", "coefficient": 1.0}, "dimension": 1},
+            "params": {"theta1": 1.0, "theta2": 0.0, "theta1_box": [0.5, 2.0],
+                       "theta2_box": [-1.0, 1.0], "T": 1.0},
+            "experiment": {"out": str(outdir)},
+        })
+        assert run_cli("check", "--config", cfg).returncode == 0
+        res = run_cli("psi", "--config", cfg, "--n-list", "3")
+        assert res.returncode == 4
+        assert res.stderr.startswith("runtime error:") and "Traceback" not in res.stderr
+
 
 class TestSimulateEstimateRoundTrip:
     def test_estimate_matches_in_process(self, ex1_config, outdir):

@@ -159,6 +159,12 @@ class TestFundSolution:
         with pytest.raises(FundamentalOverflowError):
             fund_solution(1.0, 2000.0, 1.0)
 
+    @pytest.mark.parametrize("lam", [1e6, 160000.0])  # antiderivatives; series at the double root
+    def test_growing_mode_integrals_overflow_reported(self, lam):
+        # e^{mu T} = e^800 is beyond the float range: raise instead of returning NaN
+        with pytest.raises(FundamentalOverflowError):
+            scaled_mode_integrals(800.0, 1.0, lam=lam)
+
     def test_fs_bound_along_hyperbolic_spectrum(self):
         # sup_k sup_t f_k^2 stays bounded for lambda_k = k^2, mu = -0.5
         tgrid = np.linspace(0, 1, 64)

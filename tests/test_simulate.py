@@ -197,6 +197,13 @@ class TestDeterminism:
         assert np.array_equal(a.iota1, b.iota1)
         assert np.array_equal(a.K1, b.K1)
 
+    def test_contiguous_draws_match_shaped_draws(self):
+        # filling a buffer leaves each (seed, replicate, mode) stream's values unchanged
+        buf = np.empty((2, 100, 3))
+        for m in range(2):
+            mode_stream(7, m, 3).standard_normal(out=buf[m])
+            assert np.array_equal(buf[m], mode_stream(7, m, 3).standard_normal((100, 3)))
+
     def test_mode_independence(self):
         spec = SpectrumSpec(Constant(0), PowerLaw(1, 2), Constant(0), Constant(1))
         params = ModelParams(1.0, -0.5, (0.5, 2.0), (-1.0, 1.0), 1.0)
@@ -208,6 +215,62 @@ class TestDeterminism:
             uk.append(sol[1].u[-1])
         corr = np.corrcoef(uj, uk)[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(4000)
+
+
+def reference_chain(P, S, xi):
+    """The exact transition stepped one grid step at a time."""
+    n, _, m = xi.shape
+    u = np.zeros((n + 1, m))
+    v = np.zeros((n + 1, m))
+    for i in range(n):
+        noise = S[:2] @ xi[i]
+        u[i + 1] = P[0, 0] * u[i] + P[0, 1] * v[i] + noise[0]
+        v[i + 1] = P[1, 0] * u[i] + P[1, 1] * v[i] + noise[1]
+    return u, v
+
+
+# (lam or None, log lam, mu): resolved, undamped, stiff, growing, scaled far beyond
+# the grid, scaled beyond the float range of lam*u, and overdamped with real roots
+CHAIN_MODES = [
+    (1.0, None, -0.5),
+    (1.0, None, 0.0),
+    (1e4, None, -1.0),
+    (1.0123e7, None, 1.5),
+    (None, 80.0, 1.5),
+    (None, 200.0, 1.6),
+    (100.0, None, -5000.0),
+]
+
+
+def chain_operators(lam, log_lam, mu, dt=1.0 / 4096):
+    P, Q, _ = _scaled_transition(mu, dt, lam=lam, log_lam=log_lam, warn=False)
+    S, _ = _psd_factor(Q)
+    return P, S
+
+
+class TestBlockedChain:
+    @pytest.mark.parametrize("mode", CHAIN_MODES)
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 4099])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_matches_step_loop(self, mode, n, m):
+        P, S = chain_operators(*mode)
+        xi = np.random.default_rng(n * 10 + m).standard_normal((n, 3, m))
+        u, v, dw = _run_chain(P, S, xi)
+        assert u.shape == v.shape == (n + 1, m) and dw.shape == (n, m)
+        assert np.all(u[0] == 0.0) and np.all(v[0] == 0.0)
+        for got, want in zip((u, v), reference_chain(P, S, xi)):
+            err = np.max(np.abs(got - want), axis=0)
+            assert np.all(err <= 1e-12 * np.max(np.abs(want), axis=0))
+        assert np.array_equal(dw, S[2, 0] * xi[:, 0] + S[2, 1] * xi[:, 1] + S[2, 2] * xi[:, 2])
+
+    @pytest.mark.parametrize("mode", CHAIN_MODES)
+    def test_layout_independent(self, mode):
+        # the Monte Carlo engine passes a transposed view of replicate-major draws
+        P, S = chain_operators(*mode)
+        buf = np.random.default_rng(1).standard_normal((5, 4099, 3))
+        view = buf.transpose(1, 2, 0)
+        for got, want in zip(_run_chain(P, S, view), _run_chain(P, S, np.ascontiguousarray(view))):
+            assert np.array_equal(got, want)
 
 
 class TestItoSum:
