@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, load_config
 from .equations import preset as make_preset
-from .estimate import SingularSystemError, estimate_from_trajectories
+from .estimate import _STAT_KEYS, SingularSystemError, estimate_from_trajectories
 from .fundamental import FundamentalOverflowError, QuadratureError, psi_curve
 from .montecarlo import (
     ExperimentConfig,
@@ -187,7 +187,11 @@ def _read_trajectories(path, spec, params, grid):
         lam, mu, scale = _true_mode(spec, params, k)
         u = np.array([e[1] for e in entries]) * scale
         v = np.array([e[2] for e in entries])
-        dw = np.array([e[3] for e in entries if e[3] is not None])
+        if any(e[3] is None for e in entries[:-1]) or entries[-1][3] is not None:
+            raise ConfigError(
+                f"{path}: mode {k} needs dw on t_index 0..{grid.n_steps - 1} "
+                f"and none on t_index {grid.n_steps}")
+        dw = np.array([e[3] for e in entries[:-1]])
         out.append(ModeTrajectory(k, u, v, dw, scale, lam, mu, grid.dt))
     return out
 
@@ -199,18 +203,14 @@ def cmd_estimate(args):
     N = len(trajs)
     pv = psi_curve(cfg["spec"], cfg["params"], [N])[0]
     res = estimate_from_trajectories(trajs, cfg["spec"], cfg["params"], pv)
-    from .estimate import sufficient_statistics
-
-    stats = sufficient_statistics(trajs, cfg["spec"])
     doc = {
         "N": N,
         "theta1_hat": res.theta1_hat, "theta2_hat": res.theta2_hat,
         "psi1": res.psi1, "psi2": res.psi2, "psi_at_truth": res.psi_at_truth,
         "norm_err1": res.norm_err1, "norm_err2": res.norm_err2,
         "D_N": res.D_N, "iota1": res.iota1, "iota2": res.iota2,
-        "stats": {f: getattr(stats, f) for f in
-                  ("A1", "A2", "F1", "F2", "K1", "K2", "K12", "L1", "L2")},
-        "endpoint_variant": stats.endpoint_variant,
+        "stats": {key: val for key, val in vars(res.stats).items() if key in _STAT_KEYS},
+        "endpoint_variant": res.stats.endpoint_variant,
         "underresolved_modes": res.underresolved_modes,
         "grid": {"T": cfg["params"].T, "n_steps": cfg["grid"].n_steps},
         "seed": cfg["experiment"]["seed"],

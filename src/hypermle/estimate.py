@@ -41,6 +41,7 @@ __all__ = [
     "estimate_from_trajectories",
 ]
 
+# the nine statistics of the normal equations (Stats' fields, in order), then iota
 _STAT_KEYS = ("A1", "A2", "F1", "F2", "K1", "K2", "K12", "L1", "L2", "iota1", "iota2")
 
 
@@ -80,23 +81,7 @@ class EstimateResult:
     iota1: float = math.nan
     iota2: float = math.nan
     underresolved_modes: int = 0
-
-
-class _Kahan:
-    """Compensated accumulation over modes; works on scalars or equal-shape arrays."""
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x):
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-    def total(self):
-        return self.s
+    stats: Stats | None = None
 
 
 def _mode_sums(u_scaled, v, dw, dt, lam_over_s=None, mu=None, residual=False):
@@ -208,25 +193,25 @@ def _mode_contrib(coeffs, sums, endpoint, iota_key="sudws"):
     return out
 
 
-def _accumulate(trajectories, spec, dt, T, endpoint, residual=False, params=None):
-    acc = {key: _Kahan() for key in _STAT_KEYS}
-    iota_key = "sudw_res" if residual else "sudws"
-    for traj in trajectories:
-        lam_over_s = traj.lam / traj.scale if residual else None
-        sums = _mode_sums(
-            traj.u_scaled, traj.v, traj.dw, dt,
-            lam_over_s=lam_over_s, mu=traj.mu, residual=residual,
-        )
-        sums["T"] = T
-        coeffs = _mode_coeffs(spec, traj.k, traj.scale)
-        contrib = _mode_contrib(coeffs, sums, endpoint, iota_key=iota_key)
+def _mode_order_sum(contribs):
+    """Per-key sums of per-mode contributions, compensated (Kahan 1965), in the order given.
+
+    Single paths (scalars) and batches (equal-shape arrays) both pass their
+    modes in increasing k, so a sum never depends on how the modes were computed.
+    """
+    total = dict.fromkeys(_STAT_KEYS, 0.0)
+    comp = dict.fromkeys(_STAT_KEYS, 0.0)
+    for contrib in contribs:
         for key in _STAT_KEYS:
-            acc[key].add(contrib[key])
-    return {key: acc[key].total() for key in _STAT_KEYS}
+            y = contrib[key] - comp[key]
+            t = total[key] + y
+            comp[key] = (t - total[key]) - y
+            total[key] = t
+    return total
 
 
-def sufficient_statistics(trajectories, spec, use_endpoint_identities=True):
-    """The nine statistics of the normal equations from mode trajectories."""
+def _accumulate(trajectories, spec, endpoint, residual=False):
+    """(Stats, iota1, iota2) of the trajectories, from one _mode_sums pass per mode."""
     if not trajectories:
         raise ValueError("no trajectories")
     n = len(trajectories[0])
@@ -237,13 +222,25 @@ def sufficient_statistics(trajectories, spec, use_endpoint_identities=True):
     if not all(math.isfinite(t.grid_dt) for t in trajectories):
         raise ValueError("trajectories must carry grid_dt (set by the simulate helpers)")
     dt = trajectories[0].grid_dt
-    T = n * dt
-    vals = _accumulate(trajectories, spec, dt, T, use_endpoint_identities)
-    return Stats(
-        A1=vals["A1"], A2=vals["A2"], F1=vals["F1"], F2=vals["F2"],
-        K1=vals["K1"], K2=vals["K2"], K12=vals["K12"], L1=vals["L1"], L2=vals["L2"],
-        N=len(trajectories), endpoint_variant=use_endpoint_identities,
-    )
+    iota_key = "sudw_res" if residual else "sudws"
+
+    def contribs():
+        for traj in trajectories:
+            sums = _mode_sums(traj.u_scaled, traj.v, traj.dw, dt,
+                              lam_over_s=traj.lam / traj.scale, mu=traj.mu, residual=residual)
+            sums["T"] = n * dt
+            coeffs = _mode_coeffs(spec, traj.k, traj.scale)
+            yield _mode_contrib(coeffs, sums, endpoint, iota_key=iota_key)
+
+    vals = _mode_order_sum(contribs())
+    stats = Stats(**{key: vals[key] for key in _STAT_KEYS[:9]},
+                  N=len(trajectories), endpoint_variant=endpoint)
+    return stats, vals["iota1"], vals["iota2"]
+
+
+def sufficient_statistics(trajectories, spec, use_endpoint_identities=True):
+    """The nine statistics of the normal equations from mode trajectories."""
+    return _accumulate(trajectories, spec, use_endpoint_identities)[0]
 
 
 def _solve_normal(s):
@@ -307,18 +304,10 @@ def error_decomposition(trajectories, spec, params, increments="residual"):
     for t in trajectories:
         if t.dw is None:
             raise ValueError("error decomposition needs the Brownian increments")
-    dt = trajectories[0].grid_dt
-    T = len(trajectories[0]) * dt
-    vals = _accumulate(
-        trajectories, spec, dt, T, endpoint=False, residual=(increments == "residual")
-    )
-    stats = Stats(
-        A1=vals["A1"], A2=vals["A2"], F1=vals["F1"], F2=vals["F2"],
-        K1=vals["K1"], K2=vals["K2"], K12=vals["K12"], L1=vals["L1"], L2=vals["L2"],
-        N=len(trajectories), endpoint_variant=False,
-    )
-    e1, e2, D = _decomposition_errors(stats.K1, stats.K2, stats.K12, vals["iota1"], vals["iota2"])
-    return ErrorDecomposition(vals["iota1"], vals["iota2"], D, (e1, e2), stats)
+    stats, iota1, iota2 = _accumulate(trajectories, spec, endpoint=False,
+                                      residual=(increments == "residual"))
+    e1, e2, D = _decomposition_errors(stats.K1, stats.K2, stats.K12, iota1, iota2)
+    return ErrorDecomposition(iota1, iota2, D, (e1, e2), stats)
 
 
 def estimate_from_trajectories(trajectories, spec, params=None, psi_values=None,
@@ -329,9 +318,9 @@ def estimate_from_trajectories(trajectories, spec, params=None, psi_values=None,
     oscillation: the endpoint equations then amplify grid noise and the
     estimate may be far off (their count is reported as underresolved_modes).
     """
-    stats = sufficient_statistics(trajectories, spec, use_endpoint_identities)
+    stats, iota1, iota2 = _accumulate(trajectories, spec, use_endpoint_identities)
     th1, th2 = mle(stats)
-    res = EstimateResult(th1, th2)
+    res = EstimateResult(th1, th2, stats=stats)
     res.underresolved_modes = sum(_underresolved(t.lam, t.mu, t.grid_dt) for t in trajectories)
     if res.underresolved_modes:
         warnings.warn(
@@ -340,7 +329,7 @@ def estimate_from_trajectories(trajectories, spec, params=None, psi_values=None,
             UnderresolvedModeWarning,
             stacklevel=2,
         )
-    res.D_N = (stats.K12 ** 2) / (stats.K1 * stats.K2)
+    res.D_N = _decomposition_errors(stats.K1, stats.K2, stats.K12, iota1, iota2)[2]
     if psi_values is not None:
         res.psi1 = psi_values.psi1
         res.psi2 = psi_values.psi2
@@ -348,10 +337,6 @@ def estimate_from_trajectories(trajectories, spec, params=None, psi_values=None,
     if params is not None and psi_values is not None:
         res.norm_err1 = math.sqrt(res.psi1) * (th1 - params.theta1)
         res.norm_err2 = math.sqrt(res.psi2) * (th2 - params.theta2)
-    if params is not None and all(t.dw is not None for t in trajectories):
-        dt = trajectories[0].grid_dt
-        T = len(trajectories[0]) * dt
-        vals = _accumulate(trajectories, spec, dt, T, endpoint=False)
-        res.iota1 = vals["iota1"]
-        res.iota2 = vals["iota2"]
+    if params is not None:
+        res.iota1, res.iota2 = iota1, iota2
     return res

@@ -28,10 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimate import (_decomposition_errors, _mode_coeffs, _mode_contrib, _mode_sums,
-                       _solve_normal, _Kahan)
-from .fundamental import _EXP_MAX, psi_curve
-from .simulate import _psd_factor, _run_chain, _scaled_transition, _underresolved, mode_stream
+from .estimate import (_decomposition_errors, _mode_coeffs, _mode_contrib, _mode_order_sum,
+                       _mode_sums, _solve_normal)
+from .fundamental import psi_curve
+from .simulate import (_psd_factor, _run_chain, _scaled_transition, _slog_lam, _underresolved,
+                       mode_stream)
 from .spectrum import lambda_mu_slog
 
 __all__ = [
@@ -56,7 +57,6 @@ class ExperimentConfig:
     grid: object
     seed: int
     outdir: str | None = None
-    error_route: str = "auto"  # "auto" | "stats" | "decomposition"
     workers: int = 1
 
     def __post_init__(self):
@@ -65,8 +65,6 @@ class ExperimentConfig:
             raise ValueError("N_list must be strictly increasing positive integers")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.error_route not in ("auto", "stats", "decomposition"):
-            raise ValueError("error_route must be auto, stats or decomposition")
 
 
 @dataclass
@@ -93,19 +91,15 @@ class BatchResult:
     psi12: float = math.nan
 
 
-_ACC_KEYS = ("A1", "A2", "F1", "F2", "K1", "K2", "K12", "L1", "L2", "iota1", "iota2")
+def _mode_task(spec, params, k, lam_mu, grid, seed, M, check_identity):
+    """Everything mode k contributes, independent of all other modes.
 
-
-def _mode_task(spec, params, k, lam_tuple, grid, seed, M, check_identity):
-    """Everything mode k contributes, independent of all other modes."""
-    s_lam, l_lam, mu = lam_tuple
+    Returns the endpoint contributions and, with check_identity, the raw ones
+    with residual increments, both from one _mode_sums pass.
+    """
+    lam, mu = lam_mu
     dt = grid.dt
-    if s_lam > 0.0:
-        P, Q, scale = _scaled_transition(mu, dt, log_lam=l_lam, warn=False)
-        lam = math.exp(l_lam)
-    else:
-        lam = s_lam * math.exp(l_lam) if s_lam != 0.0 else 0.0
-        P, Q, scale = _scaled_transition(mu, dt, lam=lam, warn=False)
+    P, Q, scale = _scaled_transition(mu, dt, lam=lam, warn=False)
     S, _ = _psd_factor(Q)
 
     buf = np.empty((M, grid.n_steps, 3))  # each replicate's draws are contiguous
@@ -165,53 +159,32 @@ def run_replicates(spec, params, N, grid, seed, M, check_identity=None, workers=
     thread pool and always reduced in increasing-k order, so the result is
     byte-identical for any worker count.
     """
-    dt = grid.dt
-    acc_end = {key: _Kahan() for key in _ACC_KEYS}
-    acc_raw = None
-    underresolved = 0
-
     # first pass: decide resolvedness cheaply to default the identity check
-    lam_cache = []
+    modes = []
     for k in range(1, N + 1):
         (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, k)
-        if s_lam > 0.0 and l_lam > _EXP_MAX:
-            raise ValueError(f"mode {k}: lambda beyond float range; cannot simulate")
-        lam_cache.append((s_lam, l_lam, mu))
-        if s_lam > 0.0:
-            underresolved += _underresolved(math.exp(l_lam), mu, dt)
+        modes.append((_slog_lam(k, s_lam, l_lam), mu))
+    underresolved = sum(_underresolved(lam, mu, grid.dt) for lam, mu in modes)
     resolved = underresolved == 0
     if check_identity is None:
         check_identity = resolved
-    if check_identity:
-        acc_raw = {key: _Kahan() for key in _ACC_KEYS}
 
-    if workers is None:
-        import os
+    def task(k):
+        return _mode_task(spec, params, k, modes[k - 1], grid, seed, M, check_identity)
 
-        workers = os.cpu_count() or 1
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda k: _mode_task(spec, params, k, lam_cache[k - 1], grid, seed, M,
-                                     check_identity),
-                range(1, N + 1),
-            ))
+            results = list(pool.map(task, range(1, N + 1)))
     else:
-        results = [
-            _mode_task(spec, params, k, lam_cache[k - 1], grid, seed, M, check_identity)
-            for k in range(1, N + 1)
-        ]
+        results = [task(k) for k in range(1, N + 1)]
 
-    for contrib, contrib_raw in results:  # fixed k order regardless of scheduling
-        for key in _ACC_KEYS:
-            acc_end[key].add(contrib[key])
-        if check_identity:
-            for key in _ACC_KEYS:
-                acc_raw[key].add(contrib_raw[key])
+    def summed(part):  # part 0: endpoint contributions, 1: raw ones
+        return {key: np.atleast_1d(total)
+                for key, total in _mode_order_sum(r[part] for r in results).items()}
 
-    vals = {key: np.atleast_1d(acc_end[key].total()) for key in _ACC_KEYS}
+    vals = summed(0)
     th1, th2, dec1, dec2, D, excluded = _solve_batch(vals)
 
     route = "stats" if resolved else "decomposition"
@@ -227,8 +200,7 @@ def run_replicates(spec, params, N, grid, seed, M, check_identity=None, workers=
 
     identity_max_rel = math.nan
     if check_identity:
-        identity_max_rel = _identity_defect(
-            {key: np.atleast_1d(acc_raw[key].total()) for key in _ACC_KEYS}, params)
+        identity_max_rel = _identity_defect(summed(1), params)
 
     return BatchResult(
         N=N, theta1_hat=th1, theta2_hat=th2, err1=err1, err2=err2,

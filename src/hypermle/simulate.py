@@ -115,6 +115,13 @@ def _underresolved(lam, mu, dt):
     return disc < 0.0 and math.sqrt(-disc) * dt > math.pi
 
 
+def _slog_lam(k, s_lam, l_lam):
+    """lam of mode k from its (sign, log |lam|) form; the one place that rebuilds it."""
+    if l_lam > _EXP_MAX:
+        raise ValueError(f"mode {k}: lambda exceeds the float range; simulation unsupported")
+    return s_lam * math.exp(l_lam) if s_lam != 0.0 else 0.0
+
+
 def _true_mode(spec, params, k):
     """(lam, mu, scale) of mode k at the true parameters, as simulate_solution runs it.
 
@@ -122,9 +129,7 @@ def _true_mode(spec, params, k):
     file read back with it reproduces the simulated coordinates exactly.
     """
     (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, k)
-    if l_lam > _EXP_MAX:
-        raise ValueError(f"mode {k}: lambda exceeds the float range; simulation unsupported")
-    lam = s_lam * math.exp(l_lam) if s_lam != 0.0 else 0.0
+    lam = _slog_lam(k, s_lam, l_lam)
     return lam, mu, _pow2_scale(math.log(lam) if lam > 0.0 else None)
 
 
@@ -138,20 +143,18 @@ def _psd_factor(Q):
     return S, clip
 
 
-def _scaled_transition(mu, dt, log_lam=None, lam=None, warn=True):
+def _scaled_transition(mu, dt, lam, warn=True):
     """Propagator and noise covariance in (scale*u, v, w) coordinates.
 
     Returns (P, Q, scale).  P is 2x2 over the state, Q the 3x3 covariance of
-    (state noise in scale*u, state noise in v, Brownian increment).
+    (state noise in scale*u, state noise in v, Brownian increment).  lam is a
+    float; a mode known in (sign, log) form is rebuilt by _slog_lam first.
+    For lam > 0 the scale is a power of two close to sqrt(lam) (_pow2_scale
+    of log lam), otherwise 1.
     """
-    if log_lam is None:
-        if lam is None:
-            raise ValueError("either lam or log_lam is required")
-        log_lam = math.log(lam) if lam > 0.0 else None
+    log_lam = math.log(lam) if lam > 0.0 else None
     if log_lam is not None and log_lam > _EXP_MAX:
         raise ValueError("transition needs lam within the float range (log lam <= 700)")
-    if lam is None:
-        lam = math.exp(log_lam)
 
     if warn and _underresolved(lam, mu, dt):
         warnings.warn(

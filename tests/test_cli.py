@@ -183,6 +183,43 @@ class TestSimulateEstimateRoundTrip:
         assert "UnderresolvedModeWarning" in res.stderr
         assert json.loads((outdir / "estimate.json").read_text())["underresolved_modes"] == 3
 
+    @pytest.mark.parametrize("shift", ["moved_to_last_row", "dropped"])
+    def test_misaligned_increments_rejected(self, outdir, shift):
+        common = ("--config", str(CONFIGS / "alg_ex1.json"), "--n-list", "3",
+                  "--dt-steps", "64", "--seed", "3", "--out", str(outdir))
+        assert run_cli("simulate", *common).returncode == 0
+        path = outdir / "trajectories.csv"
+        lines = path.read_text().splitlines()
+        mid, last = 1 + 65 + 10, 1 + 65 + 64  # mode 2's rows at t_index 10 and 64
+        assert lines[mid].startswith("2,10,") and lines[last].startswith("2,64,")
+        head, dw = lines[mid].rsplit(",", 1)
+        lines[mid] = head + ","
+        if shift == "moved_to_last_row":
+            lines[last] += dw
+        path.write_text("\n".join(lines) + "\n")
+        res = run_cli("estimate", *common, "--trajectories", str(path))
+        assert res.returncode == 1, res.stderr
+        assert "mode 2 needs dw on t_index 0..63 and none on t_index 64" in res.stderr
+        assert not (outdir / "estimate.json").exists()
+
+    def test_estimate_reduces_each_mode_once(self, outdir, monkeypatch):
+        from hypermle import cli, estimate
+
+        common = ["--config", str(CONFIGS / "alg_ex1.json"), "--n-list", "3",
+                  "--dt-steps", "64", "--seed", "3", "--out", str(outdir)]
+        assert cli.main(["simulate", *common]) == 0
+        calls = []
+        mode_sums = estimate._mode_sums
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return mode_sums(*args, **kwargs)
+
+        monkeypatch.setattr(estimate, "_mode_sums", counted)
+        assert cli.main(["estimate", *common,
+                         "--trajectories", str(outdir / "trajectories.csv")]) == 0
+        assert calls == [64, 64, 64]
+
     def test_manifest_lists_outputs(self, ex1_config, outdir):
         run_cli("simulate", "--config", ex1_config, "--n-list", "3")
         run_cli("psi", "--config", ex1_config, "--n-list", "2,4")

@@ -243,7 +243,8 @@ CHAIN_MODES = [
 
 
 def chain_operators(lam, log_lam, mu, dt=1.0 / 4096):
-    P, Q, _ = _scaled_transition(mu, dt, lam=lam, log_lam=log_lam, warn=False)
+    P, Q, _ = _scaled_transition(mu, dt, lam=lam if lam is not None else math.exp(log_lam),
+                                 warn=False)
     S, _ = _psd_factor(Q)
     return P, S
 
