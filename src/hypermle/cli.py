@@ -28,7 +28,7 @@ from . import __version__
 from .config import ConfigError, load_config
 from .equations import preset as make_preset
 from .estimate import _STAT_KEYS, SingularSystemError, estimate_from_trajectories
-from .fundamental import FundamentalOverflowError, QuadratureError, psi_curve
+from .fundamental import FundamentalOverflowError, psi_curve
 from .montecarlo import (
     ExperimentConfig,
     fit_growth,
@@ -177,8 +177,11 @@ def _read_trajectories(path, spec, params, grid):
             k, ti, u, v, dw = line.rstrip("\n").split(",")
             rows.setdefault(int(k), []).append((int(ti), float(u), float(v),
                                                 float(dw) if dw else None))
+    ks = sorted(rows)
+    if ks != list(range(1, len(ks) + 1)):
+        raise ConfigError(f"{path}: holds {len(ks)} modes, not the modes 1..{len(ks)}")
     out = []
-    for k in sorted(rows):
+    for k in ks:
         entries = sorted(rows[k])
         if [e[0] for e in entries] != list(range(grid.n_steps + 1)):
             raise ConfigError(
@@ -337,7 +340,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularSystemError, QuadratureError, FundamentalOverflowError, ValueError) as exc:
+    except (SingularSystemError, FundamentalOverflowError, ValueError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

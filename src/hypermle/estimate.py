@@ -43,6 +43,8 @@ __all__ = [
 
 # the nine statistics of the normal equations (Stats' fields, in order), then iota
 _STAT_KEYS = ("A1", "A2", "F1", "F2", "K1", "K2", "K12", "L1", "L2", "iota1", "iota2")
+# the information matrix counts as singular unless 1 - D_N exceeds this
+_MIN_GAP = 1e-12
 
 
 class SingularSystemError(RuntimeError):
@@ -258,19 +260,18 @@ def _solve_normal(s):
                 np.divide(det, K1 * K2))
 
 
-def mle(stats, min_gap=1e-12):
+def _nonsingular(K1, K2, gap):
+    """Where the information matrix is regular (scalars or arrays); a NaN gap is not."""
+    return (K1 > 0.0) & (K2 > 0.0) & (gap > _MIN_GAP)
+
+
+def mle(stats):
     """Unique solution of the normal equations; raises on (near-)singularity."""
-    K1, K2 = stats.K1, stats.K2
-    if not (K1 > 0.0) or not (K2 > 0.0):
-        raise SingularSystemError(
-            f"degenerate information: K1={K1:.3g}, K2={K2:.3g} "
-            "(a parameter without information cannot be estimated)"
-        )
     th1, th2, gap = _solve_normal(vars(stats))
-    if gap < min_gap:
+    if not _nonsingular(stats.K1, stats.K2, gap):
         raise SingularSystemError(
-            f"near-singular system: 1 - D_N = {gap:.3e} < {min_gap:.1e}", conditioning=gap
-        )
+            f"singular system: K1={stats.K1:.3g}, K2={stats.K2:.3g}, 1 - D_N = {gap:.3e} "
+            "(a parameter without information cannot be estimated)", conditioning=gap)
     return th1, th2
 
 

@@ -4,13 +4,15 @@ The mode response kernel f solves f'' - mu f' + lam f = 0 with f(0)=0,
 f'(0)=1.  Everything the estimator theory needs reduces to f, f', the
 functions M and V, and a handful of integrals of f^2 and f'^2 over [0, T].
 
-For lam > 0 the energy integrals are sums of exponential moments and are
-evaluated in closed form: by a series in (mu^2/4 - lam) T^2 when the total
+The energy integrals are sums of exponential moments and are evaluated in
+closed form for every lam: by a series in (mu^2/4 - lam) T^2 when the total
 phase l*T is below 0.5 (or strong damping, l <= |mu|/16, confines the
-kernel to where it is), by exact antiderivatives up to phase 1e7, and by
-their phase-averaged envelope (relative error O(1/(l*T))) beyond, or when
-lam itself leaves the float range.  Only lam <= 0 modes and covariance_u use
-adaptive quadrature; the tests use it as an independent oracle.
+kernel to where it is), by exact antiderivatives up to phase 1e7, and for
+lam > 0 by their phase-averaged envelope (relative error O(1/(l*T))) beyond,
+or when lam itself leaves the float range.  lam <= 0 has real roots, one of
+them >= 0, so it never needs the envelope.  covariance_u follows from
+int f^2 by the shift identity of f.  No integral is computed by quadrature
+at run time; the tests keep adaptive quadrature as an independent oracle.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate, QuadratureError
+from .quadrature import integrate  # perfbench/tracing.py wraps this name; nothing here calls it
 
 __all__ = [
     "RootKind",
@@ -36,7 +38,6 @@ __all__ = [
     "psi_curve",
     "upsilon",
     "FundamentalOverflowError",
-    "QuadratureError",
 ]
 
 ROOT_COMPLEX = "complex_pair"
@@ -64,6 +65,13 @@ class FundamentalOverflowError(OverflowError):
             f"(log-magnitude fallback value)"
         )
         self.log_magnitude = exponent
+
+
+def _slog_lam(k, s_lam, l_lam):
+    """lam of mode k from its (sign, log |lam|) form; the one place that rebuilds it."""
+    if l_lam > _EXP_MAX:
+        raise ValueError(f"mode {k}: lambda exceeds the float range; simulation unsupported")
+    return s_lam * math.exp(l_lam) if s_lam != 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -132,7 +140,7 @@ def fund_solution(lam, mu, t):
     ell = math.sqrt(abs(disc))
 
     tmax = float(t.max()) if t.size else 0.0
-    grow = max(b, 0.0) + (ell if disc > 0.0 and b + ell > 0.0 else 0.0)
+    grow = b + (ell if disc > 0.0 else 0.0)  # largest root's real part
     if grow * tmax > _EXP_MAX:
         raise FundamentalOverflowError(grow * tmax)
 
@@ -314,7 +322,7 @@ def _phi(z, n_max):
 
 
 def _integrals_series(lam, mu, T):
-    """Energy integrals for (l*T)^2 < 1/4 or l <= -mu/16, any sign of the discriminant.
+    """Integrals for (l*T)^2 < 1/4 or l <= -mu/16, any sign of lam and of the discriminant.
 
     With y = (mu^2/4 - lam) T^2, f = t e^{bt} S and f' = e^{bt} (b t S + C) at
     argument y (t/T)^2, so every integral is a series in y whose terms are the
@@ -338,8 +346,7 @@ def _integrals_series(lam, mu, T):
     if2, ifd2 = energies(phi)
     iif2, iifd2 = energies(phi[:-1] - phi[1:])
     intf = y_pow @ (_S_COEF * _phi(beta, 2 * n_terms - 1)[1::2])
-    return ScaledIntegrals(lam * T ** 3 * if2, T * ifd2, lam * T ** 4 * iif2, T * T * iifd2,
-                           math.sqrt(lam) * T * T * intf, "closed")
+    return T ** 3 * if2, T * ifd2, T ** 4 * iif2, T * T * iifd2, T * T * intf
 
 
 def _integrals_closed_complex(lam, mu, T, ell):
@@ -357,7 +364,7 @@ def _integrals_closed_complex(lam, mu, T, ell):
     ifd2 = 0.5 * (p0c + p0z.real) + (b / ell) * p0z.imag + (b * b / (2.0 * ell2)) * (p0c - p0z.real)
     iifd2 = 0.5 * (w0c + w0z.real) + (b / ell) * w0z.imag + (b * b / (2.0 * ell2)) * (w0c - w0z.real)
     intf = _p0(complex(b, ell), T).imag / ell
-    return ScaledIntegrals(lam * if2, ifd2, lam * iif2, iifd2, math.sqrt(lam) * intf, "closed")
+    return if2, ifd2, iif2, iifd2, intf
 
 
 def _integrals_closed_real(lam, mu, T, ell):
@@ -371,10 +378,11 @@ def _integrals_closed_real(lam, mu, T, ell):
 
     if2 = (p0p - 2.0 * p0c + p0m) / four_ell2
     iif2 = (w0p - 2.0 * w0c + w0m) / four_ell2
-    ifd2 = (r_plus ** 2 * p0p - 2.0 * lam * p0c + r_minus ** 2 * p0m) / four_ell2
+    # r+^2 e^{2 r+ T} alone can leave the float range where int f'^2 does not
+    ifd2 = (r_plus ** 2 / four_ell2) * p0p + (r_minus ** 2 * p0m - 2.0 * lam * p0c) / four_ell2
     iifd2 = (r_plus ** 2 * w0p - 2.0 * lam * w0c + r_minus ** 2 * w0m) / four_ell2
     intf = (_p0(r_plus, T) - _p0(r_minus, T)) / (2.0 * ell)
-    return ScaledIntegrals(lam * if2, ifd2, lam * iif2, iifd2, math.sqrt(lam) * intf, "closed")
+    return if2, ifd2, iif2, iifd2, intf
 
 
 def _integrals_envelope(log_lam, mu, T):
@@ -422,7 +430,20 @@ def scaled_mode_integrals(mu, T, lam=None, log_lam=None):
         if log_lam > _EXP_MAX:
             return _integrals_envelope(log_lam, mu, T)
         lam = math.exp(log_lam)
+    closed = _closed_integrals(lam, mu, T)
+    if closed is None:
+        return _integrals_envelope(math.log(lam), mu, T)
+    if2, ifd2, iif2, iifd2, intf = closed
+    return ScaledIntegrals(lam * if2, ifd2, lam * iif2, iifd2, math.sqrt(lam) * intf, "closed")
 
+
+def _closed_integrals(lam, mu, T):
+    """(int f^2, int f'^2, int (T-t) f^2, int (T-t) f'^2, int f) over [0, T], lam of either sign.
+
+    lam <= 0 has real roots, one of them >= 0, so it takes the series or the
+    real-root antiderivatives.  None for complex roots beyond phase
+    _ENVELOPE_PHASE_MIN, where only the (lam-scaled) envelope serves.
+    """
     b = 0.5 * mu
     disc = b * b - lam
     ell = math.sqrt(abs(disc))
@@ -437,7 +458,7 @@ def scaled_mode_integrals(mu, T, lam=None, log_lam=None):
         return _integrals_closed_real(lam, mu, T, ell)
     if phase <= _ENVELOPE_PHASE_MIN:
         return _integrals_closed_complex(lam, mu, T, ell)
-    return _integrals_envelope(math.log(lam), mu, T)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -461,48 +482,27 @@ def mode_moments(lam, mu, T):
         int_f2 = si.lam_if2 / lam
         dbl_f2 = si.lam_iif2 / lam
         return ModeMoments(int_f2, si.ifd2, dbl_f2, si.iifd2, int_f2)
-
-    # lam <= 0: no lam-scaling; direct quadrature of the (non-oscillatory) kernel
-    def f2(s):
-        f, _ = fund_solution(lam, mu, s)
-        return f * f
-
-    def fd2(s):
-        _, fd = fund_solution(lam, mu, s)
-        return fd * fd
-
-    def wf2(s):
-        f, _ = fund_solution(lam, mu, s)
-        return (T - s) * f * f
-
-    def wfd2(s):
-        _, fd = fund_solution(lam, mu, s)
-        return (T - s) * fd * fd
-
-    int_f2, _ = integrate(f2, 0.0, T, atol=1e-300)
-    int_fd2, _ = integrate(fd2, 0.0, T, atol=1e-300)
-    dbl_f2, _ = integrate(wf2, 0.0, T, atol=1e-300)
-    dbl_fd2, _ = integrate(wfd2, 0.0, T, atol=1e-300)
+    if T <= 0.0:
+        raise ValueError("T must be positive")
+    int_f2, int_fd2, dbl_f2, dbl_fd2, _ = _closed_integrals(lam, mu, T)
     return ModeMoments(int_f2, int_fd2, dbl_f2, dbl_fd2, int_f2)
 
 
 def covariance_u(lam, mu, s, t):
-    """E u(s)u(t) = int_0^{min(s,t)} f(s-r) f(t-r) dr."""
+    """E u(s)u(t) = int_0^{min(s,t)} f(s-r) f(t-r) dr, in closed form.
+
+    With s <= t, d = t - s and g = f' - mu f, f(a + d) = f(a) g(d) + f'(a) f(d)
+    (both sides solve the mode equation in d with the same value and slope at
+    d = 0), so the integral is g(d) int_0^s f^2 + f(d) f(s)^2 / 2.
+    """
     if s < 0.0 or t < 0.0:
         raise ValueError("covariance_u requires s, t >= 0")
-    m = min(s, t)
-    if m == 0.0:
+    s, t = min(s, t), max(s, t)
+    if s == 0.0:
         return 0.0
-    roots = characteristic_roots(lam, mu)
-    panels = int(min(max(8, math.ceil(roots.ell * m / math.pi) + 4), 4200))
-
-    def kernel(r):
-        fa, _ = fund_solution(lam, mu, s - r)
-        fb, _ = fund_solution(lam, mu, t - r)
-        return fa * fb
-
-    val, _ = integrate(kernel, 0.0, m, atol=1e-300, initial_panels=panels)
-    return val
+    f_s, _ = fund_solution(lam, mu, s)
+    f_d, fd_d = fund_solution(lam, mu, t - s)
+    return (fd_d - mu * f_d) * mode_moments(lam, mu, s).int_f2 + f_d * f_s * f_s / 2.0
 
 
 def _em1_over(x):
@@ -552,13 +552,17 @@ def _psi_mode_terms(spec, params, ks):
     out = np.empty((len(ks), 5))
     for i, k in enumerate(ks):
         (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, k)
-        if s_lam <= 0.0:
-            raise ValueError(f"psi requires positive evolution eigenvalues; mode {k} fails")
-        si = scaled_mode_integrals(mu, params.T, log_lam=l_lam)
-
         s_tau, l_tau = spec.tau.slog(k)
         s_nu, l_nu = spec.nu.slog(k)
         nu = s_nu * math.exp(l_nu) if l_nu > -math.inf else 0.0
+        if s_lam <= 0.0:
+            # no large-lam form exists for such a mode: its exact terms fill the _asym columns
+            if2, _, iif2, iifd2, _ = _closed_integrals(_slog_lam(k, s_lam, l_lam), mu, params.T)
+            tau = s_tau * math.exp(l_tau) if l_tau > -math.inf else 0.0
+            exact = [tau * tau * iif2, nu * nu * iifd2, -0.5 * tau * nu * if2]
+            out[i] = exact + exact[:2]
+            continue
+        si = scaled_mode_integrals(mu, params.T, log_lam=l_lam)
 
         c1 = math.exp(2.0 * l_tau - l_lam) if l_tau > -math.inf else 0.0
         c12 = (

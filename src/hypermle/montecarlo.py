@@ -29,10 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .estimate import (_decomposition_errors, _mode_coeffs, _mode_contrib, _mode_order_sum,
-                       _mode_sums, _solve_normal)
-from .fundamental import psi_curve
-from .simulate import (_psd_factor, _run_chain, _scaled_transition, _slog_lam, _underresolved,
-                       mode_stream)
+                       _mode_sums, _nonsingular, _solve_normal)
+from .fundamental import _slog_lam, psi_curve
+from .simulate import _psd_factor, _run_chain, _scaled_transition, _underresolved, mode_stream
 from .spectrum import lambda_mu_slog
 
 __all__ = [
@@ -56,7 +55,6 @@ class ExperimentConfig:
     replicates: int
     grid: object
     seed: int
-    outdir: str | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -126,7 +124,7 @@ def _solve_batch(vals):
     """
     K1, K2, K12 = vals["K1"], vals["K2"], vals["K12"]
     th1, th2, gap = _solve_normal(vals)
-    excluded = ~((K1 > 0.0) & (K2 > 0.0) & (gap > 1e-12))
+    excluded = ~_nonsingular(K1, K2, gap)
     th1[excluded] = np.nan
     th2[excluded] = np.nan
     with np.errstate(divide="ignore", invalid="ignore"):

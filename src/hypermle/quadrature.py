@@ -1,4 +1,8 @@
-"""Adaptive panel quadrature, vectorized over panels.
+"""Adaptive panel quadrature, vectorized over panels: the tests' independent oracle.
+
+No run-time path integrates numerically: every integral the program needs
+has a closed form (see fundamental), and the tests check those forms
+against this module.
 
 Each panel carries a high/low order Gauss-Legendre pair; panels whose
 local error exceeds its share of the global budget are bisected.  The

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import _EXP_MAX, fund_solution, scaled_mode_integrals
-from .quadrature import integrate
+from .fundamental import _EXP_MAX, _closed_integrals, _slog_lam, fund_solution, scaled_mode_integrals
+from .quadrature import integrate  # perfbench/tracing.py wraps this name; nothing here calls it
 from .spectrum import lambda_mu_slog
 
 __all__ = [
@@ -115,13 +115,6 @@ def _underresolved(lam, mu, dt):
     return disc < 0.0 and math.sqrt(-disc) * dt > math.pi
 
 
-def _slog_lam(k, s_lam, l_lam):
-    """lam of mode k from its (sign, log |lam|) form; the one place that rebuilds it."""
-    if l_lam > _EXP_MAX:
-        raise ValueError(f"mode {k}: lambda exceeds the float range; simulation unsupported")
-    return s_lam * math.exp(l_lam) if s_lam != 0.0 else 0.0
-
-
 def _true_mode(spec, params, k):
     """(lam, mu, scale) of mode k at the true parameters, as simulate_solution runs it.
 
@@ -184,22 +177,7 @@ def _scaled_transition(mu, dt, lam, warn=True):
         )
         return P, Q, scale
 
-    # lam <= 0: no scaling; direct quadrature of the three kernels
-    def f2(s):
-        fs, _ = fund_solution(lam, mu, s)
-        return fs * fs
-
-    def fd2(s):
-        _, fds = fund_solution(lam, mu, s)
-        return fds * fds
-
-    def fv(s):
-        fs, _ = fund_solution(lam, mu, s)
-        return fs
-
-    if2, _ = integrate(f2, 0.0, dt, atol=1e-300)
-    ifd2, _ = integrate(fd2, 0.0, dt, atol=1e-300)
-    intf, _ = integrate(fv, 0.0, dt, atol=1e-300)
+    if2, ifd2, _, _, intf = _closed_integrals(lam, mu, dt)  # lam <= 0: no scaling
     P = np.array([[g, f], [-lam * f, fd]])
     Q = np.array([[if2, f * f / 2.0, intf], [f * f / 2.0, ifd2, f], [intf, f, dt]])
     return P, Q, 1.0

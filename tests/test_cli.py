@@ -202,6 +202,19 @@ class TestSimulateEstimateRoundTrip:
         assert "mode 2 needs dw on t_index 0..63 and none on t_index 64" in res.stderr
         assert not (outdir / "estimate.json").exists()
 
+    def test_missing_mode_rejected(self, outdir):
+        # the statistics of modes {1, 2, 4} must not be normalized with psi of modes 1..3
+        common = ("--config", str(CONFIGS / "alg_ex1.json"), "--n-list", "4",
+                  "--dt-steps", "64", "--seed", "3", "--out", str(outdir))
+        assert run_cli("simulate", *common).returncode == 0
+        path = outdir / "trajectories.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(l for l in lines if not l.startswith("3,")) + "\n")
+        res = run_cli("estimate", *common, "--trajectories", str(path))
+        assert res.returncode == 1, res.stderr
+        assert "holds 3 modes, not the modes 1..3" in res.stderr
+        assert not (outdir / "estimate.json").exists()
+
     def test_estimate_reduces_each_mode_once(self, outdir, monkeypatch):
         from hypermle import cli, estimate
 
@@ -236,6 +249,28 @@ class TestSimulateEstimateRoundTrip:
         entries = [json.loads(l) for l in
                    (outdir / "manifest.jsonl").read_text().strip().splitlines()]
         assert entries[-1]["seed"] == 999
+
+
+class TestNonpositiveEigenvalues:
+    def test_spectrum_that_checks_runs_end_to_end(self, tmp_path, outdir):
+        # kappa = -3, tau = k^2: lambda_1 = -2 <= 0, hyperbolic with C* = 2.5
+        cfg = write_config(tmp_path / "neg.json", {
+            "spectrum": {"kappa": {"kind": "constant", "coefficient": -3.0},
+                         "tau": {"kind": "power_law", "coefficient": 1.0, "exponent": 2.0},
+                         "rho": {"kind": "constant", "coefficient": 0.0},
+                         "nu": {"kind": "constant", "coefficient": 1.0}, "dimension": 1},
+            "params": {"theta1": 1.0, "theta2": -0.5, "theta1_box": [0.5, 2.0],
+                       "theta2_box": [-1.0, 1.0], "T": 1.0},
+            "grid": {"n_steps": 64},
+            "experiment": {"N_list": [2, 4], "replicates": 4, "seed": 5, "out": str(outdir)},
+        })
+        for argv in (("check",), ("psi",), ("simulate",),
+                     ("estimate", "--trajectories", str(outdir / "trajectories.csv")),
+                     ("mc", "consistency")):
+            res = run_cli(*argv, "--config", cfg)
+            assert res.returncode == 0, (argv, res.stderr)
+        assert json.loads((outdir / "check_report.json").read_text())["hyperbolicity"]["hyperbolic"] == "pass"
+        assert json.loads((outdir / "estimate.json").read_text())["N"] == 4
 
 
 class TestMc:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import hypermle.fundamental as fundamental
+import hypermle.quadrature as quadrature
 import hypermle.simulate as simulate
 from hypermle.equations import preset
 from hypermle.fundamental import (
@@ -29,8 +30,8 @@ from hypermle.fundamental import (
 )
 from hypermle.montecarlo import run_replicates
 from hypermle.quadrature import integrate
-from hypermle.simulate import TimeGrid, transition
-from hypermle.spectrum import Constant, ModelParams, PowerLaw, SpectrumSpec
+from hypermle.simulate import TimeGrid, simulate_solution, transition
+from hypermle.spectrum import Constant, ModelParams, PowerLaw, SpectrumSpec, lambda_mu_slog
 
 
 def ode_oracle(lam, mu, t_eval, rtol=1e-11, atol=1e-13):
@@ -49,7 +50,7 @@ def ode_oracle(lam, mu, t_eval, rtol=1e-11, atol=1e-13):
 
 
 def quadrature_oracle(lam, mu, T, rtol):
-    """The scaled energy integrals, sqrt(lam) int f and sqrt(lam) int |f| by adaptive quadrature.
+    """int f^2, int f'^2, int (T-t) f^2, int (T-t) f'^2, int f and int |f| by adaptive quadrature.
 
     Panels resolve every half oscillation of f, plus geometric panels toward
     t = 0 where the fast exponential rate |b| (+ ell for real roots) makes a
@@ -73,18 +74,47 @@ def quadrature_oracle(lam, mu, T, rtol):
     def fd(s):
         return fund_solution(lam, mu, s)[1]
 
-    sq = math.sqrt(lam)
     return {
-        "lam_if2": lam * quad(lambda s: f(s) ** 2),
+        "if2": quad(lambda s: f(s) ** 2),
         "ifd2": quad(lambda s: fd(s) ** 2),
-        "lam_iif2": lam * quad(lambda s: (T - s) * f(s) ** 2),
+        "iif2": quad(lambda s: (T - s) * f(s) ** 2),
         "iifd2": quad(lambda s: (T - s) * fd(s) ** 2),
-        "sqlam_if": sq * quad(f),
-        "sqlam_iabsf": sq * quad(lambda s: np.abs(f(s))),
+        "if": quad(f),
+        "iabsf": quad(lambda s: np.abs(f(s))),
     }
 
 
+def scaled_quadrature_oracle(lam, mu, T, rtol):
+    """The oracle's integrals in the lam-scaled form of ScaledIntegrals (lam > 0)."""
+    q = quadrature_oracle(lam, mu, T, rtol)
+    sq = math.sqrt(lam)
+    return {"lam_if2": lam * q["if2"], "ifd2": q["ifd2"], "lam_iif2": lam * q["iif2"],
+            "iifd2": q["iifd2"], "sqlam_if": sq * q["if"], "sqlam_iabsf": sq * q["iabsf"]}
+
+
 _ENERGIES = ("lam_if2", "ifd2", "lam_iif2", "iifd2")
+_UNSCALED = ("if2", "ifd2", "iif2", "iifd2", "if")
+
+
+def covariance_oracle(lam, mu, s, t, rtol):
+    """int_0^min(s,t) f(s-r) f(t-r) dr and the integral of its absolute value, by quadrature."""
+    m = min(s, t)
+    ell = characteristic_roots(lam, mu).ell
+    edges = np.linspace(0.0, m, math.ceil(ell * m / math.pi) + 9)
+
+    def kernel(r):
+        return fund_solution(lam, mu, s - r)[0] * fund_solution(lam, mu, t - r)[0]
+
+    def quad(g):
+        return integrate(g, 0.0, m, rtol=rtol, atol=1e-300, edges=edges)[0]
+
+    return quad(kernel), quad(lambda r: np.abs(kernel(r)))
+
+
+def negative_kappa_model():
+    """kappa = -12, tau = 3 k^2, rho = 1/2, nu = 2 at theta = (1, -1/2): lambda_1 = -9, lambda_2 = 0."""
+    spec = SpectrumSpec(Constant(-12.0), PowerLaw(3.0, 2.0), Constant(0.5), Constant(2.0))
+    return spec, ModelParams(1.0, -0.5, (0.5, 2.0), (-1.0, 1.0), 1.0)
 
 
 class TestCharacteristicRoots:
@@ -248,9 +278,9 @@ class TestModeMoments:
                 continue
             ell = math.sqrt(lam - mu * mu / 4)
             q = quadrature_oracle(lam, mu, 1.0, 1e-11)
-            c = _integrals_closed_complex(lam, mu, 1.0, ell)
-            for fieldname in _ENERGIES:
-                assert q[fieldname] == pytest.approx(getattr(c, fieldname), rel=1e-9)
+            c = dict(zip(_UNSCALED, _integrals_closed_complex(lam, mu, 1.0, ell)))
+            for fieldname in _UNSCALED[:4]:
+                assert q[fieldname] == pytest.approx(c[fieldname], rel=1e-9)
 
     def test_envelope_matches_closed_at_high_frequency(self):
         from hypermle.fundamental import _integrals_closed_complex, _integrals_envelope
@@ -258,10 +288,11 @@ class TestModeMoments:
         for lam in (1e15, 1e16):
             mu = -1.3
             ell = math.sqrt(lam - mu * mu / 4)
-            c = _integrals_closed_complex(lam, mu, 1.0, ell)
+            if2, ifd2, iif2, iifd2, _ = _integrals_closed_complex(lam, mu, 1.0, ell)
+            c = {"lam_if2": lam * if2, "ifd2": ifd2, "lam_iif2": lam * iif2, "iifd2": iifd2}
             e = _integrals_envelope(math.log(lam), mu, 1.0)
             for fieldname in ("lam_if2", "ifd2", "lam_iif2", "iifd2"):
-                assert getattr(c, fieldname) == pytest.approx(getattr(e, fieldname), rel=1e-6)
+                assert c[fieldname] == pytest.approx(getattr(e, fieldname), rel=1e-6)
 
     def test_log_native_envelope(self):
         # lambda far beyond the float range; lam * iint f^2 ~ T^2 M(mu T)
@@ -296,6 +327,24 @@ def energy_modes(draw):
     return b * b - (phase / T) ** 2, 2.0 * b, T
 
 
+@st.composite
+def nonpositive_modes(draw):
+    """(lam, mu, T) with lam = 0 exactly or lam < 0, either sign of mu, f^2 growing up to e^700.
+
+    Such a mode has the roots r >= 0 >= r' with lam = r r' and mu = r + r'.  f^2
+    grows like e^{2 r t}, so r T <= 350 keeps it within the float range; at
+    lam = 0 that is mu T = 350 (beyond it the integrals overflow, see
+    test_nonpositive_lambda_overflow_reported).
+    """
+    rnd = draw(st.randoms(use_true_random=False))
+    T = 10.0 ** rnd.uniform(-3.0, math.log10(2.0))
+    r_T = 10.0 ** rnd.uniform(-3.0, math.log10(350.0))
+    r2_T = -(10.0 ** rnd.uniform(-3.0, 4.0))
+    if draw(st.booleans()):  # lam = 0: the roots are 0 and mu
+        return 0.0, (r_T if draw(st.booleans()) else r2_T) / T, T
+    return (r_T / T) * (r2_T / T), (r_T + r2_T) / T, T
+
+
 class TestIntegralsProperty:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(energy_modes())
@@ -312,16 +361,50 @@ class TestIntegralsProperty:
     def test_matches_quadrature_oracle(self, mode):
         lam, mu, T = mode
         si = scaled_mode_integrals(mu, T, lam=lam)
-        q = quadrature_oracle(lam, mu, T, 1e-12)
+        q = scaled_quadrature_oracle(lam, mu, T, 1e-12)
         for name in _ENERGIES:
             assert getattr(si, name) == pytest.approx(q[name], rel=1e-10, abs=0.0), name
         assert abs(si.sqlam_if - q["sqlam_if"]) <= 1e-10 * q["sqlam_iabsf"]
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nonpositive_modes())
+    @example((0.0, 0.0, 1.0))                 # f = t, disc = 0 exactly
+    @example((0.0, -2.0, 1.0))                # lam = 0, decaying
+    @example((0.0, 0.5, 1.0))                 # lam = 0, growing, series (phase 1/4)
+    @example((0.0, 350.0, 1.0))               # lam = 0, f^2 grows to e^700
+    @example((-1.0, 0.0, 1.0))                # f = sinh t
+    @example((-9.0, -0.5, 1.0))               # negative_kappa_model's first mode
+    @example((-0.01, 0.1, 1.0))               # lam < 0, series (phase 0.11)
+    @example((-1e6, -1e4, 1.0))               # lam < 0, |mu| T = 1e4
+    def test_nonpositive_lambda_matches_quadrature_oracle(self, mode):
+        lam, mu, T = mode
+        got = dict(zip(_UNSCALED, fundamental._closed_integrals(lam, mu, T)))
+        q = quadrature_oracle(lam, mu, T, 1e-12)
+        for name in _UNSCALED[:4]:
+            assert got[name] == pytest.approx(q[name], rel=1e-10, abs=0.0), name
+        assert abs(got["if"] - q["if"]) <= 1e-10 * q["iabsf"]
 
-def test_no_quadrature_on_positive_lambda_paths(monkeypatch):
+
+@st.composite
+def covariance_cases(draw):
+    """(lam, mu, s, t): lam = 0 or of either sign, decaying and growing modes, s and t in either order."""
+    rnd = draw(st.randoms(use_true_random=False))
+    lam = draw(st.sampled_from([1.0, -1.0, 0.0])) * 10.0 ** rnd.uniform(-2.0, 3.0)
+    mu = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** rnd.uniform(-2.0, 1.3)
+    return lam, mu, rnd.uniform(0.01, 2.0), rnd.uniform(0.01, 2.0)
+
+
+def test_nonpositive_lambda_overflow_reported():
+    # lam = 0 and mu T = 351: f^2 grows like e^{702}, beyond the float range
+    with pytest.raises(FundamentalOverflowError):
+        mode_moments(0.0, 351.0, 1.0)
+
+
+def test_no_quadrature_at_run_time(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("adaptive quadrature ran for a lam > 0 mode")
+        raise AssertionError("adaptive quadrature ran at run time")
 
+    monkeypatch.setattr(quadrature, "integrate", refuse)
     monkeypatch.setattr(fundamental, "integrate", refuse)
     monkeypatch.setattr(simulate, "integrate", refuse)
     spec, params = preset("alg_ex1", d=1)
@@ -331,6 +414,15 @@ def test_no_quadrature_on_positive_lambda_paths(monkeypatch):
     for k in range(1, 41):
         transition(float(k * k), -0.5, 1.0 / 4096)
     run_replicates(spec, params, 5, TimeGrid(1.0, 256), seed=1, M=2)
+    for lam in (0.0, -2.0):
+        for mu in (-0.5, 0.5):
+            transition(lam, mu, 1.0 / 4096)
+            mode_moments(lam, mu, 1.0)
+            covariance_u(lam, mu, 0.4, 0.9)
+    covariance_u(4.0, -1.0, 0.4, 0.9)
+    neg_spec, neg_params = negative_kappa_model()
+    psi_curve(neg_spec, neg_params, [3])
+    simulate_solution(neg_spec, neg_params, 3, TimeGrid(1.0, 64), seed=1)
 
 
 class TestCovariance:
@@ -353,6 +445,20 @@ class TestCovariance:
         # a sign-changing kernel whose integral cancels exactly
         val = covariance_u(1.0, 0.0, math.pi, 1.5 * math.pi)
         assert abs(val) <= 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(covariance_cases())
+    @example((1.0, 0.0, 1.3, 2.9))
+    @example((400.0, -3.0, 0.7, 1.0))
+    @example((25.0, -10.0, 0.4, 0.9))
+    @example((2.0, 0.5, 1.0, 1.0))
+    @example((0.0, 0.0, 0.5, 1.5))
+    @example((-2.0, -0.5, 1.9, 0.3))
+    def test_shift_identity_matches_quadrature(self, case):
+        # g(d) int_0^s f^2 + f(d) f(s)^2 / 2 against the defining integral
+        lam, mu, s, t = case
+        val, val_abs = covariance_oracle(lam, mu, s, t, 1e-12)
+        assert abs(covariance_u(lam, mu, s, t) - val) <= 1e-10 * val_abs
 
 
 class TestPredictedMoments:
@@ -381,7 +487,7 @@ class TestPredictedMoments:
                 out[i] = val
             return out
 
-        # modest grid: the kernel itself is quadrature-based and slow
+        # modest grid: one covariance_u call per quadrature node
         ts = np.linspace(0.05, T, 12)
         vals = inner(ts)
         var_num = 4.0 * np.trapezoid(vals, ts)
@@ -401,6 +507,18 @@ class TestPsi:
         params = ModelParams(1.0, 0.0, (0.5, 2.0), (-1.0, 1.0), 2 * math.pi)
         pv = psi(spec, params, 1)
         assert pv.psi12 == pytest.approx(-0.5 * math.pi, rel=1e-9)
+
+    def test_nonpositive_lambda_mode_terms(self):
+        # lambda_1 = -9 and lambda_2 = 0: tau^2 int (T-t) f^2, nu^2 int (T-t) f'^2 and
+        # -tau nu int f^2 / 2 in closed form, repeated in the _asym columns
+        spec, params = negative_kappa_model()
+        terms = fundamental._psi_mode_terms(spec, params, [1, 2])
+        for k, row in zip((1, 2), terms):
+            (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, k)
+            q = quadrature_oracle(fundamental._slog_lam(k, s_lam, l_lam), mu, params.T, 1e-12)
+            tau, nu = spec.tau.value(k), spec.nu.value(k)
+            exact = [tau * tau * q["iif2"], nu * nu * q["iifd2"], -0.5 * tau * nu * q["if2"]]
+            assert row.tolist() == pytest.approx(exact + exact[:2], rel=1e-10, abs=0.0)
 
     def test_curve_matches_pointwise(self):
         spec = SpectrumSpec(Constant(0.0), PowerLaw(1.0, 2.0), Constant(0.0), Constant(1.0))
