@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, load_config
+from .config import ConfigError, _checked, _n_list, _positive_int, _seed, load_config
 from .equations import preset as make_preset
 from .estimate import _STAT_KEYS, SingularSystemError, estimate_from_trajectories
 from .fundamental import FundamentalOverflowError, psi_curve
@@ -78,14 +78,16 @@ def _parser():
 
 def _resolve(args):
     cfg = load_config(args.config)
+    if args.workers is not None:
+        _checked(_positive_int, args.workers, "--workers")
     if args.seed is not None:
-        cfg["experiment"]["seed"] = args.seed
+        cfg["experiment"]["seed"] = _checked(_seed, args.seed, "--seed")
     if args.n_list is not None:
-        cfg["experiment"]["N_list"] = [int(x) for x in args.n_list.split(",") if x]
+        cfg["experiment"]["N_list"] = _checked(_n_list, [x for x in args.n_list.split(",") if x], "--n-list")
     if args.replicates is not None:
-        cfg["experiment"]["replicates"] = args.replicates
+        cfg["experiment"]["replicates"] = _checked(_positive_int, args.replicates, "--replicates")
     if args.dt_steps is not None:
-        cfg["grid"] = TimeGrid(cfg["params"].T, args.dt_steps)
+        cfg["grid"] = TimeGrid(cfg["params"].T, _checked(_positive_int, args.dt_steps, "--dt-steps"))
     out = Path(args.out if args.out is not None else cfg["experiment"]["out"])
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out

@@ -1,6 +1,7 @@
 """JSON configuration for the command line: one document drives everything.
 
-Schema (all sections except "spectrum"/"preset" and "params" are optional):
+Schema (all sections except "spectrum"/"preset" and "params" are optional;
+a key not listed here is an error):
 
     {
       "spectrum": {
@@ -8,7 +9,7 @@ Schema (all sections except "spectrum"/"preset" and "params" are optional):
         "tau":   {"kind": "power_law", "coefficient": 1.0, "exponent": 2.0},
         "rho":   {"kind": "constant", "coefficient": 0.0},
         "nu":    {"kind": "constant", "coefficient": 1.0},
-        "dimension": 1
+        "dimension": 1, "k_max": 1000000
       },
       // or:  "preset": "alg_ex1", "dimension": 1,
       "params": {"theta1": 1.0, "theta2": -0.5,
@@ -27,69 +28,101 @@ shift), constant (coefficient), explicit (values), signed_alternating
 from __future__ import annotations
 
 import json
+import os
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from .equations import preset as make_preset
 from .simulate import TimeGrid
-from .spectrum import (
-    Constant,
-    Explicit,
-    ExpLaw,
-    LogLaw,
-    LogLogLaw,
-    ModelParams,
-    PowerLaw,
-    SignedAlternating,
-    SpectrumSpec,
-)
+from .spectrum import GENERATORS, ModelParams, SpectrumSpec
 
 __all__ = ["ConfigError", "load_config", "generator_from_config", "spectrum_from_config"]
+
+_SECTIONS = {
+    "top level": ("spectrum", "preset", "dimension", "params", "grid", "experiment", "check"),
+    "spectrum": ("kappa", "tau", "rho", "nu", "dimension", "k_max"),
+    "params": ("theta1", "theta2", "theta1_box", "theta2_box", "T"),
+    "grid": ("n_steps",),
+    "experiment": ("N_list", "replicates", "seed", "out"),
+    "check": ("k_range", "theta_grid"),
+}
 
 
 class ConfigError(ValueError):
     """Invalid configuration; carries a human-readable location."""
 
 
-_GEN_FIELDS = {
-    "power_law": ("coefficient", "exponent"),
-    "exp_law": ("coefficient", "rate"),
-    "log_law": ("coefficient", "exponent", "shift"),
-    "loglog_law": ("coefficient", "shift"),
-    "constant": ("coefficient",),
-    "explicit": ("values",),
-    "signed_alternating": ("inner",),
-}
+def _check_fields(node, allowed, where):
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where}: expected an object")
+    extras = set(node) - set(allowed)
+    if extras:
+        raise ConfigError(f"{where}: unexpected fields {sorted(extras)}")
+    return node
+
+
+def _checked(convert, value, where):
+    """convert(value), with a failure reported as a ConfigError at `where`."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _positive_int(value):
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"must be a positive integer, got {value!r}")
+    return n
+
+
+def _seed(value):
+    n = int(value)
+    if not 0 <= n < 2 ** 64:
+        raise ValueError(f"must be an integer in [0, 2^64), got {value!r}")
+    return n
+
+
+def _n_list(values):
+    ns = [_positive_int(n) for n in values]
+    if not ns or sorted(set(ns)) != ns:
+        raise ValueError(f"must be a non-empty strictly increasing list of positive integers, got {values!r}")
+    return ns
+
+
+def _k_range(values):
+    lo, hi = (int(k) for k in values)
+    if not 1 <= lo <= hi:
+        raise ValueError(f"must satisfy 1 <= k_lo <= k_hi, got {values!r}")
+    return lo, hi
 
 
 def generator_from_config(node, where="generator"):
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError(f"{where}: expected an object with a 'kind' tag")
-    kind = node["kind"]
-    if kind not in _GEN_FIELDS:
-        raise ConfigError(f"{where}: unknown generator kind {kind!r}")
-    extras = set(node) - set(_GEN_FIELDS[kind]) - {"kind"}
-    if extras:
-        raise ConfigError(f"{where}: unexpected fields {sorted(extras)} for {kind}")
+    cls = GENERATORS.get(str(node["kind"]))
+    if cls is None:
+        raise ConfigError(f"{where}: unknown generator kind {node['kind']!r}")
+    _check_fields(node, ["kind"] + [f.name for f in fields(cls)], where)
     try:
-        if kind == "power_law":
-            return PowerLaw(float(node["coefficient"]), float(node["exponent"]))
-        if kind == "exp_law":
-            return ExpLaw(float(node["coefficient"]), float(node["rate"]))
-        if kind == "log_law":
-            return LogLaw(float(node["coefficient"]), float(node.get("exponent", 1.0)),
-                          float(node.get("shift", 0.0)))
-        if kind == "loglog_law":
-            return LogLogLaw(float(node["coefficient"]), float(node.get("shift", 0.0)))
-        if kind == "constant":
-            return Constant(float(node["coefficient"]))
-        if kind == "explicit":
-            return Explicit([float(v) for v in node["values"]])
-        return SignedAlternating(generator_from_config(node["inner"], where + ".inner"))
-    except (KeyError, TypeError) as exc:
+        return cls(**{f.name: _field_from_config(f.type, node[f.name], f"{where}.{f.name}")
+                      for f in fields(cls) if f.name in node or f.default is MISSING})
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _field_from_config(declared, value, where):
+    if declared == "Generator":
+        return generator_from_config(value, where)
+    if declared == "tuple":
+        return tuple(float(v) for v in value)
+    return float(value)
+
+
 def spectrum_from_config(node, where="spectrum"):
+    _check_fields(node, _SECTIONS["spectrum"], where)
     for name in ("kappa", "tau", "rho", "nu"):
         if name not in node:
             raise ConfigError(f"{where}: missing sequence {name!r}")
@@ -97,8 +130,8 @@ def spectrum_from_config(node, where="spectrum"):
             ("kappa", "tau", "rho", "nu")}
     return SpectrumSpec(
         gens["kappa"], gens["tau"], gens["rho"], gens["nu"],
-        dimension=int(node.get("dimension", 1)),
-        k_max=int(node.get("k_max", 10 ** 6)),
+        dimension=_checked(_positive_int, node.get("dimension", 1), f"{where}.dimension"),
+        k_max=_checked(_positive_int, node.get("k_max", 10 ** 6), f"{where}.k_max"),
     )
 
 
@@ -126,49 +159,39 @@ def load_config(path):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be an object")
+    _check_fields(doc, _SECTIONS["top level"], f"{path}: top level")
+    param_node, grid_node, exp, check = (_check_fields(doc.get(name, {}), _SECTIONS[name], name)
+                                         for name in ("params", "grid", "experiment", "check"))
 
     if "preset" in doc:
         kwargs = {}
         if "dimension" in doc:
-            kwargs["d"] = int(doc["dimension"])
-        if "params" in doc and "T" in doc["params"]:
-            kwargs["T"] = float(doc["params"]["T"])
+            kwargs["d"] = _checked(_positive_int, doc["dimension"], "dimension")
+        if "T" in param_node:
+            kwargs["T"] = _checked(float, param_node["T"], "params.T")
         try:
             spec, params = make_preset(doc["preset"], **kwargs)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
-        if "params" in doc:
-            node = dict(doc["params"])
-            node.setdefault("theta1", params.theta1)
-            node.setdefault("theta2", params.theta2)
-            node.setdefault("theta1_box", list(params.theta1_box))
-            node.setdefault("theta2_box", list(params.theta2_box))
-            node.setdefault("T", params.T)
-            params = _params_from_config(node)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"preset: {exc}") from exc
+        params = _params_from_config({**asdict(params), **param_node})
     elif "spectrum" in doc:
         spec = spectrum_from_config(doc["spectrum"])
         if "params" not in doc:
             raise ConfigError(f"{path}: 'params' section is required")
-        params = _params_from_config(doc["params"])
+        params = _params_from_config(param_node)
     else:
         raise ConfigError(f"{path}: need either 'spectrum' or 'preset'")
 
-    grid_node = doc.get("grid", {})
-    grid = TimeGrid(params.T, int(grid_node.get("n_steps", 4096)))
-
-    exp = doc.get("experiment", {})
+    grid = TimeGrid(params.T, _checked(_positive_int, grid_node.get("n_steps", 4096), "grid.n_steps"))
     experiment = {
-        "N_list": [int(n) for n in exp.get("N_list", [25, 50, 100, 200])],
-        "replicates": int(exp.get("replicates", 100)),
-        "seed": int(exp.get("seed", 0)),
-        "out": exp.get("out", "results"),
+        "N_list": _checked(_n_list, exp.get("N_list", [25, 50, 100, 200]), "experiment.N_list"),
+        "replicates": _checked(_positive_int, exp.get("replicates", 100), "experiment.replicates"),
+        "seed": _checked(_seed, exp.get("seed", 0), "experiment.seed"),
+        "out": _checked(os.fspath, exp.get("out", "results"), "experiment.out"),
     }
-    check = doc.get("check", {})
     check_opts = {
-        "k_range": tuple(int(x) for x in check.get("k_range", (1, 1000))),
-        "theta_grid": int(check.get("theta_grid", 5)),
+        "k_range": _checked(_k_range, check.get("k_range", (1, 1000)), "check.k_range"),
+        "theta_grid": _checked(int, check.get("theta_grid", 5), "check.theta_grid"),
     }
     return {"spec": spec, "params": params, "grid": grid,
             "experiment": experiment, "check": check_opts, "raw": doc}

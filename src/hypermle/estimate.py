@@ -154,7 +154,6 @@ def _mode_coeffs(spec, k, scale):
     return {
         "tau": entry(tau, tau_p),
         "nu": entry(nu, nu_p),
-        "rho": entry(rho, rho_p),
         "tau_s": entry(tau / s, tau_p, inv_s),
         "tau2_s2": entry((tau / s) * (tau / s), tau_p, tau_p, inv_s, inv_s),
         "kappa_tau_s2": entry((kap * tau) / s / s, kap_p, tau_p, inv_s, inv_s),

@@ -590,11 +590,7 @@ def _psi_mode_terms(spec, params, ks):
 
 def psi(spec, params, N):
     """Exact and asymptotic normalizers at the true parameters."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    terms = _psi_mode_terms(spec, params, range(1, N + 1))
-    sums = terms.sum(axis=0)
-    return PsiValues(N, sums[0], sums[1], sums[2], sums[3], sums[4])
+    return psi_curve(spec, params, [N])[0]
 
 
 def psi_curve(spec, params, N_list):

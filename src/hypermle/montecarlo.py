@@ -84,9 +84,6 @@ class BatchResult:
     route: str
     underresolved_modes: int
     identity_max_rel: float         # worst |reconstructed - direct| / RMS(direct)
-    psi1: float = math.nan
-    psi2: float = math.nan
-    psi12: float = math.nan
 
 
 def _mode_task(spec, params, k, lam_mu, grid, seed, M, check_identity):
@@ -294,7 +291,6 @@ def run_consistency(config, n_boot=1000):
     for N, pv in zip(config.N_list, psis):
         batch = run_replicates(config.spec, config.params, N, config.grid, config.seed,
                                config.replicates, workers=config.workers)
-        batch.psi1, batch.psi2, batch.psi12 = pv.psi1, pv.psi2, pv.psi12
         ok = ~batch.excluded
         ae1 = np.abs(batch.err1[ok])
         ae2 = np.abs(batch.err2[ok])

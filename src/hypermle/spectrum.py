@@ -15,7 +15,7 @@ and usable far beyond the float range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .fundamental import _EXP_MAX, m_func_log
 from .slog import slog_add, slog_scale, log_cumsum_exp
 
 __all__ = [
+    "GENERATORS",
     "Generator",
     "PowerLaw",
     "ExpLaw",
@@ -50,10 +51,20 @@ __all__ = [
 _NEG_INF = -np.inf
 
 
-class Generator:
-    """One eigenvalue sequence k -> value, exact in sign and log magnitude."""
+GENERATORS = {}  # kind tag -> generator class, filled as each kind is declared
 
-    kind = "generator"
+
+class Generator:
+    """One eigenvalue sequence k -> value, exact in sign and log magnitude.
+
+    Each concrete kind is a frozen dataclass with a class attribute `kind`:
+    the tag names it in configs, and its fields are the config fields.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "kind" in vars(cls):
+            GENERATORS[cls.kind] = cls
 
     def slog(self, k):
         """(sign, log|value|) at integer k >= 1."""
@@ -79,8 +90,16 @@ class Generator:
     def k_max(self):
         return None  # unbounded unless the generator says otherwise
 
+    def power_law(self):
+        """(coefficient, exponent) when the sequence is exactly coefficient * k^exponent, else None."""
+        return None
+
     def to_config(self):
-        raise NotImplementedError
+        cfg = {"kind": self.kind}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            cfg[f.name] = v.to_config() if isinstance(v, Generator) else list(v) if isinstance(v, tuple) else v
+        return cfg
 
 
 def _check_k(k):
@@ -89,26 +108,47 @@ def _check_k(k):
     return int(k)
 
 
+class _CoefficientLaw(Generator):
+    """coefficient * e^{shape(k)}; a law supplies only its log-shape.
+
+    `_log_shape` uses `math`; the kinds evaluated over whole k-ranges also give
+    `_log_shape_array`, its `numpy` form, which may differ in the last bit.
+    """
+
+    _log_shape_array = None
+
+    def _log_shape(self, k):
+        raise NotImplementedError
+
+    def slog(self, k):
+        shape = self._log_shape(_check_k(k))  # first, so a domain error is raised even for c = 0
+        if self.coefficient == 0.0:
+            return 0.0, _NEG_INF
+        return math.copysign(1.0, self.coefficient), math.log(abs(self.coefficient)) + shape
+
+    def slog_array(self, ks):
+        if self._log_shape_array is None:
+            return super().slog_array(ks)
+        ks = np.asarray(ks, dtype=float)
+        if self.coefficient == 0.0:
+            return np.zeros_like(ks), np.full_like(ks, _NEG_INF)
+        s = np.full_like(ks, math.copysign(1.0, self.coefficient))
+        return s, math.log(abs(self.coefficient)) + self._log_shape_array(ks)
+
+
 @dataclass(frozen=True)
-class PowerLaw(Generator):
+class PowerLaw(_CoefficientLaw):
     """coefficient * k^exponent"""
 
     coefficient: float
     exponent: float
     kind = "power_law"
 
-    def slog(self, k):
-        k = _check_k(k)
-        if self.coefficient == 0.0:
-            return 0.0, _NEG_INF
-        return math.copysign(1.0, self.coefficient), math.log(abs(self.coefficient)) + self.exponent * math.log(k)
+    def _log_shape(self, k):
+        return self.exponent * math.log(k)
 
-    def slog_array(self, ks):
-        ks = np.asarray(ks, dtype=float)
-        if self.coefficient == 0.0:
-            return np.zeros_like(ks), np.full_like(ks, _NEG_INF)
-        s = np.full_like(ks, math.copysign(1.0, self.coefficient))
-        return s, math.log(abs(self.coefficient)) + self.exponent * np.log(ks)
+    def _log_shape_array(self, ks):
+        return self.exponent * np.log(ks)
 
     def value(self, k):
         k = _check_k(k)
@@ -117,30 +157,22 @@ class PowerLaw(Generator):
         except OverflowError:
             return super().value(k)
 
-    def to_config(self):
-        return {"kind": "power_law", "coefficient": self.coefficient, "exponent": self.exponent}
+    def power_law(self):
+        return self.coefficient, self.exponent
 
 
 @dataclass(frozen=True)
-class ExpLaw(Generator):
+class ExpLaw(_CoefficientLaw):
     """coefficient * e^{rate * k}"""
 
     coefficient: float
     rate: float
     kind = "exp_law"
 
-    def slog(self, k):
-        k = _check_k(k)
-        if self.coefficient == 0.0:
-            return 0.0, _NEG_INF
-        return math.copysign(1.0, self.coefficient), math.log(abs(self.coefficient)) + self.rate * k
+    def _log_shape(self, k):
+        return self.rate * k
 
-    def slog_array(self, ks):
-        ks = np.asarray(ks, dtype=float)
-        if self.coefficient == 0.0:
-            return np.zeros_like(ks), np.full_like(ks, _NEG_INF)
-        s = np.full_like(ks, math.copysign(1.0, self.coefficient))
-        return s, math.log(abs(self.coefficient)) + self.rate * ks
+    _log_shape_array = _log_shape  # rate * k reads the same on arrays
 
     def value(self, k):
         k = _check_k(k)
@@ -149,12 +181,9 @@ class ExpLaw(Generator):
         except OverflowError:
             return math.copysign(math.inf, self.coefficient)
 
-    def to_config(self):
-        return {"kind": "exp_law", "coefficient": self.coefficient, "rate": self.rate}
-
 
 @dataclass(frozen=True)
-class LogLaw(Generator):
+class LogLaw(_CoefficientLaw):
     """coefficient * (ln(k + shift))^exponent; requires k + shift > 1."""
 
     coefficient: float
@@ -162,71 +191,45 @@ class LogLaw(Generator):
     shift: float = 0.0
     kind = "log_law"
 
-    def slog(self, k):
-        k = _check_k(k)
+    def _log_shape(self, k):
         base = math.log(k + self.shift)
         if base <= 0.0:
             raise ValueError(f"log_law undefined at k={k} with shift={self.shift}")
-        if self.coefficient == 0.0:
-            return 0.0, _NEG_INF
-        return math.copysign(1.0, self.coefficient), math.log(abs(self.coefficient)) + self.exponent * math.log(base)
-
-    def to_config(self):
-        return {
-            "kind": "log_law",
-            "coefficient": self.coefficient,
-            "exponent": self.exponent,
-            "shift": self.shift,
-        }
+        return self.exponent * math.log(base)
 
 
 @dataclass(frozen=True)
-class LogLogLaw(Generator):
+class LogLogLaw(_CoefficientLaw):
     """coefficient * ln(ln(k + shift)); requires ln(k + shift) > 1."""
 
     coefficient: float
     shift: float = 0.0
     kind = "loglog_law"
 
-    def slog(self, k):
-        k = _check_k(k)
+    def _log_shape(self, k):
         inner = math.log(k + self.shift)
         if inner <= 1.0:
             raise ValueError(f"loglog_law undefined at k={k} with shift={self.shift}")
-        if self.coefficient == 0.0:
-            return 0.0, _NEG_INF
-        return math.copysign(1.0, self.coefficient), math.log(abs(self.coefficient)) + math.log(math.log(inner))
-
-    def to_config(self):
-        return {"kind": "loglog_law", "coefficient": self.coefficient, "shift": self.shift}
+        return math.log(math.log(inner))
 
 
 @dataclass(frozen=True)
-class Constant(Generator):
+class Constant(_CoefficientLaw):
     coefficient: float
     kind = "constant"
 
-    def slog(self, k):
-        _check_k(k)
-        if self.coefficient == 0.0:
-            return 0.0, _NEG_INF
-        return math.copysign(1.0, self.coefficient), math.log(abs(self.coefficient))
+    def _log_shape(self, k):
+        return 0.0
 
-    def slog_array(self, ks):
-        ks = np.asarray(ks, dtype=float)
-        if self.coefficient == 0.0:
-            return np.zeros_like(ks), np.full_like(ks, _NEG_INF)
-        return (
-            np.full_like(ks, math.copysign(1.0, self.coefficient)),
-            np.full_like(ks, math.log(abs(self.coefficient))),
-        )
+    def _log_shape_array(self, ks):
+        return np.zeros_like(ks)
 
     def value(self, k):
         _check_k(k)
         return self.coefficient
 
-    def to_config(self):
-        return {"kind": "constant", "coefficient": self.coefficient}
+    def power_law(self):
+        return self.coefficient, 0.0
 
 
 @dataclass(frozen=True)
@@ -238,10 +241,7 @@ class Explicit(Generator):
         object.__setattr__(self, "values", tuple(float(v) for v in values))
 
     def slog(self, k):
-        k = _check_k(k)
-        if k > len(self.values):
-            raise ValueError(f"explicit sequence has {len(self.values)} entries; k={k} out of range")
-        v = self.values[k - 1]
+        v = self.value(k)
         if v == 0.0:
             return 0.0, _NEG_INF
         return math.copysign(1.0, v), math.log(abs(v))
@@ -254,9 +254,6 @@ class Explicit(Generator):
 
     def k_max(self):
         return len(self.values)
-
-    def to_config(self):
-        return {"kind": "explicit", "values": list(self.values)}
 
 
 @dataclass(frozen=True)
@@ -272,9 +269,6 @@ class SignedAlternating(Generator):
 
     def k_max(self):
         return self.inner.k_max()
-
-    def to_config(self):
-        return {"kind": "signed_alternating", "inner": self.inner.to_config()}
 
 
 @dataclass(frozen=True)
@@ -301,6 +295,7 @@ class SpectrumSpec:
     def to_config(self):
         cfg = {name: g.to_config() for name, g in self.generators().items()}
         cfg["dimension"] = self.dimension
+        cfg["k_max"] = self.k_max
         return cfg
 
 
@@ -438,7 +433,6 @@ def check_hyperbolic(spec, params, k_range=(1, 1000), theta_grid_resolution=5, c
         raise ValueError("degenerate theta box (lo > hi)")
     ks = np.arange(k_lo, k_hi + 1)
     t1_grid = _theta_grid(params.theta1_box, theta_grid_resolution)
-    t2_corners = np.array(params.theta2_box)
 
     report = ConditionReport(PASS, checked_range=(k_lo, k_hi))
     witnesses = report.witnesses
@@ -661,15 +655,6 @@ class AlgebraicClass:
     fit_quality: float
 
 
-def _power_exponent_exact(gen):
-    """Exponent when the generator is a pure power law (or constant), else None."""
-    if isinstance(gen, PowerLaw):
-        return gen.exponent if gen.coefficient != 0.0 else None
-    if isinstance(gen, Constant):
-        return 0.0 if gen.coefficient != 0.0 else None
-    return None
-
-
 def _fit_log_slope(ks, logs):
     """Least squares slope of log|value| against log k; returns (slope, max residual)."""
     x = np.log(ks)
@@ -677,6 +662,17 @@ def _fit_log_slope(ks, logs):
     coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
     resid = logs - A @ coef
     return float(coef[0]), float(np.max(np.abs(resid)))
+
+
+def _magnitude_exponent(gen, ks, what):
+    """(exponent of |gen|, fit residual): exact for a nonzero power law, -inf when gen vanishes."""
+    power = gen.power_law()
+    if power is not None and power[0] != 0.0:
+        return power[1], 0.0
+    s, l = gen.slog_array(ks)
+    if np.all(s == 0.0):
+        return -math.inf, 0.0  # identically zero: no information on its theta at all
+    return _sequence_exponent(s, l, ks, what)
 
 
 def _sequence_exponent(signs, logs, ks, what):
@@ -701,24 +697,14 @@ def classify_algebraic(spec, params, k_range=(1, 1000)):
     k_lo, k_hi = int(k_range[0]), int(k_range[1])
     k_hi = min(k_hi, spec.k_max)
     upper = np.arange(max(k_lo, (k_lo + k_hi) // 2), k_hi + 1)
-    fit_quality = 0.0
-
-    # |tau|: exact exponent where possible
-    a1 = _power_exponent_exact(spec.tau)
-    if a1 is None:
-        s, l = spec.tau.slog_array(upper)
-        if np.all(s == 0.0):
-            a1 = -math.inf  # tau identically zero: no theta1 information at all
-        else:
-            a1, q = _sequence_exponent(s, l, upper, "tau")
-            fit_quality = max(fit_quality, q)
+    a1, fit_quality = _magnitude_exponent(spec.tau, upper, "tau")
 
     # lambda exponents per corner must agree
     alphas = []
     for th in params.theta1_box:
-        exact = _affine_power_exponent(spec.kappa, spec.tau, th)
+        exact = _affine_power_lead(spec.kappa.power_law(), spec.tau.power_law(), th)
         if exact is not None:
-            alphas.append(exact)
+            alphas.append(exact[0])
             continue
         s, l = _lambda_slog_arrays(spec, th, upper)
         val, q = _sequence_exponent(s, l, upper, "lambda")
@@ -732,21 +718,13 @@ def classify_algebraic(spec, params, k_range=(1, 1000)):
         )
     alpha = float(np.mean(alphas))
 
-    # |nu|
-    b1 = _power_exponent_exact(spec.nu)
-    if b1 is None:
-        s, l = spec.nu.slog_array(upper)
-        if np.all(s == 0.0):
-            b1 = -math.inf
-        else:
-            b1, q = _sequence_exponent(s, l, upper, "nu")
-            fit_quality = max(fit_quality, q)
+    b1, q = _magnitude_exponent(spec.nu, upper, "nu")
+    fit_quality = max(fit_quality, q)
 
     # mu: bounded (beta = 0) or -mu ~ k^beta; exact when rho, nu are power laws
-    exact_mu = [_affine_power_lead(spec.rho, spec.nu, th) for th in params.theta2_box]
-    if all(r is not None for r in exact_mu) or all(
-        isinstance(g, (PowerLaw, Constant)) and g.coefficient == 0.0 for g in (spec.rho, spec.nu)
-    ):
+    powers = (spec.rho.power_law(), spec.nu.power_law())
+    exact_mu = [_affine_power_lead(*powers, th) for th in params.theta2_box]
+    if all(r is not None for r in exact_mu) or all(p is not None and p[0] == 0.0 for p in powers):
         if any(r is None for r in exact_mu):  # rho = nu = 0: mu identically zero
             beta = 0.0
         else:
@@ -787,21 +765,12 @@ def classify_algebraic(spec, params, k_range=(1, 1000)):
     return AlgebraicClass(alpha, a1, beta, b1, fit_quality)
 
 
-def _affine_power_lead(gen_a, gen_b, theta):
-    """(exponent, leading coefficient) of a + theta*b for pure power-law generators.
+def _affine_power_lead(a, b, theta):
+    """(exponent, leading coefficient) of a + theta*b for two `Generator.power_law` results.
 
     Returns None when either generator is not a power law / constant, when the
     combination vanishes, or when the leading term cancels exactly.
     """
-    def _ce(gen):
-        if isinstance(gen, PowerLaw):
-            return gen.coefficient, gen.exponent
-        if isinstance(gen, Constant):
-            return gen.coefficient, 0.0
-        return None
-
-    a = _ce(gen_a)
-    b = _ce(gen_b)
     if a is None or b is None:
         return None
     terms = [(e, c) for e, c in [(a[1], a[0]), (b[1], b[0] * theta)] if c != 0.0]
@@ -812,11 +781,6 @@ def _affine_power_lead(gen_a, gen_b, theta):
     if lead == 0.0:
         return None  # exact cancellation of the leading term: fall back to fitting
     return top, lead
-
-
-def _affine_power_exponent(gen_a, gen_b, theta):
-    r = _affine_power_lead(gen_a, gen_b, theta)
-    return None if r is None else r[0]
 
 
 def consistency_conditions(cls):
@@ -882,14 +846,7 @@ def slowly_increasing_test(seq, n_max=None, pass_threshold=0.05, slope_tol=0.01)
         raise ValueError("need at least 10 terms")
     if np.any(~(vals > 0.0)):
         raise ValueError("sequence must be strictly positive")
-    ks = np.arange(1, len(vals) + 1)
-    r = _ratio_curve_from_logs(np.log(vals), ks)
-    verdict, slope = _slow_verdict(r, ks, pass_threshold, slope_tol)
-    return {
-        "ratio_curve": np.column_stack([ks, r]),
-        "verdict": verdict,
-        "tail_slope": slope,
-    }
+    return _slowly_increasing_log(np.log(vals), pass_threshold, slope_tol)
 
 
 def _slowly_increasing_log(log_vals, pass_threshold=0.05, slope_tol=0.01):
@@ -919,6 +876,6 @@ def conditions_1_2(spec, params, n_max=1000):
         log_c1[i] = (2.0 * l_tau - l_lam + m_log) if l_tau > -math.inf else -math.inf
         log_c2[i] = (2.0 * l_nu + m_log) if l_nu > -math.inf else -math.inf
 
-    res1 = _slowly_increasing_log(log_c1) if np.all(np.isfinite(log_c1)) else {"verdict": "fail", "ratio_curve": None, "tail_slope": math.nan}
-    res2 = _slowly_increasing_log(log_c2) if np.all(np.isfinite(log_c2)) else {"verdict": "fail", "ratio_curve": None, "tail_slope": math.nan}
+    fail = {"verdict": "fail", "ratio_curve": None, "tail_slope": math.nan}
+    res1, res2 = (_slowly_increasing_log(c) if np.all(np.isfinite(c)) else fail for c in (log_c1, log_c2))
     return {"cond1": res1["verdict"], "cond2": res2["verdict"], "curve1": res1["ratio_curve"], "curve2": res2["ratio_curve"]}

@@ -58,12 +58,59 @@ class TestCheck:
         res = run_cli("check", "--config", cfg)
         assert res.returncode == 2, res.stdout + res.stderr
 
-    def test_malformed_config_exits_one(self, tmp_path):
+    def test_malformed_config_exits_one(self, tmp_path, outdir, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"spectrum": ')
         res = run_cli("check", "--config", str(bad))
         assert res.returncode == 1
         assert "line" in res.stderr  # parse diagnostics carry a position
+
+        from hypermle import cli
+
+        def preset(**sections):
+            return {"preset": "alg_ex1", "experiment": {"N_list": [2], "out": str(outdir)},
+                    **sections}
+
+        def spectrum(**changes):
+            const = {"kind": "constant", "coefficient": 1.0}
+            return {"spectrum": {"kappa": const, "tau": const, "rho": const, "nu": const,
+                                 **changes},
+                    "params": {"theta1": 1, "theta2": 0, "theta1_box": [0.5, 2],
+                               "theta2_box": [-1, 1]},
+                    "experiment": {"out": str(outdir)}}
+
+        # (config, extra flags, the location the error names)
+        cases = [
+            (preset(grid={"n_steps": 0}), [], "grid.n_steps"),
+            (preset(experiment={"N_list": ["a"]}), [], "experiment.N_list"),
+            (preset(dimension="x"), [], "dimension"),
+            (spectrum(dimension="x"), [], "spectrum.dimension"),
+            (spectrum(kappa={"kind": "power_law", "coefficient": "x", "exponent": 2}), [],
+             "spectrum.kappa"),
+            (preset(), ["--n-list", "5,abc"], "--n-list"),
+            (preset(), ["--n-list", "40,20"], "--n-list"),
+            (preset(), ["--replicates", "0"], "--replicates"),
+            (preset(), ["--dt-steps", "0"], "--dt-steps"),
+            (preset(), ["--workers", "0"], "--workers"),
+            (preset(), ["--seed", "-1"], "--seed"),
+            (preset(experiment={"seed": 2 ** 64}), [], "experiment.seed"),
+            (preset(experiment={"out": 5}), [], "experiment.out"),
+            (preset(check={"k_range": 5}), [], "check.k_range"),
+            (preset(extra=1), [], "top level"),
+            (spectrum(lambda_=1), [], "spectrum"),
+            (preset(params={"theta1": 1.0, "theta3": 0.0}), [], "params"),
+            (preset(grid={"steps": 64}), [], "grid"),
+            (preset(experiment={"replicate": 50}), [], "experiment"),
+            (preset(check={"range": [1, 10]}), [], "check"),
+        ]
+        for doc, flags, where in cases:
+            path = write_config(tmp_path / "case.json", doc)
+            code = cli.main(["psi", "--config", path, *flags])
+            err = capsys.readouterr().err
+            assert code == 1 and f"{where}: " in err, (doc, flags, err)
+        # the base configs themselves are valid
+        assert cli.main(["psi", "--config", write_config(tmp_path / "ok.json", preset())]) == 0
+        assert cli.main(["psi", "--config", write_config(tmp_path / "ok.json", spectrum())]) == 0
 
     def test_unknown_generator_exits_one(self, tmp_path, outdir):
         cfg = write_config(tmp_path / "c.json", {

@@ -1,15 +1,21 @@
 """Eigenvalue sequences, hyperbolicity verdicts, algebraic classification."""
 import math
+import re
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hypermle import config
 from hypermle.equations import preset
 from hypermle.spectrum import (
+    GENERATORS,
     AlgebraicClass,
     Constant,
     Explicit,
     ExpLaw,
+    Generator,
     LogLaw,
     LogLogLaw,
     ModelParams,
@@ -263,6 +269,15 @@ class TestConditions12:
         assert res["cond2"] == "pass"
 
 
+EVERY_KIND = [
+    PowerLaw(2.0, -1.5), PowerLaw(0.0, 2.0), ExpLaw(-0.5, 1.0), ExpLaw(0.0, 3.0),
+    LogLaw(3.0), LogLaw(-1.0, 2.0, 1.5), LogLaw(0.0, 0.5, 2.0), LogLogLaw(2.0),
+    LogLogLaw(-0.25, 3.0), LogLogLaw(0.0, 3.0), Constant(-3.0), Constant(0.0),
+    Explicit([1.5, -2.0, 0.0, 4.0, 1e300]), SignedAlternating(PowerLaw(2.0, -1.0)),
+    SignedAlternating(Explicit([3.0, 0.0, -1.0, 2.0, -5.0])),
+]
+
+
 class TestSerialization:
     def test_round_trip(self):
         from hypermle.config import generator_from_config, spectrum_from_config
@@ -272,6 +287,8 @@ class TestSerialization:
         assert cfg["tau"] == {"kind": "exp_law", "coefficient": 1.0, "rate": 1.0}
         back = spectrum_from_config(cfg)
         assert back.nu.value(5) == spec.nu.value(5)
+        capped = SpectrumSpec(*spec.generators().values(), k_max=500)
+        assert spectrum_from_config(capped.to_config()).k_max == 500
 
     def test_signed_alternating_round_trip(self):
         from hypermle.config import generator_from_config
@@ -279,3 +296,39 @@ class TestSerialization:
         gen = SignedAlternating(PowerLaw(2.0, -1.0))
         back = generator_from_config(gen.to_config())
         assert back.value(3) == gen.value(3)
+
+    @pytest.mark.parametrize("gen", EVERY_KIND, ids=repr)
+    def test_every_kind_round_trips(self, gen):
+        back = config.generator_from_config(gen.to_config())
+        assert back == gen
+        ks = np.array([3, 4, 5])
+        for a, b in zip(back.slog_array(ks), gen.slog_array(ks)):
+            assert np.array_equal(a, b)
+        for k in ks:
+            assert back.slog(int(k)) == gen.slog(int(k))
+            assert back.value(int(k)) == gen.value(int(k))
+
+    def test_omitted_defaults(self):
+        parse = config.generator_from_config
+        assert parse({"kind": "log_law", "coefficient": 2.0}) == LogLaw(2.0, 1.0, 0.0)
+        assert parse({"kind": "loglog_law", "coefficient": 1.0}) == LogLogLaw(1.0, 0.0)
+
+    def test_registry_holds_every_kind(self):
+        def concrete(cls):
+            for sub in cls.__subclasses__():
+                if is_dataclass(sub):
+                    yield sub
+                yield from concrete(sub)
+
+        assert {cls.kind: cls for cls in concrete(Generator)} == GENERATORS
+        assert {gen.kind for gen in EVERY_KIND} == set(GENERATORS)
+
+    def test_documented_kinds_match_registry(self):
+        """The kind lists in README and in the config module docstring name every kind and its fields."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        declared = {kind: [f.name for f in fields(cls)] for kind, cls in GENERATORS.items()}
+        for where, text in (("README.md", readme), ("config.py", config.__doc__)):
+            listing = re.search(r"Generator kinds:(.*?)\.\s", text, re.DOTALL).group(1)
+            documented = {kind: re.findall(r"\w+", names)
+                          for kind, names in re.findall(r"`?(\w+)`?\s+\(([^;)]*)", listing)}
+            assert documented == declared, where
