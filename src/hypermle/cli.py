@@ -31,10 +31,8 @@ from .estimate import _STAT_KEYS, SingularSystemError, estimate_from_trajectorie
 from .fundamental import FundamentalOverflowError, psi_curve
 from .montecarlo import (
     ExperimentConfig,
-    fit_growth,
     run_consistency,
     run_normality,
-    run_replicates,
     verify_lln,
     write_replicate_csv,
     write_summary_json,
@@ -47,6 +45,8 @@ EXIT_CONFIG = 1
 EXIT_CHECK_FAIL = 2
 EXIT_CHECK_INCONCLUSIVE = 3
 EXIT_RUNTIME = 4
+
+_TABLE_DIMS = (1, 2, 4, 8)  # the dimensions d that growth_tables tabulates
 
 
 def _parser():
@@ -306,16 +306,14 @@ def _growth_str(gamma):
     return "const"
 
 
-def growth_tables(dims=(1, 2, 4, 8)):
-    """Theoretical growth-exponent matrix for the six example equations."""
+def growth_tables():
+    """Theoretical growth-exponent matrix for the six example equations at d = 1, 2, 4, 8."""
     rows = []
-    lines = []
-    header = f"{'example':<10}" + "".join(f"{'d=' + str(d):>22}" for d in dims)
-    lines.append(header)
-    lines.append("-" * len(header))
+    header = f"{'example':<10}" + "".join(f"{'d=' + str(d):>22}" for d in _TABLE_DIMS)
+    lines = [header, "-" * len(header)]
     for name in ["alg_ex1", "alg_ex2", "alg_ex3", "alg_ex4", "alg_ex5", "alg_ex6"]:
         cells = []
-        for d in dims:
+        for d in _TABLE_DIMS:
             spec, params = make_preset(name, d=d)
             cls = classify_algebraic(spec, params, (1, 1000))
             cond = consistency_conditions(cls)

@@ -24,6 +24,9 @@ Generator kinds: power_law (coefficient, exponent), exp_law (coefficient,
 rate), log_law (coefficient, exponent, shift), loglog_law (coefficient,
 shift), constant (coefficient), explicit (values), signed_alternating
 (inner).
+
+A "preset" or a top-level "dimension" next to a "spectrum" section is an
+error, and so is 2.9 or true in an integer field (4096.0 is 4096).
 """
 from __future__ import annotations
 
@@ -69,15 +72,21 @@ def _checked(convert, value, where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _integer(value):
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def _positive_int(value):
-    n = int(value)
+    n = _integer(value)
     if n < 1:
         raise ValueError(f"must be a positive integer, got {value!r}")
     return n
 
 
 def _seed(value):
-    n = int(value)
+    n = _integer(value)
     if not 0 <= n < 2 ** 64:
         raise ValueError(f"must be an integer in [0, 2^64), got {value!r}")
     return n
@@ -91,7 +100,7 @@ def _n_list(values):
 
 
 def _k_range(values):
-    lo, hi = (int(k) for k in values)
+    lo, hi = (_integer(k) for k in values)
     if not 1 <= lo <= hi:
         raise ValueError(f"must satisfy 1 <= k_lo <= k_hi, got {values!r}")
     return lo, hi
@@ -163,6 +172,9 @@ def load_config(path):
     param_node, grid_node, exp, check = (_check_fields(doc.get(name, {}), _SECTIONS[name], name)
                                          for name in ("params", "grid", "experiment", "check"))
 
+    for key in ("preset", "dimension"):
+        if key in doc and "spectrum" in doc:
+            raise ConfigError(f"{path}: {key}: conflicts with 'spectrum', which sets the dimension too")
     if "preset" in doc:
         kwargs = {}
         if "dimension" in doc:
@@ -191,7 +203,7 @@ def load_config(path):
     }
     check_opts = {
         "k_range": _checked(_k_range, check.get("k_range", (1, 1000)), "check.k_range"),
-        "theta_grid": _checked(int, check.get("theta_grid", 5), "check.theta_grid"),
+        "theta_grid": _checked(_integer, check.get("theta_grid", 5), "check.theta_grid"),
     }
     return {"spec": spec, "params": params, "grid": grid,
             "experiment": experiment, "check": check_opts, "raw": doc}

@@ -86,7 +86,7 @@ class EstimateResult:
     stats: Stats | None = None
 
 
-def _mode_sums(u_scaled, v, dw, dt, lam_over_s=None, mu=None, residual=False):
+def _mode_sums(u_scaled, v, dw, dt, lam_over_s, mu, residual=False):
     """Per-path reductions with time along axis 0; inputs may be (n+1,) or (n+1, M)."""
     u0 = u_scaled[:-1]
     v0 = v[:-1]
@@ -104,8 +104,6 @@ def _mode_sums(u_scaled, v, dw, dt, lam_over_s=None, mu=None, residual=False):
         "vT2": v[-1] * v[-1],
     }
     if residual:
-        if lam_over_s is None or mu is None:
-            raise ValueError("residual increments need lam_over_s and mu")
         dwhat = dv + (lam_over_s * u0 - mu * v0) * dt
         out["sudw_res"] = (u0 * dwhat).sum(axis=0)
         out["svdw_res"] = (v0 * dwhat).sum(axis=0)
@@ -168,16 +166,17 @@ def _mode_coeffs(spec, k, scale):
     }
 
 
-def _mode_contrib(coeffs, sums, endpoint, iota_key="sudws"):
-    """The nine statistics plus iota pieces contributed by one mode."""
+def _mode_contrib(coeffs, sums, endpoint, residual=False):
+    """One mode's nine statistics and iota pieces; with residual, iota uses residual increments."""
     c = coeffs
+    sudw, svdw = ("sudw_res", "svdw_res") if residual else ("sudws", "svdw")
     out = {
         "F1": c["kappa_tau_s2"] * sums["su2s"],
         "F2": c["rho_nu"] * sums["sv2"],
         "K1": c["tau2_s2"] * sums["su2s"],
         "K2": c["nu2"] * sums["sv2"],
-        "iota1": -c["tau_s"] * sums[iota_key],
-        "iota2": c["nu"] * sums["svdw_res" if iota_key == "sudw_res" else "svdw"],
+        "iota1": -c["tau_s"] * sums[sudw],
+        "iota2": c["nu"] * sums[svdw],
     }
     if endpoint:
         out["A1"] = -c["tau_s"] * sums["uvTs"] + c["tau"] * sums["sv2"]
@@ -223,15 +222,14 @@ def _accumulate(trajectories, spec, endpoint, residual=False):
     if not all(math.isfinite(t.grid_dt) for t in trajectories):
         raise ValueError("trajectories must carry grid_dt (set by the simulate helpers)")
     dt = trajectories[0].grid_dt
-    iota_key = "sudw_res" if residual else "sudws"
 
     def contribs():
         for traj in trajectories:
-            sums = _mode_sums(traj.u_scaled, traj.v, traj.dw, dt,
-                              lam_over_s=traj.lam / traj.scale, mu=traj.mu, residual=residual)
+            sums = _mode_sums(traj.u_scaled, traj.v, traj.dw, dt, traj.lam / traj.scale, traj.mu,
+                              residual=residual)
             sums["T"] = n * dt
             coeffs = _mode_coeffs(spec, traj.k, traj.scale)
-            yield _mode_contrib(coeffs, sums, endpoint, iota_key=iota_key)
+            yield _mode_contrib(coeffs, sums, endpoint, residual)
 
     vals = _mode_order_sum(contribs())
     stats = Stats(**{key: vals[key] for key in _STAT_KEYS[:9]},
@@ -310,15 +308,14 @@ def error_decomposition(trajectories, spec, params, increments="residual"):
     return ErrorDecomposition(iota1, iota2, D, (e1, e2), stats)
 
 
-def estimate_from_trajectories(trajectories, spec, params=None, psi_values=None,
-                               use_endpoint_identities=True):
+def estimate_from_trajectories(trajectories, spec, params=None, psi_values=None):
     """Full estimation report: estimator, normalizers, normalized errors, diagnostics.
 
     Warns UnderresolvedModeWarning when the grid misses some mode's
     oscillation: the endpoint equations then amplify grid noise and the
     estimate may be far off (their count is reported as underresolved_modes).
     """
-    stats, iota1, iota2 = _accumulate(trajectories, spec, use_endpoint_identities)
+    stats, iota1, iota2 = _accumulate(trajectories, spec, endpoint=True)
     th1, th2 = mle(stats)
     res = EstimateResult(th1, th2, stats=stats)
     res.underresolved_modes = sum(_underresolved(t.lam, t.mu, t.grid_dt) for t in trajectories)

@@ -410,8 +410,8 @@ def _integrals_envelope(log_lam, mu, T):
     return ScaledIntegrals(lam_if2, ifd2, lam_iif2, iifd2, 0.0, "envelope")
 
 
-def scaled_mode_integrals(mu, T, lam=None, log_lam=None):
-    """Dispatch between series, antiderivative, and envelope evaluation (lam > 0).
+def scaled_mode_integrals(mu, T, log_lam):
+    """Dispatch between series, antiderivative, and envelope evaluation (lam = e^log_lam > 0).
 
     Every integral carries the factor e^{mu T}; beyond e^_EXP_MAX it raises
     FundamentalOverflowError, as the real-root antiderivatives do.
@@ -420,16 +420,9 @@ def scaled_mode_integrals(mu, T, lam=None, log_lam=None):
         raise ValueError("T must be positive")
     if mu * T > _EXP_MAX:
         raise FundamentalOverflowError(mu * T)
-    if log_lam is None:
-        if lam is None:
-            raise ValueError("either lam or log_lam is required")
-        if not lam > 0.0:
-            raise ValueError("scaled mode integrals require lam > 0")
-        log_lam = math.log(lam)
-    if lam is None:
-        if log_lam > _EXP_MAX:
-            return _integrals_envelope(log_lam, mu, T)
-        lam = math.exp(log_lam)
+    if log_lam > _EXP_MAX:
+        return _integrals_envelope(log_lam, mu, T)
+    lam = math.exp(log_lam)
     closed = _closed_integrals(lam, mu, T)
     if closed is None:
         return _integrals_envelope(math.log(lam), mu, T)
@@ -478,7 +471,7 @@ class ModeMoments:
 def mode_moments(lam, mu, T):
     """Energy integrals of one mode; Eu2T equals int_f2 by construction."""
     if lam > 0.0:
-        si = scaled_mode_integrals(mu, T, lam=lam)
+        si = scaled_mode_integrals(mu, T, math.log(lam))
         int_f2 = si.lam_if2 / lam
         dbl_f2 = si.lam_iif2 / lam
         return ModeMoments(int_f2, si.ifd2, dbl_f2, si.iifd2, int_f2)

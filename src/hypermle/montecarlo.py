@@ -47,6 +47,12 @@ __all__ = [
     "exp_weight_lln_fixture",
 ]
 
+_SIGNIFICANCE = 0.01           # level of run_normality's KS verdicts (a key of _KS_C)
+_N_BOOT = 1000                 # bootstrap resamples per interval
+_CI_PERCENTILES = (2.5, 97.5)  # bounds of each bootstrap interval
+_LOG_FLAG_SLOPE = 0.2          # fit_growth: a power slope below this may be log N growth
+
+
 @dataclass
 class ExperimentConfig:
     spec: object
@@ -86,11 +92,11 @@ class BatchResult:
     identity_max_rel: float         # worst |reconstructed - direct| / RMS(direct)
 
 
-def _mode_task(spec, params, k, lam_mu, grid, seed, M, check_identity):
+def _mode_task(spec, params, k, lam_mu, grid, seed, M, residual):
     """Everything mode k contributes, independent of all other modes.
 
-    Returns the endpoint contributions and, with check_identity, the raw ones
-    with residual increments, both from one _mode_sums pass.
+    Returns the endpoint contributions and, with residual, the raw ones with
+    residual increments, both from one _mode_sums pass.
     """
     lam, mu = lam_mu
     dt = grid.dt
@@ -102,14 +108,11 @@ def _mode_task(spec, params, k, lam_mu, grid, seed, M, check_identity):
         mode_stream(seed, m, k).standard_normal(out=buf[m])
     u, v, dw = _run_chain(P, S, buf.transpose(1, 2, 0))
 
-    sums = _mode_sums(u, v, dw, dt, lam_over_s=lam / scale, mu=mu,
-                      residual=check_identity)
+    sums = _mode_sums(u, v, dw, dt, lam / scale, mu, residual=residual)
     sums["T"] = grid.T
     coeffs = _mode_coeffs(spec, k, scale)
     contrib = _mode_contrib(coeffs, sums, endpoint=True)
-    contrib_raw = None
-    if check_identity:
-        contrib_raw = _mode_contrib(coeffs, sums, endpoint=False, iota_key="sudw_res")
+    contrib_raw = _mode_contrib(coeffs, sums, endpoint=False, residual=True) if residual else None
     return contrib, contrib_raw
 
 
@@ -147,25 +150,25 @@ def _identity_defect(raw, params):
     return worst
 
 
-def run_replicates(spec, params, N, grid, seed, M, check_identity=None, workers=1):
+def run_replicates(spec, params, N, grid, seed, M, workers=1):
     """Simulate M replicates of modes 1..N and reduce them to estimator outcomes.
 
     Modes are independent work items; with workers > 1 they are computed on a
     thread pool and always reduced in increasing-k order, so the result is
     byte-identical for any worker count.
+
+    When the grid resolves every mode (route "stats") the identity check runs:
+    identity_max_rel is the worst defect over the RMS error, else NaN.
     """
-    # first pass: decide resolvedness cheaply to default the identity check
     modes = []
     for k in range(1, N + 1):
         (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, k)
         modes.append((_slog_lam(k, s_lam, l_lam), mu))
     underresolved = sum(_underresolved(lam, mu, grid.dt) for lam, mu in modes)
     resolved = underresolved == 0
-    if check_identity is None:
-        check_identity = resolved
 
     def task(k):
-        return _mode_task(spec, params, k, modes[k - 1], grid, seed, M, check_identity)
+        return _mode_task(spec, params, k, modes[k - 1], grid, seed, M, resolved)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -193,9 +196,7 @@ def run_replicates(spec, params, N, grid, seed, M, check_identity=None, workers=
         th1 = params.theta1 + err1
         th2 = params.theta2 + err2
 
-    identity_max_rel = math.nan
-    if check_identity:
-        identity_max_rel = _identity_defect(summed(1), params)
+    identity_max_rel = _identity_defect(summed(1), params) if resolved else math.nan
 
     return BatchResult(
         N=N, theta1_hat=th1, theta2_hat=th2, err1=err1, err2=err2,
@@ -213,10 +214,8 @@ _KS_C = {0.01: 1.628, 0.05: 1.358, 0.10: 1.224}
 
 
 def _std_normal_cdf(x):
-    from math import erf, sqrt
-
     x = np.asarray(x, dtype=float)
-    return 0.5 * (1.0 + np.vectorize(erf)(x / math.sqrt(2.0)))
+    return 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
 
 
 def ks_statistic(samples):
@@ -251,25 +250,25 @@ def two_sample_ks(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _bootstrap_mean_ci(x, n_boot=1000, seed=0, q=(2.5, 97.5)):
+def _bootstrap_mean_ci(x, seed):
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xB00], dtype=np.uint64)))
-    idx = rng.integers(0, len(x), size=(n_boot, len(x)))
+    idx = rng.integers(0, len(x), size=(_N_BOOT, len(x)))
     means = np.mean(np.asarray(x)[idx], axis=1)
-    return tuple(np.percentile(means, q))
+    return tuple(np.percentile(means, _CI_PERCENTILES))
 
 
-def _bootstrap_slopes(err_lists, N_list, n_boot=1000, seed=0):
+def _bootstrap_slopes(err_lists, N_list, seed):
     """Resample replicates within each N, refit the decay slope each time."""
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x510], dtype=np.uint64)))
     logN = np.log(np.asarray(N_list, dtype=float))
-    slopes = np.empty(n_boot)
-    for b in range(n_boot):
+    slopes = np.empty(_N_BOOT)
+    for b in range(_N_BOOT):
         means = []
         for errs in err_lists:
             idx = rng.integers(0, len(errs), size=len(errs))
             means.append(np.mean(errs[idx]))
         slopes[b], _ = _fit_slope(logN, np.log(means))
-    return float(np.percentile(slopes, 2.5)), float(np.percentile(slopes, 97.5))
+    return tuple(float(p) for p in np.percentile(slopes, _CI_PERCENTILES))
 
 
 def _fit_slope(logx, logy):
@@ -283,8 +282,11 @@ def _fit_slope(logx, logy):
     return float(coef[0]), stderr
 
 
-def run_consistency(config, n_boot=1000):
-    """Mean absolute estimation errors per N with bootstrap bands and decay slopes."""
+def run_consistency(config):
+    """Mean absolute errors per N, with 95% bands from 1000 bootstrap resamples, and decay slopes.
+
+    The identity check runs at each N whose grid resolves modes 1..N.
+    """
     rows = []
     err1_lists, err2_lists = [], []
     psis = psi_curve(config.spec, config.params, config.N_list)
@@ -302,8 +304,8 @@ def run_consistency(config, n_boot=1000):
             "mean_abs_err2": float(np.mean(ae2)),
             "se1": float(np.std(ae1, ddof=1) / math.sqrt(len(ae1))),
             "se2": float(np.std(ae2, ddof=1) / math.sqrt(len(ae2))),
-            "mean_abs_err1_ci": _bootstrap_mean_ci(ae1, n_boot, seed=config.seed + N),
-            "mean_abs_err2_ci": _bootstrap_mean_ci(ae2, n_boot, seed=config.seed + N + 1),
+            "mean_abs_err1_ci": _bootstrap_mean_ci(ae1, config.seed + N),
+            "mean_abs_err2_ci": _bootstrap_mean_ci(ae2, config.seed + N + 1),
             "n_excluded": int(np.count_nonzero(batch.excluded)),
             "route": batch.route,
             "identity_max_rel": batch.identity_max_rel,
@@ -318,8 +320,8 @@ def run_consistency(config, n_boot=1000):
         "rows": rows,
         "slope1": slope1, "slope1_stderr": se_s1,
         "slope2": slope2, "slope2_stderr": se_s2,
-        "slope1_ci": _bootstrap_slopes(err1_lists, config.N_list, n_boot, seed=config.seed),
-        "slope2_ci": _bootstrap_slopes(err2_lists, config.N_list, n_boot, seed=config.seed + 7),
+        "slope1_ci": _bootstrap_slopes(err1_lists, config.N_list, config.seed),
+        "slope2_ci": _bootstrap_slopes(err2_lists, config.N_list, config.seed + 7),
     }
 
 
@@ -341,8 +343,11 @@ class NormalityReport:
     identity_max_rel: float = math.nan
 
 
-def run_normality(config, significance=0.01):
-    """Normalized-error normality and independence at the largest N in N_list."""
+def run_normality(config):
+    """Normalized-error normality and independence at the largest N in N_list.
+
+    KS verdicts at the 1% level; the identity check runs if modes 1..N are resolved.
+    """
     N = max(config.N_list)
     if config.replicates < 30:
         raise ValueError("normality verdicts need at least 30 replicates")
@@ -359,7 +364,7 @@ def run_normality(config, significance=0.01):
     zf = 0.5 * math.log((1 + corr) / (1 - corr))
     half = 1.959964 / math.sqrt(m - 3)
     ci = (math.tanh(zf - half), math.tanh(zf + half))
-    thr = crit[significance]
+    thr = crit[_SIGNIFICANCE]
     excluded = int(np.count_nonzero(batch.excluded))
     frac_ok = excluded <= 0.01 * config.replicates
     return NormalityReport(
@@ -411,11 +416,11 @@ def exp_weight_lln_fixture(n_terms, seed=0):
     return out
 
 
-def fit_growth(psi_table, log_flag_slope=0.2, columns=("psi1", "psi2")):
+def fit_growth(psi_table, columns=("psi1", "psi2")):
     """Log-log growth slopes of normalizer columns over the upper half of N_list.
 
-    A column is flagged "logarithmic" when its power slope is below
-    log_flag_slope while the values keep increasing and scale linearly in
+    A column is flagged "logarithmic" when its power slope is below 0.2
+    (_LOG_FLAG_SLOPE) while the values keep increasing and scale linearly in
     log log N (the signature of Upsilon_N(-1) growth at desk ranges).
     """
     if len(psi_table) < 4:
@@ -428,7 +433,7 @@ def fit_growth(psi_table, log_flag_slope=0.2, columns=("psi1", "psi2")):
         slope, stderr = _fit_slope(np.log(Ns[half:]), np.log(v[half:]))
         increasing = bool(np.all(np.diff(v) > 0.0))
         llslope, _ = _fit_slope(np.log(np.log(Ns[half:])), np.log(v[half:]))
-        log_flag = bool(slope < log_flag_slope and increasing and 0.5 <= llslope <= 2.0)
+        log_flag = bool(slope < _LOG_FLAG_SLOPE and increasing and 0.5 <= llslope <= 2.0)
         out[name] = {"slope": slope, "stderr": stderr, "log_flag": log_flag,
                      "loglog_slope": llslope}
     return out

@@ -806,33 +806,18 @@ def consistency_conditions(cls):
 # Slowly increasing sequences (general, non-algebraic case)
 # ---------------------------------------------------------------------------
 
-
-def _ratio_curve_from_logs(log_a, ks):
-    num = log_cumsum_exp(2.0 * log_a)
-    den = 2.0 * log_cumsum_exp(log_a)
-    return np.exp(num - den)
+_SLOW_PASS_THRESHOLD = 0.05  # slowly_increasing_test: bound on r_n
+_SLOW_SLOPE_TOL = 0.01       # and on the tail slope of log r_k in log k
 
 
-def _slow_verdict(r, ks, pass_threshold, slope_tol):
-    decile = max(4, len(ks) // 10)
-    x = np.log(ks[-decile:].astype(float))
-    y = np.log(r[-decile:])
-    A = np.vstack([x, np.ones_like(x)]).T
-    slope = float(np.linalg.lstsq(A, y, rcond=None)[0][0])
-    r_end = float(r[-1])
-    if r_end < pass_threshold and slope <= slope_tol:
-        return "pass", slope
-    if r_end >= pass_threshold and slope >= -slope_tol:
-        return "fail", slope
-    return "inconclusive", slope
-
-
-def slowly_increasing_test(seq, n_max=None, pass_threshold=0.05, slope_tol=0.01):
+def slowly_increasing_test(seq, n_max=None):
     """r_n = sum a_k^2 / (sum a_k)^2 with a trilean verdict on its tail behavior.
 
-    seq may be an array of positive values or a callable k -> a_k.  The curve
-    is computed in log space, so values like e^sqrt(k) are fine far past the
-    float overflow point of a_k^2.
+    "pass" when r_n < 0.05 and the slope of log r_k in log k over the last tenth
+    of the k (at least 4) is at most 0.01, "fail" when r_n >= 0.05 and it is at
+    least -0.01, else "inconclusive".  seq may be positive values or a callable
+    k -> a_k; the curve is computed in log space, so values like e^sqrt(k) are
+    fine far past the float overflow point of a_k^2.
     """
     if callable(seq):
         if n_max is None:
@@ -846,13 +831,22 @@ def slowly_increasing_test(seq, n_max=None, pass_threshold=0.05, slope_tol=0.01)
         raise ValueError("need at least 10 terms")
     if np.any(~(vals > 0.0)):
         raise ValueError("sequence must be strictly positive")
-    return _slowly_increasing_log(np.log(vals), pass_threshold, slope_tol)
+    return _slowly_increasing_log(np.log(vals))
 
 
-def _slowly_increasing_log(log_vals, pass_threshold=0.05, slope_tol=0.01):
+def _slowly_increasing_log(log_vals):
     ks = np.arange(1, len(log_vals) + 1)
-    r = _ratio_curve_from_logs(np.asarray(log_vals, dtype=float), ks)
-    verdict, slope = _slow_verdict(r, ks, pass_threshold, slope_tol)
+    log_a = np.asarray(log_vals, dtype=float)
+    r = np.exp(log_cumsum_exp(2.0 * log_a) - 2.0 * log_cumsum_exp(log_a))
+    decile = max(4, len(ks) // 10)
+    x = np.log(ks[-decile:].astype(float))
+    A = np.vstack([x, np.ones_like(x)]).T
+    slope = float(np.linalg.lstsq(A, np.log(r[-decile:]), rcond=None)[0][0])
+    verdict = INCONCLUSIVE
+    if r[-1] < _SLOW_PASS_THRESHOLD and slope <= _SLOW_SLOPE_TOL:
+        verdict = PASS
+    elif r[-1] >= _SLOW_PASS_THRESHOLD and slope >= -_SLOW_SLOPE_TOL:
+        verdict = FAIL
     return {"ratio_curve": np.column_stack([ks, r]), "verdict": verdict, "tail_slope": slope}
 
 

@@ -134,8 +134,7 @@ def test_criterion_03_marginal_exactness():
 @pytest.fixture(scope="module")
 def isometry_run():
     spec, params = preset("alg_ex1", d=1)
-    batch = run_replicates(spec, params, 400, TimeGrid(1.0, 4096), seed=45,
-                           M=500, check_identity=True)
+    batch = run_replicates(spec, params, 400, TimeGrid(1.0, 4096), seed=45, M=500)
     pv = psi_curve(spec, params, [400])[0]
     return batch, pv
 
@@ -247,7 +246,7 @@ def test_criterion_08_normality_independence():
     spec, params = preset("alg_ex1", d=1)
     cfg = ExperimentConfig(spec=spec, params=params, N_list=[200], replicates=300,
                            grid=TimeGrid(1.0, 4096), seed=80)
-    rep = run_normality(cfg, significance=0.01)
+    rep = run_normality(cfg)
     crit = rep.critical[0.01]
     ok = rep.ks1 < crit and rep.ks2 < crit and abs(rep.corr12) < 0.15
     report(8, ok, f"ks1 {rep.ks1:.4f}, ks2 {rep.ks2:.4f} (1% crit {crit:.4f}), "
@@ -297,7 +296,7 @@ def test_criterion_10_general_case():
 
     cfg = ExperimentConfig(spec=spec, params=params, N_list=[200], replicates=300,
                            grid=TimeGrid(1.0, 4096), seed=100)
-    rep = run_normality(cfg, significance=0.01)
+    rep = run_normality(cfg)
     crit = rep.critical[0.01]
     ks_ok = rep.ks1 < crit and rep.ks2 < crit
 

@@ -102,6 +102,16 @@ class TestCheck:
             (preset(grid={"steps": 64}), [], "grid"),
             (preset(experiment={"replicate": 50}), [], "experiment"),
             (preset(check={"range": [1, 10]}), [], "check"),
+            (dict(spectrum(), preset="alg_ex1"), [], "preset"),
+            (dict(spectrum(), dimension=2), [], "dimension"),
+            (preset(experiment={"N_list": [2.9, 4.5], "out": str(outdir)}), [], "experiment.N_list"),
+            (preset(grid={"n_steps": 64.7}), [], "grid.n_steps"),
+            (preset(check={"theta_grid": 3.5}), [], "check.theta_grid"),
+            (preset(check={"k_range": [1, 10.5]}), [], "check.k_range"),
+            (preset(experiment={"replicates": True, "out": str(outdir)}), [], "experiment.replicates"),
+            (preset(experiment={"seed": 1.5, "out": str(outdir)}), [], "experiment.seed"),
+            (preset(dimension=True), [], "dimension"),
+            (spectrum(k_max=100.5), [], "spectrum.k_max"),
         ]
         for doc, flags, where in cases:
             path = write_config(tmp_path / "case.json", doc)
@@ -111,6 +121,9 @@ class TestCheck:
         # the base configs themselves are valid
         assert cli.main(["psi", "--config", write_config(tmp_path / "ok.json", preset())]) == 0
         assert cli.main(["psi", "--config", write_config(tmp_path / "ok.json", spectrum())]) == 0
+        # integral floats are integers
+        integral = preset(grid={"n_steps": 64.0}, check={"k_range": [1.0, 10.0], "theta_grid": 3.0})
+        assert cli.main(["psi", "--config", write_config(tmp_path / "ok.json", integral)]) == 0
 
     def test_unknown_generator_exits_one(self, tmp_path, outdir):
         cfg = write_config(tmp_path / "c.json", {

@@ -99,8 +99,7 @@ class TestStatistics:
         grid = TimeGrid(1.0, 64)
         hits = 0
         for seed in range(250):
-            batch = run_replicates(EX1, EX1_PARAMS, 3, grid, seed=10_000 + seed, M=4,
-                                   check_identity=False)
+            batch = run_replicates(EX1, EX1_PARAMS, 3, grid, seed=10_000 + seed, M=4)
             dets = batch.K1 * batch.K2 - batch.K12 ** 2
             assert np.all(dets > 0.0)
             hits += len(dets)

@@ -160,6 +160,7 @@ class TestHarness:
         assert batch.route == "decomposition"
         assert batch.underresolved_modes > 0
         assert np.all(np.isfinite(batch.err1[~batch.excluded]))
+        assert math.isnan(batch.identity_max_rel)  # the identity check needs resolved modes
 
     def test_routes_agree_when_resolved(self):
         spec, params = preset("alg_ex1", d=1)
