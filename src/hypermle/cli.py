@@ -93,6 +93,15 @@ def _resolve(args):
     return cfg, out
 
 
+def _n_list_within_spectrum(cfg, args):
+    """The N list, each N a mode the spectrum declares (a configuration error otherwise)."""
+    ns, k_max = cfg["experiment"]["N_list"], cfg["spec"].k_max
+    if ns[-1] > k_max:
+        where = "--n-list" if args.n_list is not None else "experiment.N_list"
+        raise ConfigError(f"{where}: N={ns[-1]} exceeds the spectrum's k_max={k_max}")
+    return ns
+
+
 def _manifest(out, command, args, cfg, outputs, started):
     entry = {
         "command": command,
@@ -115,8 +124,7 @@ def _now():
 def cmd_check(args):
     cfg, out = _resolve(args)
     started = _now()
-    rep = check_hyperbolic(cfg["spec"], cfg["params"], cfg["check"]["k_range"],
-                           cfg["check"]["theta_grid"])
+    rep = check_hyperbolic(cfg["spec"], cfg["params"], cfg["check"]["k_range"])
     doc = {"hyperbolicity": rep.to_dict()}
     try:
         cls = classify_algebraic(cfg["spec"], cfg["params"], cfg["check"]["k_range"])
@@ -137,7 +145,7 @@ def cmd_check(args):
 def cmd_psi(args):
     cfg, out = _resolve(args)
     started = _now()
-    rows = psi_curve(cfg["spec"], cfg["params"], cfg["experiment"]["N_list"])
+    rows = psi_curve(cfg["spec"], cfg["params"], _n_list_within_spectrum(cfg, args))
     path = out / "psi.csv"
     with path.open("w") as fh:
         fh.write("N,psi1_exact,psi2_exact,psi12_exact,psi1_asym,psi2_asym\n")
@@ -152,7 +160,7 @@ def cmd_psi(args):
 def cmd_simulate(args):
     cfg, out = _resolve(args)
     started = _now()
-    N = max(cfg["experiment"]["N_list"])
+    N = max(_n_list_within_spectrum(cfg, args))
     trajs = simulate_solution(cfg["spec"], cfg["params"], N, cfg["grid"],
                               cfg["experiment"]["seed"])
     path = out / "trajectories.csv"
@@ -171,14 +179,21 @@ def cmd_simulate(args):
 def _read_trajectories(path, spec, params, grid):
     """Mode trajectories from a `simulate` CSV, with each mode's lam, mu and scale restored."""
     rows = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    with fh:
         header = fh.readline().strip().split(",")
         if header != ["k", "t_index", "u", "v", "dw"]:
             raise ConfigError(f"{path}: unexpected trajectory header {header}")
-        for line in fh:
-            k, ti, u, v, dw = line.rstrip("\n").split(",")
-            rows.setdefault(int(k), []).append((int(ti), float(u), float(v),
-                                                float(dw) if dw else None))
+        for lineno, line in enumerate(fh, 2):
+            try:
+                k, ti, u, v, dw = line.rstrip("\n").split(",")
+                rows.setdefault(int(k), []).append((int(ti), float(u), float(v),
+                                                    float(dw) if dw else None))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
     ks = sorted(rows)
     if ks != list(range(1, len(ks) + 1)):
         raise ConfigError(f"{path}: holds {len(ks)} modes, not the modes 1..{len(ks)}")
@@ -197,8 +212,22 @@ def _read_trajectories(path, spec, params, grid):
                 f"{path}: mode {k} needs dw on t_index 0..{grid.n_steps - 1} "
                 f"and none on t_index {grid.n_steps}")
         dw = np.array([e[3] for e in entries[:-1]])
+        for name, col in (("u", u), ("v", v), ("dw", dw)):
+            finite = np.isfinite(col)
+            if not finite.all():
+                line = _line_of(path, k, int(np.argmin(finite)))
+                raise ConfigError(f"{path}: line {line}: {name} is not finite")
         out.append(ModeTrajectory(k, u, v, dw, scale, lam, mu, grid.dt))
     return out
+
+
+def _line_of(path, k, t_index):
+    """Line number of mode k's row at t_index in a trajectory file whose rows all parse."""
+    with open(path) as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, 2):
+            if tuple(map(int, line.split(",", 2)[:2])) == (k, t_index):
+                return lineno
 
 
 def cmd_estimate(args):
@@ -233,7 +262,7 @@ def _mc_config(cfg, args):
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     return ExperimentConfig(
         spec=cfg["spec"], params=cfg["params"],
-        N_list=cfg["experiment"]["N_list"],
+        N_list=_n_list_within_spectrum(cfg, args),
         replicates=cfg["experiment"]["replicates"],
         grid=cfg["grid"], seed=cfg["experiment"]["seed"],
         workers=workers,
@@ -243,7 +272,7 @@ def _mc_config(cfg, args):
 def cmd_mc(args):
     cfg, out = _resolve(args)
     started = _now()
-    mc_cfg = _mc_config(cfg, args)
+    mc_cfg = None if args.subverb == "tables" else _mc_config(cfg, args)
     outputs = []
     if args.subverb == "consistency":
         res = run_consistency(mc_cfg)

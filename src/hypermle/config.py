@@ -17,7 +17,7 @@ a key not listed here is an error):
       "grid": {"n_steps": 4096},
       "experiment": {"N_list": [25, 50, 100, 200], "replicates": 200,
                      "seed": 20240901, "out": "results"},
-      "check": {"k_range": [1, 1000], "theta_grid": 5}
+      "check": {"k_range": [1, 1000]}
     }
 
 Generator kinds: power_law (coefficient, exponent), exp_law (coefficient,
@@ -47,7 +47,7 @@ _SECTIONS = {
     "params": ("theta1", "theta2", "theta1_box", "theta2_box", "T"),
     "grid": ("n_steps",),
     "experiment": ("N_list", "replicates", "seed", "out"),
-    "check": ("k_range", "theta_grid"),
+    "check": ("k_range",),
 }
 
 
@@ -203,7 +203,6 @@ def load_config(path):
     }
     check_opts = {
         "k_range": _checked(_k_range, check.get("k_range", (1, 1000)), "check.k_range"),
-        "theta_grid": _checked(_integer, check.get("theta_grid", 5), "check.theta_grid"),
     }
     return {"spec": spec, "params": params, "grid": grid,
             "experiment": experiment, "check": check_opts, "raw": doc}

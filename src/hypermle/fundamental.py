@@ -589,8 +589,8 @@ def psi(spec, params, N):
 def psi_curve(spec, params, N_list):
     """PsiValues at every N in an increasing list, sharing per-mode work."""
     N_list = [int(n) for n in N_list]
-    if any(n < 1 for n in N_list) or sorted(N_list) != N_list:
-        raise ValueError("N_list must be increasing positive integers")
+    if not N_list or sorted(N_list) != N_list or N_list[0] < 1 or N_list[-1] > spec.k_max:
+        raise ValueError(f"N_list must be increasing integers in [1, {spec.k_max}]")
     terms = _psi_mode_terms(spec, params, range(1, max(N_list) + 1))
     csums = np.cumsum(terms, axis=0)
     return [

@@ -160,6 +160,8 @@ def run_replicates(spec, params, N, grid, seed, M, workers=1):
     When the grid resolves every mode (route "stats") the identity check runs:
     identity_max_rel is the worst defect over the RMS error, else NaN.
     """
+    if N < 1 or N > spec.k_max:
+        raise ValueError(f"N must lie in [1, {spec.k_max}]")
     modes = []
     for k in range(1, N + 1):
         (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, k)

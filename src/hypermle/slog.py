@@ -58,17 +58,3 @@ def slog_add(sign_a, log_a, sign_b, log_b):
     out_log = np.where(small_s == 0.0, big_l, out_log)
     return out_sign, out_log
 
-
-def log_cumsum_exp(log_terms):
-    """log of cumulative sums of exp(log_terms) for a 1-d array of log values."""
-    log_terms = np.asarray(log_terms, dtype=float)
-    out = np.empty_like(log_terms)
-    running = NEG_INF
-    for i, lt in enumerate(log_terms):
-        hi = max(running, lt)
-        if hi == NEG_INF:
-            running = NEG_INF
-        else:
-            running = hi + np.log(np.exp(running - hi) + np.exp(lt - hi))
-        out[i] = running
-    return out

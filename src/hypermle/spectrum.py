@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .fundamental import _EXP_MAX, m_func_log
-from .slog import slog_add, slog_scale, log_cumsum_exp
+from .slog import slog_add, slog_scale
 
 __all__ = [
     "GENERATORS",
@@ -405,79 +405,47 @@ class ConditionReport:
         }
 
 
-def _theta_grid(box, resolution):
-    lo, hi = box
-    if resolution < 2 or lo == hi:
-        return np.unique(np.array([lo, hi]))
-    return np.unique(np.concatenate([np.linspace(lo, hi, resolution), [lo, hi]]))
-
-
-_CSTAR_GRID = [0.0] + [2.0 ** p for p in range(0, 21)]
-
-
-def check_hyperbolic(spec, params, k_range=(1, 1000), theta_grid_resolution=5, constants=None):
+def check_hyperbolic(spec, params, k_range=(1, 1000)):
     """Empirical verification of the hyperbolicity conditions on a k-range.
 
-    Searches a coarse grid plus bisection for the smallest shift C* making
-    every lambda_k(theta) + C* positive, checks monotone growth and the
-    theta-uniform ratio bounds, then fits C, J for the damping-domination
-    inequality T*mu_k <= ln(lambda_k) + C.  `constants` may pin (C_star, C, J)
-    to re-evaluate a previous verdict on a different range.
+    lambda_k(theta1) = kappa_k + theta1 * tau_k is affine in theta1, and so is
+    each part-1 test: positivity, the step lambda_{k+1} - lambda_k with its
+    relative slack, and the growth over the range.  Each is therefore decided
+    at the two corners of theta1_box, and only those are evaluated.  C* is the
+    smallest float shift making every lambda_k + C* positive: 0 when every
+    corner value is positive already, else nextafter(-min, inf).  On a finite
+    range such a shift always exists, so there is no search and no cap on it.
+    The check then asks for monotone growth and the theta-uniform ratio bounds,
+    and fits C, J for the damping-domination inequality
+    T*mu_k <= ln(lambda_k) + C beyond J.
     """
     k_lo, k_hi = int(k_range[0]), int(k_range[1])
     if k_lo < 1 or k_hi < k_lo:
         raise ValueError("k_range must satisfy 1 <= k_lo <= k_hi")
     k_hi = min(k_hi, spec.k_max)
-    lo1, hi1 = params.theta1_box
-    if lo1 > hi1 or params.theta2_box[0] > params.theta2_box[1]:
+    if params.theta1_box[0] > params.theta1_box[1] or params.theta2_box[0] > params.theta2_box[1]:
         raise ValueError("degenerate theta box (lo > hi)")
     ks = np.arange(k_lo, k_hi + 1)
-    t1_grid = _theta_grid(params.theta1_box, theta_grid_resolution)
+    corners = params.theta1_box
 
     report = ConditionReport(PASS, checked_range=(k_lo, k_hi))
     witnesses = report.witnesses
 
-    # lambda arrays per theta1 grid point (affine in theta, corners are extreme)
-    lam_signs, lam_logs = {}, {}
-    for th in t1_grid:
-        s, l = _lambda_slog_arrays(spec, th, ks)
-        lam_signs[th], lam_logs[th] = s, l
+    # lambda_k at each corner of the theta1 box (one entry when lo == hi)
+    slogs = {th: _lambda_slog_arrays(spec, th, ks) for th in corners}
 
-    # --- part 1a: positivity under the smallest workable shift C* -------------
-    if constants is not None and "C_star" in constants:
-        c_star = float(constants["C_star"])
-    else:
-        c_star = None
-        for cand in _CSTAR_GRID:
-            if _positive_under_shift(lam_signs, lam_logs, cand):
-                c_star = cand
-                break
-        if c_star is None:
-            worst = _most_negative(lam_signs, lam_logs, t1_grid, ks)
-            report.hyperbolic = FAIL
-            witnesses.append((int(worst[0]), float(worst[1]), "lambda_k + C* <= 0 for all C* on the search grid"))
-            report.constants_used = {"C_star": math.inf, "C": math.nan, "J": -1}
-            return report
-        if c_star > 0.0:
-            lo_c = _CSTAR_GRID[max(_CSTAR_GRID.index(c_star) - 1, 0)]
-            for _ in range(40):
-                mid = 0.5 * (lo_c + c_star)
-                if _positive_under_shift(lam_signs, lam_logs, mid):
-                    c_star = mid
-                else:
-                    lo_c = mid
-    if not _positive_under_shift(lam_signs, lam_logs, c_star):
-        report.hyperbolic = FAIL
-        worst = _most_negative(lam_signs, lam_logs, t1_grid, ks)
-        witnesses.append((int(worst[0]), float(worst[1]), f"lambda_k + C* <= 0 at C*={c_star:g}"))
+    # --- part 1a: the smallest float shift C* making every lambda_k + C* positive
+    values = {th: _values(s, l) for th, (s, l) in slogs.items()}
+    lowest = min(float(v.min()) for v in values.values())
+    c_star = 0.0 if lowest > 0.0 else float(np.nextafter(-lowest, math.inf))
+    lam = {th: v + c_star for th, v in values.items()}
 
     # --- part 1b: non-decreasing and unbounded (shift-independent) ------------
     decile = max(1, (k_hi - k_lo + 1) // 10)
-    for th in t1_grid:
-        lam = _shifted_values(lam_signs[th], lam_logs[th], c_star)
-        drops = np.nonzero(lam[1:] < lam[:-1] * (1.0 - 1e-12))[0]
+    for th, vals in lam.items():
+        drops = np.nonzero(vals[1:] < vals[:-1] * (1.0 - 1e-12))[0]
         if drops.size:
-            only_tail = drops.min() >= len(lam) - 1 - decile
+            only_tail = drops.min() >= len(vals) - 1 - decile
             verdict = INCONCLUSIVE if only_tail else FAIL
             if report.hyperbolic == PASS:
                 report.hyperbolic = verdict
@@ -485,18 +453,13 @@ def check_hyperbolic(spec, params, k_range=(1, 1000), theta_grid_resolution=5, c
                 report.hyperbolic = FAIL
             k_bad = int(ks[drops[0] + 1])
             witnesses.append((k_bad, float(th), "lambda_k(theta) + C* not non-decreasing"))
-        if lam[-1] <= lam[0] * (1.0 + 1e-9) + 1e-9:
+        if vals[-1] <= vals[0] * (1.0 + 1e-9) + 1e-9:
             report.hyperbolic = FAIL
             witnesses.append((int(ks[-1]), float(th), "lambda_k(theta) shows no growth on the range (bounded?)"))
 
     # --- part 1c: theta-uniform comparability (corner ratios) -----------------
-    corners = [params.theta1_box[0], params.theta1_box[1]]
-    s_a, l_a = lam_signs[corners[0]], lam_logs[corners[0]]
-    s_b, l_b = lam_signs[corners[1]], lam_logs[corners[1]]
-    la = _shifted_values(s_a, l_a, c_star)
-    lb = _shifted_values(s_b, l_b, c_star)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = la / lb
+        ratio = lam[corners[0]] / lam[corners[1]]
     finite = np.isfinite(ratio) & (ratio > 0.0)
     if not np.all(finite):
         k_bad = int(ks[np.argmin(finite)])
@@ -514,81 +477,49 @@ def check_hyperbolic(spec, params, k_range=(1, 1000), theta_grid_resolution=5, c
 
     # --- part 2: T mu_k <= ln lambda_k + C beyond some J -----------------------
     mu_hi = np.maximum(_mu_arrays(spec, params.theta2_box[0], ks), _mu_arrays(spec, params.theta2_box[1], ks))
-    log_lam_min = np.minimum.reduce([lam_logs[th] for th in corners])  # lambda > 0 needed
-    sign_min = np.minimum.reduce([lam_signs[th] for th in corners])
+    log_lam_min = np.minimum.reduce([slogs[th][1] for th in corners])  # lambda > 0 needed
+    sign_min = np.minimum.reduce([slogs[th][0] for th in corners])
     g = params.T * mu_hi - np.where(sign_min > 0.0, log_lam_min, -np.inf)
 
-    if constants is not None and "J" in constants:
-        j_idx = max(int(constants["J"]) - k_lo, 0)
-    else:
-        pos = np.nonzero(~((sign_min > 0.0) & (log_lam_min > 0.0)))[0]  # lambda <= 1 region
-        j_idx = int(pos.max() + 1) if pos.size else 0
-        if j_idx >= len(ks):
-            report.hyperbolic = FAIL
-            witnesses.append((int(ks[-1]), None, "lambda_k <= 1 through the whole range"))
-            report.constants_used = {"C_star": c_star, "C": math.nan, "J": int(ks[-1])}
-            return report
+    pos = np.nonzero(~((sign_min > 0.0) & (log_lam_min > 0.0)))[0]  # lambda <= 1 region
+    j_idx = int(pos.max() + 1) if pos.size else 0
+    if j_idx >= len(ks):
+        report.hyperbolic = FAIL
+        witnesses.append((int(ks[-1]), None, "lambda_k <= 1 through the whole range"))
+        report.constants_used = {"C_star": c_star, "C": math.nan, "J": int(ks[-1])}
+        return report
     J = int(ks[j_idx])
     g_tail = g[j_idx:]
     ks_tail = ks[j_idx:]
 
-    if constants is not None and "C" in constants:
-        C = float(constants["C"])
-        bad = np.nonzero(g_tail > C + 1e-9)[0]
-        if bad.size:
+    head_len = max(1, int(0.9 * len(g_tail)))
+    c_head = float(np.max(g_tail[:head_len]))
+    C = max(0.0, float(np.max(g_tail)))
+    rise = float(np.max(g_tail[head_len:])) - c_head if head_len < len(g_tail) else 0.0
+    if rise > 0.1:
+        half = g_tail[len(g_tail) // 2 :]
+        upticks = np.count_nonzero(np.diff(half) > 0.0)
+        trending_up = upticks >= 0.6 * max(len(half) - 1, 1)
+        bad = np.nonzero(g_tail > c_head + 1e-9)[0]
+        if trending_up:
             report.hyperbolic = FAIL
             for i in bad[:5]:
-                witnesses.append((int(ks_tail[i]), None, f"T*mu_k > ln(lambda_k) + C with C={C:g}"))
-    else:
-        head_len = max(1, int(0.9 * len(g_tail)))
-        c_head = float(np.max(g_tail[:head_len]))
-        C = max(0.0, float(np.max(g_tail)))
-        rise = float(np.max(g_tail[head_len:])) - c_head if head_len < len(g_tail) else 0.0
-        if rise > 0.1:
-            half = g_tail[len(g_tail) // 2 :]
-            upticks = np.count_nonzero(np.diff(half) > 0.0)
-            trending_up = upticks >= 0.6 * max(len(half) - 1, 1)
-            bad = np.nonzero(g_tail > c_head + 1e-9)[0]
-            if trending_up:
-                report.hyperbolic = FAIL
-                for i in bad[:5]:
-                    witnesses.append(
-                        (int(ks_tail[i]), None, f"T*mu_k > ln(lambda_k) + C with fitted C={c_head:g}")
-                    )
-                C = c_head
-            else:
-                if report.hyperbolic == PASS:
-                    report.hyperbolic = INCONCLUSIVE
-                report.notes.append("damping-domination bound still rising in the last decile")
+                witnesses.append(
+                    (int(ks_tail[i]), None, f"T*mu_k > ln(lambda_k) + C with fitted C={c_head:g}")
+                )
+            C = c_head
+        else:
+            if report.hyperbolic == PASS:
+                report.hyperbolic = INCONCLUSIVE
+            report.notes.append("damping-domination bound still rising in the last decile")
 
-    report.constants_used = {"C_star": float(c_star), "C": float(C), "J": J, "c1": c1, "c2": c2}
+    report.constants_used = {"C_star": c_star, "C": float(C), "J": J, "c1": c1, "c2": c2}
     return report
 
 
-def _positive_under_shift(lam_signs, lam_logs, shift):
-    for th, s in lam_signs.items():
-        vals = _shifted_values(s, lam_logs[th], shift)
-        if not np.all(vals > 0.0):
-            return False
-    return True
-
-
-def _shifted_values(signs, logs, shift):
+def _values(signs, logs):
     # saturating at e^700 keeps order comparisons meaningful past the float range
-    vals = signs * np.exp(np.minimum(logs, _EXP_MAX))
-    return np.where(signs == 0.0, 0.0, vals) + shift
-
-
-def _most_negative(lam_signs, lam_logs, t1_grid, ks):
-    worst = (int(ks[0]), float(t1_grid[0]))
-    worst_val = math.inf
-    for th in t1_grid:
-        vals = _shifted_values(lam_signs[th], lam_logs[th], 0.0)
-        i = int(np.argmin(vals))
-        if vals[i] < worst_val:
-            worst_val = vals[i]
-            worst = (int(ks[i]), float(th))
-    return worst
+    return np.where(signs == 0.0, 0.0, signs * np.exp(np.minimum(logs, _EXP_MAX)))
 
 
 def verify_lower_bound_props(spec, params, k_range=(1, 1000)):
@@ -837,7 +768,7 @@ def slowly_increasing_test(seq, n_max=None):
 def _slowly_increasing_log(log_vals):
     ks = np.arange(1, len(log_vals) + 1)
     log_a = np.asarray(log_vals, dtype=float)
-    r = np.exp(log_cumsum_exp(2.0 * log_a) - 2.0 * log_cumsum_exp(log_a))
+    r = np.exp(np.logaddexp.accumulate(2.0 * log_a) - 2.0 * np.logaddexp.accumulate(log_a))
     decile = max(4, len(ks) // 10)
     x = np.log(ks[-decile:].astype(float))
     A = np.vstack([x, np.ones_like(x)]).T

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, file outputs, round trips, manifests."""
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -106,7 +107,7 @@ class TestCheck:
             (dict(spectrum(), dimension=2), [], "dimension"),
             (preset(experiment={"N_list": [2.9, 4.5], "out": str(outdir)}), [], "experiment.N_list"),
             (preset(grid={"n_steps": 64.7}), [], "grid.n_steps"),
-            (preset(check={"theta_grid": 3.5}), [], "check.theta_grid"),
+            (preset(check={"theta_grid": 5}), [], "check"),
             (preset(check={"k_range": [1, 10.5]}), [], "check.k_range"),
             (preset(experiment={"replicates": True, "out": str(outdir)}), [], "experiment.replicates"),
             (preset(experiment={"seed": 1.5, "out": str(outdir)}), [], "experiment.seed"),
@@ -122,8 +123,35 @@ class TestCheck:
         assert cli.main(["psi", "--config", write_config(tmp_path / "ok.json", preset())]) == 0
         assert cli.main(["psi", "--config", write_config(tmp_path / "ok.json", spectrum())]) == 0
         # integral floats are integers
-        integral = preset(grid={"n_steps": 64.0}, check={"k_range": [1.0, 10.0], "theta_grid": 3.0})
+        integral = preset(grid={"n_steps": 64.0}, check={"k_range": [1.0, 10.0]})
         assert cli.main(["psi", "--config", write_config(tmp_path / "ok.json", integral)]) == 0
+
+    @pytest.mark.parametrize("command, flags, where", [
+        (["psi"], [], "experiment.N_list"),
+        (["psi"], ["--n-list", "5,20"], "--n-list"),
+        (["simulate"], [], "experiment.N_list"),
+        (["mc", "consistency"], [], "experiment.N_list"),
+        (["mc", "lln"], [], "experiment.N_list"),
+        (["mc", "normality"], [], "experiment.N_list"),
+    ], ids=["psi", "psi_flag", "simulate", "mc_consistency", "mc_lln", "mc_normality"])
+    def test_n_beyond_k_max_exits_one(self, tmp_path, outdir, capsys, command, flags, where):
+        from hypermle import cli
+
+        power = {"kind": "power_law", "coefficient": 1.0, "exponent": 2.0}
+        cfg = write_config(tmp_path / "short.json", {
+            "spectrum": {"kappa": power, "tau": power,
+                         "rho": {"kind": "constant", "coefficient": 0.0},
+                         "nu": {"kind": "constant", "coefficient": 1.0}, "k_max": 10},
+            "params": {"theta1": 1.0, "theta2": -0.5, "theta1_box": [0.5, 2.0],
+                       "theta2_box": [-1.0, 1.0], "T": 1.0},
+            "grid": {"n_steps": 64},
+            "experiment": {"N_list": [5, 20], "replicates": 4, "out": str(outdir)},
+        })
+        assert cli.main([*command, "--config", cfg, *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"{where}: N=20 exceeds the spectrum's k_max=10" in err, err
+        # the check reads no N list
+        assert cli.main(["check", "--config", cfg, *flags]) == 0
 
     def test_unknown_generator_exits_one(self, tmp_path, outdir):
         cfg = write_config(tmp_path / "c.json", {
@@ -138,6 +166,27 @@ class TestCheck:
         res = run_cli("check", "--config", cfg)
         assert res.returncode == 1
         assert "cubic_spline" in res.stderr
+
+
+class TestConfigDocs:
+    @staticmethod
+    def documented_keys(text):
+        """{section: keys} of the first schema block in `text`; '// or:' lines are alternatives."""
+        block = re.search(r"^\s*\{$.*?^\s*\}$", text, re.MULTILINE | re.DOTALL).group(0)
+        doc = json.loads(re.sub(r"//\s*or:", "", block))
+        keys = {"top level": set(doc)}
+        keys.update((name, set(node)) for name, node in doc.items() if isinstance(node, dict))
+        return keys
+
+    def test_documented_keys_match_schema(self):
+        """The schema in README and in the config module docstring lists every key the parser takes."""
+        from hypermle import config
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        schema = readme[readme.index("### Config schema"):]
+        declared = {name: set(keys) for name, keys in config._SECTIONS.items()}
+        for where, text in (("README.md", schema), ("config.py", config.__doc__)):
+            assert self.documented_keys(text) == declared, where
 
 
 class TestPsi:
@@ -273,6 +322,33 @@ class TestSimulateEstimateRoundTrip:
         res = run_cli("estimate", *common, "--trajectories", str(path))
         assert res.returncode == 1, res.stderr
         assert "holds 3 modes, not the modes 1..3" in res.stderr
+        assert not (outdir / "estimate.json").exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,3,0.5,0.25,inf", "line 5: dw is not finite"),
+        ("1,3,nan,0.25,0.125", "line 5: u is not finite"),
+        ("1,3,0.5,0.25", "line 5: not enough values to unpack"),
+        ("x3,3,0.5,0.25,0.125", "line 5: invalid literal for int()"),
+        (None, "cannot read"),
+    ], ids=["inf_dw", "nan_u", "four_fields", "bad_k", "missing_file"])
+    def test_bad_trajectory_file_rejected(self, outdir, capsys, row, message):
+        from hypermle import cli
+
+        common = ["--config", str(CONFIGS / "alg_ex1.json"), "--n-list", "2",
+                  "--dt-steps", "64", "--seed", "3", "--out", str(outdir)]
+        assert cli.main(["simulate", *common]) == 0
+        path = outdir / "trajectories.csv"
+        if row is None:
+            path = outdir / "absent.csv"
+        else:
+            lines = path.read_text().splitlines()
+            assert lines[4].startswith("1,3,")  # mode 1 at t_index 3, line 5 of the file
+            lines[4] = row
+            path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["estimate", *common, "--trajectories", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}" in err and message in err, err
         assert not (outdir / "estimate.json").exists()
 
     def test_estimate_reduces_each_mode_once(self, outdir, monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hypermle import config
-from hypermle.equations import preset
+from hypermle.equations import PRESETS, preset
 from hypermle.spectrum import (
     GENERATORS,
     AlgebraicClass,
@@ -112,13 +112,36 @@ class TestCheckHyperbolic:
         assert rep.hyperbolic == "pass"
 
     def test_fail_is_monotone_in_range(self):
-        # re-checking a longer range with the constants fitted on the short
-        # one can only keep failing
+        # re-checking a longer range can only keep failing
         spec, params = preset("wave_antidissipative")
         rep = check_hyperbolic(spec, params, (1, 200))
         assert rep.hyperbolic == "fail"
-        again = check_hyperbolic(spec, params, (1, 500), constants=rep.constants_used)
+        again = check_hyperbolic(spec, params, (1, 500))
         assert again.hyperbolic == "fail"
+
+    def test_shift_beyond_two_to_the_twenty(self):
+        # lambda_1 = -2e6 + theta1 dips far below zero; the smallest shift making
+        # every lambda_k + C* positive is -lambda_1 at the lower corner theta1 = 0.5
+        spec = SpectrumSpec(Constant(-2e6), PowerLaw(1.0, 2.0), Constant(0.0), Constant(1.0))
+        rep = check_hyperbolic(spec, box_params(), (1, 5000))
+        assert rep.hyperbolic == "pass", rep.to_dict()
+        assert rep.constants_used["C_star"] == pytest.approx(1999999.5, rel=1e-12)
+
+    def test_shift_is_the_smallest_float_that_works(self):
+        spec = SpectrumSpec(Constant(-3.0), PowerLaw(1.0, 2.0), Constant(0.0), Constant(1.0))
+        c_star = check_hyperbolic(spec, box_params(), (1, 200)).constants_used["C_star"]
+        lowest = -3.0 + 0.5
+        assert lowest + c_star > 0.0
+        assert lowest + np.nextafter(c_star, 0.0) <= 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_verdicts(self, name, d):
+        spec, params = preset(name, d=d)
+        rep = check_hyperbolic(spec, params, (1, 1000))
+        want = "fail" if name.endswith("antidissipative") else "pass"
+        assert rep.hyperbolic == want
+        assert rep.constants_used["C_star"] == 0.0
 
     def test_degenerate_box_rejected(self):
         spec, params = preset("wave_damped")
@@ -247,6 +270,31 @@ class TestSlowlyIncreasing:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             slowly_increasing_test(np.array([1.0] * 20 + [0.0]))
+
+    @staticmethod
+    def log_cumsum_exp_loop(log_terms):
+        """Reference: the running log(sum exp), one rescaled addition per term."""
+        out, running = [], -math.inf
+        for lt in log_terms:
+            hi = max(running, lt)
+            running = hi if hi == -math.inf else hi + math.log(math.exp(running - hi) + math.exp(lt - hi))
+            out.append(running)
+        return np.array(out)
+
+    @pytest.mark.parametrize("log_a", [
+        -2.0 * np.log(np.arange(1.0, 2001.0)),
+        -np.log(np.arange(1.0, 2001.0)),
+        0.5 * np.log(np.arange(1.0, 2001.0)),
+        np.sqrt(np.arange(1.0, 2001.0)),
+        np.arange(1.0, 501.0),
+    ], ids=["k^-2", "k^-1", "k^0.5", "e^sqrt(k)", "e^k"])
+    def test_ratio_curve_matches_loop_reference(self, log_a):
+        n = len(log_a)
+        want = self.log_cumsum_exp_loop(2.0 * log_a) - 2.0 * self.log_cumsum_exp_loop(log_a)
+        got = np.log(slowly_increasing_test(np.exp(log_a))["ratio_curve"][:, 1])
+        # each running sum may round once per term, at the scale of its largest value
+        tol = 3 * n * np.finfo(float).eps * (np.max(np.abs(2.0 * log_a)) + math.log(n) + 1.0)
+        assert np.max(np.abs(got - want)) <= tol
 
 
 class TestConditions12:
