@@ -124,6 +124,9 @@ def _now():
 def cmd_check(args):
     cfg, out = _resolve(args)
     started = _now()
+    k_lo, k_max = cfg["check"]["k_range"][0], cfg["spec"].k_max
+    if k_lo > k_max:
+        raise ConfigError(f"check.k_range: k_lo={k_lo} exceeds the spectrum's k_max={k_max}")
     rep = check_hyperbolic(cfg["spec"], cfg["params"], cfg["check"]["k_range"])
     doc = {"hyperbolicity": rep.to_dict()}
     try:
@@ -180,20 +183,21 @@ def _read_trajectories(path, spec, params, grid):
     """Mode trajectories from a `simulate` CSV, with each mode's lam, mu and scale restored."""
     rows = {}
     try:
-        fh = open(path)
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            if header != ["k", "t_index", "u", "v", "dw"]:
+                raise ConfigError(f"{path}: unexpected trajectory header {header}")
+            for lineno, line in enumerate(fh, 2):
+                try:
+                    k, ti, u, v, dw = line.rstrip("\n").split(",")
+                    rows.setdefault(int(k), []).append((int(ti), float(u), float(v),
+                                                        float(dw) if dw else None))
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        header = fh.readline().strip().split(",")
-        if header != ["k", "t_index", "u", "v", "dw"]:
-            raise ConfigError(f"{path}: unexpected trajectory header {header}")
-        for lineno, line in enumerate(fh, 2):
-            try:
-                k, ti, u, v, dw = line.rstrip("\n").split(",")
-                rows.setdefault(int(k), []).append((int(ti), float(u), float(v),
-                                                    float(dw) if dw else None))
-            except ValueError as exc:
-                raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # raised while a line is read, before it is parsed
+        raise ConfigError(f"{path}: not a text file: {exc}") from exc
     ks = sorted(rows)
     if ks != list(range(1, len(ks) + 1)):
         raise ConfigError(f"{path}: holds {len(ks)} modes, not the modes 1..{len(ks)}")
@@ -293,7 +297,8 @@ def cmd_mc(args):
             "corr12": rep.corr12, "corr_ci": list(rep.corr_ci),
             "verdict1": rep.verdict1, "verdict2": rep.verdict2,
             "independent": rep.independent, "n_excluded": rep.n_excluded,
-            "route": rep.route, "seed": mc_cfg.seed, "version": __version__,
+            "route": rep.route, "underresolved_modes": rep.underresolved_modes,
+            "seed": mc_cfg.seed, "version": __version__,
             "config": cfg["raw"],
         }
         outputs.append(write_summary_json(out / "normality_summary.json", summary))

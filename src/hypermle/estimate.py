@@ -43,6 +43,8 @@ __all__ = [
 
 # the nine statistics of the normal equations (Stats' fields, in order), then iota
 _STAT_KEYS = ("A1", "A2", "F1", "F2", "K1", "K2", "K12", "L1", "L2", "iota1", "iota2")
+# the keys of _mode_sums taken at the end of the path; all others are sums over the steps
+_ENDPOINT_KEYS = {"uTs2", "uvTs", "vT2"}
 # the information matrix counts as singular unless 1 - D_N exceeds this
 _MIN_GAP = 1e-12
 
@@ -86,27 +88,35 @@ class EstimateResult:
     stats: Stats | None = None
 
 
+def _dot(a, b):
+    """Sum over axis 0 of a * b, without the product array; a, b are (n,) or (n, M)."""
+    return np.einsum("i...,i...->...", a, b)
+
+
 def _mode_sums(u_scaled, v, dw, dt, lam_over_s, mu, residual=False):
     """Per-path reductions with time along axis 0; inputs may be (n+1,) or (n+1, M)."""
     u0 = u_scaled[:-1]
     v0 = v[:-1]
     dv = np.diff(v, axis=0)
     out = {
-        "su2s": (u0 * u0).sum(axis=0) * dt,
-        "sv2": (v0 * v0).sum(axis=0) * dt,
-        "suvs": (u0 * v0).sum(axis=0) * dt,
-        "sudvs": (u0 * dv).sum(axis=0),
-        "svdv": (v0 * dv).sum(axis=0),
-        "sudws": (u0 * dw).sum(axis=0),
-        "svdw": (v0 * dw).sum(axis=0),
+        "su2s": _dot(u0, u0) * dt,
+        "sv2": _dot(v0, v0) * dt,
+        "suvs": _dot(u0, v0) * dt,
+        "sudvs": _dot(u0, dv),
+        "svdv": _dot(v0, dv),
+        "sudws": _dot(u0, dw),
+        "svdw": _dot(v0, dw),
         "uTs2": u_scaled[-1] * u_scaled[-1],
         "uvTs": u_scaled[-1] * v[-1],
         "vT2": v[-1] * v[-1],
     }
-    if residual:
-        dwhat = dv + (lam_over_s * u0 - mu * v0) * dt
-        out["sudw_res"] = (u0 * dwhat).sum(axis=0)
-        out["svdw_res"] = (v0 * dwhat).sum(axis=0)
+    if residual:  # dwhat = dv + (lam_over_s * u0 - mu * v0) * dt, in one array
+        dwhat = lam_over_s * u0
+        dwhat -= mu * v0
+        dwhat *= dt
+        dwhat += dv
+        out["sudw_res"] = _dot(u0, dwhat)
+        out["svdw_res"] = _dot(v0, dwhat)
     return out
 
 

@@ -1,11 +1,13 @@
 """Monte Carlo experiment harness: consistency curves, normality tests, LLN checks.
 
 The engine simulates mode-major and replicate-vectorized: the exact one-step
-transition of mode k is built once, all replicates advance through it
-together, and the per-replicate statistic contributions are reduced in fixed
-mode order.  Every replicate's noise comes from a counter-based stream keyed
-by (seed, replicate, mode), so results are byte-identical for a given seed
-regardless of scheduling.
+transition of mode k is built once and all replicates advance through it
+together.  The estimator needs a mode's paths only through their running
+sums, so the paths are made and reduced _CHUNK steps at a time, while they
+are in cache, and never held whole.  The per-replicate statistic
+contributions are reduced in fixed mode order.  Every replicate's noise
+comes from a counter-based stream keyed by (seed, replicate, mode), so
+results are byte-identical for a given seed regardless of scheduling.
 
 Estimator errors are reported through one of two equivalent routes:
 
@@ -28,10 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimate import (_decomposition_errors, _mode_coeffs, _mode_contrib, _mode_order_sum,
-                       _mode_sums, _nonsingular, _solve_normal)
+from .estimate import (_ENDPOINT_KEYS, _decomposition_errors, _mode_coeffs, _mode_contrib,
+                       _mode_order_sum, _mode_sums, _nonsingular, _solve_normal)
 from .fundamental import _slog_lam, psi_curve
-from .simulate import _psd_factor, _run_chain, _scaled_transition, _underresolved, mode_stream
+from .simulate import (_BLOCK, _psd_factor, _run_chain, _scaled_transition, _underresolved,
+                       mode_stream)
 from .spectrum import lambda_mu_slog
 
 __all__ = [
@@ -51,6 +54,12 @@ _SIGNIFICANCE = 0.01           # level of run_normality's KS verdicts (a key of 
 _N_BOOT = 1000                 # bootstrap resamples per interval
 _CI_PERCENTILES = (2.5, 97.5)  # bounds of each bootstrap interval
 _LOG_FLAG_SLOPE = 0.2          # fit_growth: a power slope below this may be log N growth
+# Steps _mode_task runs and reduces at a time.  Fewer chunks mean less
+# per-call overhead, which worker threads contend for; longer ones a larger
+# working set (at 48 replicates and n = 4096 one chunk's arrays peak at 0.4
+# of the draw buffer).  512 to 1024 steps timed alike at 48 and 500
+# replicates on one thread; 768 was best at 32 replicates on two.
+_CHUNK = 48 * _BLOCK
 
 
 @dataclass
@@ -95,8 +104,12 @@ class BatchResult:
 def _mode_task(spec, params, k, lam_mu, grid, seed, M, residual):
     """Everything mode k contributes, independent of all other modes.
 
-    Returns the endpoint contributions and, with residual, the raw ones with
-    residual increments, both from one _mode_sums pass.
+    The M replicates' draws fill one buffer; the chain then runs through it
+    _CHUNK steps at a time, each chunk starting from the state the previous
+    one ended in, and _mode_sums reduces each chunk's paths while they are
+    in cache.  The running sums add up over the chunks; the endpoint
+    products come from the last one.  Returns the endpoint contributions
+    and, with residual, the raw ones with residual increments.
     """
     lam, mu = lam_mu
     dt = grid.dt
@@ -106,9 +119,19 @@ def _mode_task(spec, params, k, lam_mu, grid, seed, M, residual):
     buf = np.empty((M, grid.n_steps, 3))  # each replicate's draws are contiguous
     for m in range(M):
         mode_stream(seed, m, k).standard_normal(out=buf[m])
-    u, v, dw = _run_chain(P, S, buf.transpose(1, 2, 0))
+    xi = buf.transpose(1, 2, 0)
 
-    sums = _mode_sums(u, v, dw, dt, lam / scale, mu, residual=residual)
+    x = np.zeros((2, M))
+    sums = None
+    for t0 in range(0, grid.n_steps, _CHUNK):
+        u, v, dw = _run_chain(P, S, xi[t0:t0 + _CHUNK], x)
+        part = _mode_sums(u, v, dw, dt, lam / scale, mu, residual=residual)
+        if sums is not None:
+            for key in part.keys() - _ENDPOINT_KEYS:
+                part[key] += sums[key]
+        sums = part
+        x = np.stack((u[-1], v[-1]))
+        del u, v, dw  # this chunk's paths go before the next chunk's are made
     sums["T"] = grid.T
     coeffs = _mode_coeffs(spec, k, scale)
     contrib = _mode_contrib(coeffs, sums, endpoint=True)
@@ -310,6 +333,7 @@ def run_consistency(config):
             "mean_abs_err2_ci": _bootstrap_mean_ci(ae2, config.seed + N + 1),
             "n_excluded": int(np.count_nonzero(batch.excluded)),
             "route": batch.route,
+            "underresolved_modes": batch.underresolved_modes,
             "identity_max_rel": batch.identity_max_rel,
             "psi1": pv.psi1,
             "psi2": pv.psi2,
@@ -342,6 +366,7 @@ class NormalityReport:
     independent: bool
     n_excluded: int
     route: str
+    underresolved_modes: int
     identity_max_rel: float = math.nan
 
 
@@ -376,6 +401,7 @@ def run_normality(config):
         verdict2=bool(ks2 < thr and frac_ok),
         independent=bool(abs(corr) < 0.15),
         n_excluded=excluded, route=batch.route,
+        underresolved_modes=batch.underresolved_modes,
         identity_max_rel=batch.identity_max_rel,
     )
 
@@ -399,6 +425,7 @@ def verify_lln(config):
             "iota1_isometry": float(np.mean(batch.iota1[ok] ** 2) / pv.psi1),
             "iota2_isometry": float(np.mean(batch.iota2[ok] ** 2) / pv.psi2),
             "D_N_median": float(np.median(batch.D_N[ok])),
+            "underresolved_modes": batch.underresolved_modes,
         })
     return out
 

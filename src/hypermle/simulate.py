@@ -12,9 +12,10 @@ a prefix scan): a matmul with a block-Toeplitz operator of powers of the
 propagator gives every block of _BLOCK steps its response from a zero
 start, a loop over the blocks carries the state from one block to the
 next, and one more matmul adds each block's response to its start.  The
-same engine serves one path (simulate_mode) and a batch of replicates
-(montecarlo._mode_task); it differs from stepping the recurrence only by
-rounding.
+same engine serves one path (simulate_mode, one call from rest) and a batch
+of replicates (montecarlo._mode_task, one call per chunk of steps, each
+starting from the state the last one ended in); it differs from stepping
+the recurrence only by rounding.
 
 Stiff modes are propagated in energy coordinates (sqrt(lam)*u, v) with a
 power-of-two scale, so extreme eigenvalues neither overflow nor lose the
@@ -46,8 +47,10 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# steps one block matmul of _run_chain advances
+# steps one block matmul of _run_chain advances (a power of two)
 _BLOCK = 16
+# (row, column) indices of the lower triangle of one block's Toeplitz operator
+_TRIL = np.tril_indices(_BLOCK)
 
 
 class UnderresolvedModeWarning(UserWarning):
@@ -204,24 +207,28 @@ def mode_stream(seed, replicate, k):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_chain(P, S, xi):
-    """Iterate the exact transition as a blocked scan.  xi: (n, 3, M) standard normals.
+def _run_chain(P, S, xi, x0):
+    """Iterate the exact transition as a blocked scan from the state x0.
 
-    Step i maps the state x = (u, v) to P x + S[:2] xi[i] and draws the
-    Brownian increment S[2] xi[i].  Over a block of B = _BLOCK steps that
-    starts from x_b, the states are L xi_b + P^{j+1} x_b (j = 0..B-1), where
-    L is the lower block-Toeplitz operator with block (j, i) = P^{j-i} S[:2].
-    One matmul per component over all blocks writes each block's zero-start
-    response straight into u and v, a loop over the n/B blocks carries
-    x_{b+1} = (last response of block b) + P^B x_b, and one more matmul per
-    component adds P^{j+1} x_b.  The n mod B steps left over (all of them when n < B) use
-    the leading rows and columns of L.  This is the same recurrence; only
-    the rounding differs from stepping (about 1e-14 of a path's largest
-    value).  dw is formed elementwise, exactly as S[2] xi.
+    xi: (n, 3, M) standard normals; x0: (2, M) start state (u, v), zeros for
+    a path from rest.  Step i maps the state x = (u, v) to P x + S[:2] xi[i]
+    and draws the Brownian increment S[2] xi[i].  Over a block of B = _BLOCK
+    steps that starts from x_b, the states are L xi_b + P^{j+1} x_b
+    (j = 0..B-1), where L is the lower block-Toeplitz operator with block
+    (j, i) = P^{j-i} S[:2].  One matmul per component over all blocks writes
+    each block's zero-start response straight into u and v, a loop over the
+    n/B blocks carries x_{b+1} = (last response of block b) + P^B x_b from
+    x_0 = x0, and one more matmul per component adds P^{j+1} x_b.  The
+    n mod B steps left over (all of them when n < B) use the leading rows and
+    columns of L.  This is the same recurrence; only the rounding differs
+    from stepping (about 1e-14 of a path's largest value).  dw is formed
+    elementwise, exactly as S[2] xi.
 
-    Returns (u, v, dw) with u, v of shape (n+1, M) and dw of shape (n, M),
-    in the scaled coordinates of P and S.  Each replicate's path is
-    contiguous (the arrays are transposed views), and the values do not
+    Returns (u, v, dw) with u, v of shape (n+1, M) (row 0 is x0) and dw of
+    shape (n, M), in the scaled coordinates of P and S.  A long path can be
+    run in pieces: the last rows of one call's u and v start the next, and
+    the pieces differ from one call only by rounding.  Each replicate's path
+    is contiguous (the arrays are transposed views), and the values do not
     depend on the memory layout of xi.
     """
     n, _, m = xi.shape
@@ -229,32 +236,38 @@ def _run_chain(P, S, xi):
     nb, rem = divmod(n, B)
     full = nb * B
 
-    powers = [np.eye(2)]
-    for _ in range(B):
-        powers.append(P @ powers[-1])
-    G = np.stack(powers[:B]) @ S[:2]                  # G[d] = P^d S[:2]
+    powers = np.empty((B + 1, 2, 2))                  # powers[d] = P^d
+    powers[0] = np.eye(2)
+    powers[1] = P
+    d = 1
+    while d < B:                                      # P^(d+1..2d) = P^d P^(1..d)
+        np.matmul(powers[d], powers[1:d + 1], out=powers[d + 1:2 * d + 1])
+        d *= 2
+    G = powers[:B] @ S[:2]                            # G[d] = P^d S[:2]
     # L's rows are ordered (component, step), so each component's response is one slice
     L = np.zeros((2, B, B, 3))
-    j, i = np.tril_indices(B)
+    j, i = _TRIL
     L[:, j, i, :] = G[j - i].transpose(1, 0, 2)
     LT = L.reshape(2 * B, 3 * B).T
-    C = np.stack(powers[1:]).transpose(1, 2, 0)       # C[c, :, j] = row c of P^{j+1}
+    C = powers[1:].transpose(1, 2, 0)                 # C[c, :, j] = row c of P^{j+1}
 
-    # Replicate-major throughout, so BLAS sees one memory layout whatever that of
-    # xi (a view of draws filled replicate by replicate, otherwise a copy); the
-    # results are transposed views in which each replicate's path is contiguous.
-    z = np.ascontiguousarray(xi.transpose(2, 0, 1)).reshape(m, 3 * n)
+    # Replicate-major throughout: z is a view of draws filled replicate by
+    # replicate, even of a few steps of them (reshape copies any other layout
+    # of xi, to the same values), and the results are transposed views in
+    # which each replicate's path is contiguous.
+    z = xi.transpose(2, 0, 1).reshape(m, 3 * n)
     dw = np.multiply(z[:, 0::3], S[2, 0])
     tmp = np.multiply(z[:, 1::3], S[2, 1])
     dw += tmp
     dw += np.multiply(z[:, 2::3], S[2, 2], out=tmp)
 
     uv = np.empty((2, m, n + 1))
-    uv[:, :, 0] = 0.0
+    uv[:, :, 0] = x0
     blocks = uv[:, :, 1:full + 1].reshape(2, m, nb, B)  # views: written in place
     for c in range(2):                                # zero-start responses of every block
         np.matmul(z[:, :3 * full].reshape(m, nb, 3 * B), LT[:, c * B:(c + 1) * B], out=blocks[c])
-    x = np.zeros((nb + 1, 2, m))                      # x[b]: state where block b starts
+    x = np.empty((nb + 1, 2, m))                      # x[b]: state where block b starts
+    x[0] = x0
     x[1:] = blocks[..., -1].transpose(2, 0, 1)
     for b in range(nb):
         x[b + 1] += powers[B] @ x[b]
@@ -272,7 +285,7 @@ def simulate_mode(lam, mu, grid, rng, k=1):
     P, Q, scale = _scaled_transition(mu, grid.dt, lam=lam)
     S, _ = _psd_factor(Q)
     xi = rng.standard_normal((grid.n_steps, 3))[:, :, None]
-    u, v, dw = _run_chain(P, S, xi)
+    u, v, dw = _run_chain(P, S, xi, np.zeros((2, 1)))
     return ModeTrajectory(k, u[:, 0], v[:, 0], dw[:, 0], scale, lam, mu, grid.dt)
 
 

@@ -94,7 +94,7 @@ def _endpoint_sample(lam, mu, grid, n_rep, seed):
     xi = np.empty((grid.n_steps, 3, n_rep))
     for m in range(n_rep):
         xi[:, :, m] = mode_stream(seed, m, 1).standard_normal((grid.n_steps, 3))
-    u, v, _ = _run_chain(P, S, xi)
+    u, v, _ = _run_chain(P, S, xi, np.zeros((2, n_rep)))
     return u[-1] / scale, v[-1]
 
 

@@ -168,6 +168,25 @@ class TestCheck:
         assert "cubic_spline" in res.stderr
 
 
+    def test_k_range_beyond_k_max_exits_one(self, tmp_path, outdir, capsys):
+        from hypermle import cli
+
+        cfg = write_config(tmp_path / "c.json", {
+            "spectrum": {"kappa": {"kind": "constant", "coefficient": 0.0},
+                         "tau": {"kind": "power_law", "coefficient": 1.0, "exponent": 2.0},
+                         "rho": {"kind": "constant", "coefficient": 0.0},
+                         "nu": {"kind": "constant", "coefficient": 1.0}, "k_max": 10},
+            "params": {"theta1": 1.0, "theta2": -0.5, "theta1_box": [0.5, 2.0],
+                       "theta2_box": [-1.0, 1.0]},
+            "check": {"k_range": [20, 30]},
+            "experiment": {"out": str(outdir)},
+        })
+        assert cli.main(["check", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "check.k_range: " in err and "k_max=10" in err, err
+        assert not (outdir / "check_report.json").exists()
+
+
 class TestConfigDocs:
     @staticmethod
     def documented_keys(text):
@@ -351,6 +370,19 @@ class TestSimulateEstimateRoundTrip:
         assert f"{path}" in err and message in err, err
         assert not (outdir / "estimate.json").exists()
 
+    @pytest.mark.parametrize("header", [b"", b"k,t_index,u,v,dw\n"], ids=["bytes", "after_header"])
+    def test_binary_trajectory_file_rejected(self, outdir, capsys, header):
+        from hypermle import cli
+
+        path = outdir / "random.bin"
+        outdir.mkdir()
+        path.write_bytes(header + bytes(range(256)) + bytes(range(44)))
+        assert cli.main(["estimate", "--config", str(CONFIGS / "alg_ex1.json"),
+                         "--out", str(outdir), "--trajectories", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {path}" in err, err
+        assert not (outdir / "estimate.json").exists()
+
     def test_estimate_reduces_each_mode_once(self, outdir, monkeypatch):
         from hypermle import cli, estimate
 
@@ -425,6 +457,26 @@ class TestMc:
         assert summary["N"] == 10
         assert 0.0 <= summary["ks1"] <= 1.0
         assert "0.01" in summary["critical"] or 0.01 in summary["critical"]
+
+    def test_underresolved_modes_in_summaries(self, outdir):
+        from hypermle import cli
+        from hypermle.config import load_config
+        from hypermle.simulate import _true_mode, _underresolved
+
+        config = str(CONFIGS / "sec5_exponential.json")
+        cfg = load_config(config)
+        counts = [sum(_underresolved(*_true_mode(cfg["spec"], cfg["params"], k)[:2], 1.0 / 256)
+                      for k in range(1, N + 1)) for N in (4, 8, 12)]
+        assert counts == [0, 2, 6]  # the grid of 256 steps resolves modes 1..6 only
+        common = ["--config", config, "--n-list", "4,8,12", "--dt-steps", "256",
+                  "--replicates", "30", "--workers", "1", "--out", str(outdir)]
+        for verb in ("consistency", "lln", "normality"):
+            assert cli.main(["mc", verb, *common]) == 0
+        for name in ("consistency", "lln"):
+            rows = json.loads((outdir / f"{name}_summary.json").read_text())["rows"]
+            assert [r["underresolved_modes"] for r in rows] == counts, name
+        normality = json.loads((outdir / "normality_summary.json").read_text())
+        assert normality["N"] == 12 and normality["underresolved_modes"] == counts[-1]
 
     def test_tables_render(self, ex1_config, outdir):
         res = run_cli("mc", "tables", "--config", ex1_config)

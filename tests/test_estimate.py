@@ -10,6 +10,7 @@ from hypermle.equations import preset
 from hypermle.estimate import (
     SingularSystemError,
     Stats,
+    _mode_sums,
     error_decomposition,
     estimate_from_trajectories,
     mle,
@@ -110,6 +111,35 @@ class TestStatistics:
         batch = run_replicates(EX1, EX1_PARAMS, 50, TimeGrid(1.0, 1024), seed=5, M=60)
         assert np.nanmean(batch.theta1_hat) == pytest.approx(1.0, abs=0.02)
         assert np.nanmean(batch.theta2_hat) == pytest.approx(-0.5, abs=0.2)
+
+
+def reference_sums(u, v, dw, dt, lam_over_s, mu):
+    """_mode_sums written out as (sum of products, sum of their magnitudes) along time."""
+    u0, v0, dv = u[:-1], v[:-1], np.diff(v, axis=0)
+    dwhat = dv + (lam_over_s * u0 - mu * v0) * dt
+    pairs = {"su2s": (u0, u0 * dt), "sv2": (v0, v0 * dt), "suvs": (u0, v0 * dt),
+             "sudvs": (u0, dv), "svdv": (v0, dv), "sudws": (u0, dw), "svdw": (v0, dw),
+             "sudw_res": (u0, dwhat), "svdw_res": (v0, dwhat)}
+    out = {key: ((a * b).sum(axis=0), np.abs(a * b).sum(axis=0)) for key, (a, b) in pairs.items()}
+    for key, (a, b) in {"uTs2": (u, u), "uvTs": (u, v), "vT2": (v, v)}.items():
+        out[key] = (a[-1] * b[-1], np.abs(a[-1] * b[-1]))
+    return out
+
+
+class TestModeSums:
+    @pytest.mark.parametrize("shape", [(513,), (513, 4)])
+    def test_matches_product_sums(self, shape):
+        # the sums accumulate in another order than numpy's pairwise sum; each
+        # order is within n eps of the sum of magnitudes, n = 512 terms
+        rng = np.random.default_rng(5)
+        u = np.cumsum(rng.standard_normal(shape), axis=0)
+        v = np.cumsum(rng.standard_normal(shape), axis=0)
+        dw = rng.standard_normal((512,) + shape[1:])
+        got = _mode_sums(u, v, dw, 1.0 / 512, 9.0, -0.5, residual=True)
+        want = reference_sums(u, v, dw, 1.0 / 512, 9.0, -0.5)
+        assert got.keys() == want.keys()
+        for key, (value, magnitude) in want.items():
+            assert np.all(np.abs(got[key] - value) <= 2 * 512 * np.finfo(float).eps * magnitude), key
 
 
 class TestErrorDecomposition:

@@ -1,14 +1,18 @@
-"""Harness-level tests: KS oracle, growth fits, LLN ratios, determinism."""
+"""Harness-level tests: KS oracle, growth fits, LLN ratios, determinism, the streamed engine."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
 from hypermle.equations import preset
+from hypermle.estimate import _mode_coeffs, _mode_contrib, _mode_sums
 from hypermle.fundamental import PsiValues
 from hypermle.montecarlo import (
+    _CHUNK,
     ExperimentConfig,
+    _mode_task,
     exp_weight_lln_fixture,
     fit_growth,
     ks_statistic,
@@ -18,7 +22,8 @@ from hypermle.montecarlo import (
     two_sample_ks,
     verify_lln,
 )
-from hypermle.simulate import TimeGrid
+from hypermle.simulate import (_BLOCK, TimeGrid, _psd_factor, _run_chain, _scaled_transition,
+                               _true_mode, mode_stream)
 
 
 class TestKsStatistic:
@@ -184,3 +189,73 @@ class TestTwoSampleKs:
         rng = np.random.default_rng(12)
         D, crit = two_sample_ks(rng.standard_normal(3000), rng.standard_normal(3000) + 0.3)
         assert D > crit
+
+
+def _one_shot_task(spec, params, k, lam_mu, grid, seed, M, residual):
+    """_mode_task's contributions from one _run_chain call over the whole grid."""
+    lam, mu = lam_mu
+    P, Q, scale = _scaled_transition(mu, grid.dt, lam=lam, warn=False)
+    S, _ = _psd_factor(Q)
+    xi = np.stack([mode_stream(seed, m, k).standard_normal((grid.n_steps, 3)) for m in range(M)],
+                  axis=2)
+    u, v, dw = _run_chain(P, S, xi, np.zeros((2, M)))
+    sums = _mode_sums(u, v, dw, grid.dt, lam / scale, mu, residual=residual)
+    sums["T"] = grid.T
+    coeffs = _mode_coeffs(spec, k, scale)
+    raw = _mode_contrib(coeffs, sums, endpoint=False, residual=True) if residual else None
+    return _mode_contrib(coeffs, sums, endpoint=True), raw
+
+
+class TestStreamedModeTask:
+    """_mode_task runs the chain and the sums _CHUNK steps at a time."""
+
+    @pytest.mark.parametrize("n", [_BLOCK - 3, _CHUNK, 2 * _CHUNK, _CHUNK + 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("preset_name, k", [("alg_ex1", 3), ("sec5_example", 5)])
+    def test_matches_one_shot(self, n, residual, preset_name, k):
+        spec, params = preset(preset_name)
+        grid = TimeGrid(1.0, n)
+        lam_mu = _true_mode(spec, params, k)[:2]
+        got = _mode_task(spec, params, k, lam_mu, grid, 31, 4, residual)
+        want = _one_shot_task(spec, params, k, lam_mu, grid, 31, 4, residual)
+        assert (got[1] is None) == (not residual)
+        for g, w in zip(got, want):
+            if w is None:
+                continue
+            assert g.keys() == w.keys()
+            for key in w:
+                np.testing.assert_allclose(g[key], w[key], rtol=1e-12, err_msg=key)
+
+    @pytest.mark.parametrize("n", [_BLOCK - 3, 2 * _CHUNK, _CHUNK + 3 * _BLOCK + 5])
+    def test_halves_chained_through_start_state(self, n):
+        spec, params = preset("alg_ex1")
+        lam, mu, _ = _true_mode(spec, params, 7)
+        P, Q, _ = _scaled_transition(mu, 1.0 / n, lam=lam, warn=False)
+        S, _ = _psd_factor(Q)
+        xi = np.random.default_rng(n).standard_normal((n, 3, 5))
+        u, v, dw = _run_chain(P, S, xi, np.zeros((2, 5)))
+        h = n // 2
+        u1, v1, dw1 = _run_chain(P, S, xi[:h], np.zeros((2, 5)))
+        u2, v2, dw2 = _run_chain(P, S, xi[h:], np.stack((u1[-1], v1[-1])))
+        for whole, first, second in ((u, u1, u2), (v, v1, v2)):
+            assert np.array_equal(second[0], first[-1])
+            joined = np.concatenate((first, second[1:]))
+            err = np.max(np.abs(joined - whole), axis=0)
+            assert np.all(err <= 1e-12 * np.max(np.abs(whole), axis=0))
+        assert np.array_equal(np.concatenate((dw1, dw2)), dw)
+
+    def test_peak_memory_below_draw_buffer_and_a_half(self):
+        # the full (n+1) x M paths of one mode would take the peak past this
+        spec, params = preset("alg_ex1")
+        grid = TimeGrid(1.0, 4096)
+        M = 48
+        lam_mu = _true_mode(spec, params, 10)[:2]
+        draw_bytes = M * grid.n_steps * 3 * 8
+        _mode_task(spec, params, 10, lam_mu, grid, 3, M, True)  # one-time allocations go first
+        tracemalloc.start()
+        try:
+            _mode_task(spec, params, 10, lam_mu, grid, 3, M, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * draw_bytes, peak / draw_bytes

@@ -32,7 +32,7 @@ def sample_endpoints(lam, mu, grid, n_rep, seed=0):
     xi = np.empty((grid.n_steps, 3, n_rep))
     for m in range(n_rep):
         xi[:, :, m] = mode_stream(seed, m, 1).standard_normal((grid.n_steps, 3))
-    u, v, dw = _run_chain(P, S, xi)
+    u, v, dw = _run_chain(P, S, xi, np.zeros((2, n_rep)))
     return u[-1] / scale, v[-1], dw.sum(axis=0)
 
 
@@ -256,7 +256,7 @@ class TestBlockedChain:
     def test_matches_step_loop(self, mode, n, m):
         P, S = chain_operators(*mode)
         xi = np.random.default_rng(n * 10 + m).standard_normal((n, 3, m))
-        u, v, dw = _run_chain(P, S, xi)
+        u, v, dw = _run_chain(P, S, xi, np.zeros((2, m)))
         assert u.shape == v.shape == (n + 1, m) and dw.shape == (n, m)
         assert np.all(u[0] == 0.0) and np.all(v[0] == 0.0)
         for got, want in zip((u, v), reference_chain(P, S, xi)):
@@ -270,7 +270,9 @@ class TestBlockedChain:
         P, S = chain_operators(*mode)
         buf = np.random.default_rng(1).standard_normal((5, 4099, 3))
         view = buf.transpose(1, 2, 0)
-        for got, want in zip(_run_chain(P, S, view), _run_chain(P, S, np.ascontiguousarray(view))):
+        x0 = np.zeros((2, 5))
+        for got, want in zip(_run_chain(P, S, view, x0),
+                             _run_chain(P, S, np.ascontiguousarray(view), x0)):
             assert np.array_equal(got, want)
 
 
