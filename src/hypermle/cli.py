@@ -37,7 +37,7 @@ from .montecarlo import (
     write_replicate_csv,
     write_summary_json,
 )
-from .simulate import ModeTrajectory, TimeGrid, _true_mode, simulate_solution
+from .simulate import STREAM_VERSION, ModeTrajectory, TimeGrid, _true_mode, simulate_solution
 from .spectrum import check_hyperbolic, classify_algebraic, consistency_conditions, NonAlgebraicSpectrumError
 
 EXIT_OK = 0
@@ -109,6 +109,7 @@ def _manifest(out, command, args, cfg, outputs, started):
         "config_echo": cfg["raw"],
         "seed": cfg["experiment"]["seed"],
         "version": __version__,
+        "stream_version": STREAM_VERSION,
         "started": started,
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [str(o) for o in outputs],
@@ -124,9 +125,12 @@ def _now():
 def cmd_check(args):
     cfg, out = _resolve(args)
     started = _now()
-    k_lo, k_max = cfg["check"]["k_range"][0], cfg["spec"].k_max
+    (k_lo, k_hi), k_max = cfg["check"]["k_range"], cfg["spec"].k_max
     if k_lo > k_max:
         raise ConfigError(f"check.k_range: k_lo={k_lo} exceeds the spectrum's k_max={k_max}")
+    if min(k_hi, k_max) == k_lo:
+        raise ConfigError(f"check.k_range: [{k_lo}, {k_hi}] holds one mode of a spectrum with "
+                          f"k_max={k_max}; growth needs at least two")
     rep = check_hyperbolic(cfg["spec"], cfg["params"], cfg["check"]["k_range"])
     doc = {"hyperbolicity": rep.to_dict()}
     try:
@@ -285,7 +289,8 @@ def cmd_mc(args):
             "rows": [{k: v for k, v in r.items() if k != "batch"} for r in res["rows"]],
             "slope1": res["slope1"], "slope1_stderr": res["slope1_stderr"],
             "slope2": res["slope2"], "slope2_stderr": res["slope2_stderr"],
-            "seed": mc_cfg.seed, "version": __version__, "config": cfg["raw"],
+            "seed": mc_cfg.seed, "version": __version__, "stream_version": STREAM_VERSION,
+            "config": cfg["raw"],
         }
         outputs.append(write_summary_json(out / "consistency_summary.json", summary))
         print(f"slope1 {res['slope1']:+.3f} (se {res['slope1_stderr']:.3f}); "
@@ -298,7 +303,7 @@ def cmd_mc(args):
             "verdict1": rep.verdict1, "verdict2": rep.verdict2,
             "independent": rep.independent, "n_excluded": rep.n_excluded,
             "route": rep.route, "underresolved_modes": rep.underresolved_modes,
-            "seed": mc_cfg.seed, "version": __version__,
+            "seed": mc_cfg.seed, "version": __version__, "stream_version": STREAM_VERSION,
             "config": cfg["raw"],
         }
         outputs.append(write_summary_json(out / "normality_summary.json", summary))
@@ -314,7 +319,7 @@ def cmd_mc(args):
     elif args.subverb == "lln":
         rows = verify_lln(mc_cfg)
         summary = {"rows": rows, "seed": mc_cfg.seed, "version": __version__,
-                   "config": cfg["raw"]}
+                   "stream_version": STREAM_VERSION, "config": cfg["raw"]}
         outputs.append(write_summary_json(out / "lln_summary.json", summary))
         for r in rows:
             print(f"N={r['N']}: K1/psi1 median {r['K1_over_psi1'][0]:.3f}, "

@@ -94,7 +94,12 @@ def _dot(a, b):
 
 
 def _mode_sums(u_scaled, v, dw, dt, lam_over_s, mu, residual=False):
-    """Per-path reductions with time along axis 0; inputs may be (n+1,) or (n+1, M)."""
+    """Per-path reductions with time along axis 0; inputs may be (n+1,) or (n+1, M).
+
+    With residual, the sums against the residual increments
+    dwhat = dv + (lam_over_s * u0 - mu * v0) * dt follow from the other sums
+    by that identity, without forming dwhat.
+    """
     u0 = u_scaled[:-1]
     v0 = v[:-1]
     dv = np.diff(v, axis=0)
@@ -110,13 +115,9 @@ def _mode_sums(u_scaled, v, dw, dt, lam_over_s, mu, residual=False):
         "uvTs": u_scaled[-1] * v[-1],
         "vT2": v[-1] * v[-1],
     }
-    if residual:  # dwhat = dv + (lam_over_s * u0 - mu * v0) * dt, in one array
-        dwhat = lam_over_s * u0
-        dwhat -= mu * v0
-        dwhat *= dt
-        dwhat += dv
-        out["sudw_res"] = _dot(u0, dwhat)
-        out["svdw_res"] = _dot(v0, dwhat)
+    if residual:
+        out["sudw_res"] = out["sudvs"] + lam_over_s * out["su2s"] - mu * out["suvs"]
+        out["svdw_res"] = out["svdv"] + lam_over_s * out["suvs"] - mu * out["sv2"]
     return out
 
 

@@ -4,10 +4,14 @@ The engine simulates mode-major and replicate-vectorized: the exact one-step
 transition of mode k is built once and all replicates advance through it
 together.  The estimator needs a mode's paths only through their running
 sums, so the paths are made and reduced _CHUNK steps at a time, while they
-are in cache, and never held whole.  The per-replicate statistic
-contributions are reduced in fixed mode order.  Every replicate's noise
-comes from a counter-based stream keyed by (seed, replicate, mode), so
-results are byte-identical for a given seed regardless of scheduling.
+are in cache, and never held whole.  The Brownian increments enter only
+through sum u dw and sum v dw, so each step draws just the two normals of
+its state noise, and the part of those two sums that the path leaves free
+is sampled exactly given the path, from two normals per replicate
+(_mode_task).  The per-replicate statistic contributions are reduced in
+fixed mode order.  Every replicate's noise comes from a counter-based
+stream keyed by (seed, replicate, mode), so results are byte-identical for
+a given seed regardless of scheduling.
 
 Estimator errors are reported through one of two equivalent routes:
 
@@ -104,34 +108,51 @@ class BatchResult:
 def _mode_task(spec, params, k, lam_mu, grid, seed, M, residual):
     """Everything mode k contributes, independent of all other modes.
 
-    The M replicates' draws fill one buffer; the chain then runs through it
+    Each replicate's stream gives its 2n path normals, which fill one
+    buffer, and then two more, eta.  The chain runs through the buffer
     _CHUNK steps at a time, each chunk starting from the state the previous
     one ended in, and _mode_sums reduces each chunk's paths while they are
     in cache.  The running sums add up over the chunks; the endpoint
-    products come from the last one.  Returns the endpoint contributions
-    and, with residual, the raw ones with residual increments.
+    products come from the last one.  dw's free part sigma eta_i (see
+    _psd_factor) enters only the sums over u_i and v_i, and given the path
+    (sum u_i eta_i, sum v_i eta_i) is N(0, G) with G the Gram matrix of
+    (u_0, v_0); so sigma L_G eta, L_G the Cholesky factor of G, completes
+    the dw sums exactly in law.  Returns the endpoint contributions and,
+    with residual, the raw ones with residual increments.
     """
     lam, mu = lam_mu
     dt = grid.dt
     P, Q, scale = _scaled_transition(mu, dt, lam=lam, warn=False)
     S, _ = _psd_factor(Q)
 
-    buf = np.empty((M, grid.n_steps, 3))  # each replicate's draws are contiguous
+    buf = np.empty((M, grid.n_steps, 2))  # each replicate's path normals are contiguous
+    eta = np.empty((M, 2))
     for m in range(M):
-        mode_stream(seed, m, k).standard_normal(out=buf[m])
+        stream = mode_stream(seed, m, k)
+        stream.standard_normal(out=buf[m])
+        stream.standard_normal(out=eta[m])
     xi = buf.transpose(1, 2, 0)
 
     x = np.zeros((2, M))
     sums = None
     for t0 in range(0, grid.n_steps, _CHUNK):
-        u, v, dw = _run_chain(P, S, xi[t0:t0 + _CHUNK], x)
-        part = _mode_sums(u, v, dw, dt, lam / scale, mu, residual=residual)
+        u, v, dwp = _run_chain(P, S, xi[t0:t0 + _CHUNK], x)
+        part = _mode_sums(u, v, dwp, dt, lam / scale, mu, residual=residual)
         if sums is not None:
             for key in part.keys() - _ENDPOINT_KEYS:
                 part[key] += sums[key]
         sums = part
         x = np.stack((u[-1], v[-1]))
-        del u, v, dw  # this chunk's paths go before the next chunk's are made
+        del u, v, dwp  # this chunk's paths go before the next chunk's are made
+
+    # L_G = [[l11, 0], [l21, l22]]; G11 = 0 (a path still at rest) gives l11 = l21 = 0
+    g11, g12, g22 = sums["su2s"] / dt, sums["suvs"] / dt, sums["sv2"] / dt
+    l11 = np.sqrt(g11)
+    l21 = np.divide(g12, l11, out=np.zeros(M), where=l11 > 0.0)
+    l22 = np.sqrt(np.maximum(g22 - l21 * l21, 0.0))
+    sums["sudws"] += S[2, 2] * (l11 * eta[:, 0])
+    sums["svdw"] += S[2, 2] * (l21 * eta[:, 0] + l22 * eta[:, 1])
+
     sums["T"] = grid.T
     coeffs = _mode_coeffs(spec, k, scale)
     contrib = _mode_contrib(coeffs, sums, endpoint=True)

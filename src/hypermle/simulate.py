@@ -7,6 +7,14 @@ increment) whose 3x3 covariance comes from the fundamental solution.  The
 grid therefore introduces no bias in the marginal law of (u, v) at grid
 times; only time-integrated statistics see the step size.
 
+The path needs only the state noise, two normals per step.  The increment
+splits as dw = c^T xi + sigma eta: a part fixed by the step's two normals
+xi, and sigma eta with eta independent of the whole path (_psd_factor).
+One path draws its n normals eta after its 2n path normals and keeps a
+real dw at every step; the Monte Carlo, which needs dw only through two
+sums per replicate, samples those sums given the path from two normals
+(montecarlo._mode_task).  STREAM_VERSION names this layout.
+
 A path is that linear recurrence run as a blocked scan (the matrix form of
 a prefix scan): a matmul with a block-Toeplitz operator of powers of the
 propagator gives every block of _BLOCK steps its response from a zero
@@ -34,6 +42,7 @@ from .quadrature import integrate  # perfbench/tracing.py wraps this name; nothi
 from .spectrum import lambda_mu_slog
 
 __all__ = [
+    "STREAM_VERSION",
     "TimeGrid",
     "ModeTrajectory",
     "UnderresolvedModeWarning",
@@ -44,6 +53,13 @@ __all__ = [
     "ito_sum",
     "mode_stream",
 ]
+
+# Version of the layout of the random streams: which normals a (seed,
+# replicate, mode) stream gives and what each one drives.  Version 2: each
+# step draws two normals for the state noise, and dw's remaining part is
+# sampled after them (n more normals for one path, two per replicate for
+# the Monte Carlo's dw sums); version 1 drew three normals per step.
+STREAM_VERSION = 2
 
 _LN2 = math.log(2.0)
 
@@ -130,12 +146,32 @@ def _true_mode(spec, params, k):
 
 
 def _psd_factor(Q):
-    w, V = np.linalg.eigh(Q)
-    clip = max(0.0, -float(w.min()))
-    rel = clip / max(float(w.max()), 1e-300)
+    """Block lower-triangular factor S = [[S_ss, 0], [c^T, sigma]] with S S^T = Q.
+
+    Q is the 3x3 covariance of (state noise, Brownian increment dw).  S_ss
+    S_ss^T = Q_ss comes from eigh with negative eigenvalues clipped to 0,
+    c = S_ss^+ q_sw is zero on clipped directions, and sigma^2 =
+    max(Q_ww - |c|^2, 0).  With xi two normals and eta a third, independent
+    of them, the state noise is S_ss xi and dw = c^T xi + sigma eta: the path
+    needs only xi.  S is a block Cholesky factor with the 2x2 block first;
+    Q_ss, whose condition number reaches about 1e8 for resolved low modes,
+    is factored and never inverted.  Returns (S, clip), clip being the
+    largest negative part removed (an eigenvalue of Q_ss, or sigma^2);
+    raises TransitionError when it exceeds 1e-8 of the larger of Q_ss's
+    largest eigenvalue and Q_ww.
+    """
+    w, V = np.linalg.eigh(Q[:2, :2])
+    root = np.sqrt(np.clip(w, 0.0, None))
+    c = np.divide(V.T @ Q[:2, 2], root, out=np.zeros(2), where=root > 0.0)
+    s2 = Q[2, 2] - c @ c
+    clip = max(0.0, -float(w[0]), -s2)
+    rel = clip / max(float(w[1]), Q[2, 2], 1e-300)
     if rel > 1e-8:
         raise TransitionError(f"noise covariance clip {rel:.3e} exceeds 1e-8 of the spectrum")
-    S = V * np.sqrt(np.clip(w, 0.0, None))[None, :]
+    S = np.zeros((3, 3))
+    S[:2, :2] = V * root
+    S[2, :2] = c
+    S[2, 2] = math.sqrt(max(s2, 0.0))
     return S, clip
 
 
@@ -200,7 +236,13 @@ def transition(lam, mu, dt):
 
 
 def mode_stream(seed, replicate, k):
-    """Counter-based generator keyed by (seed, replicate, mode); order-independent."""
+    """Counter-based generator keyed by (seed, replicate, mode); order-independent.
+
+    Philox is a keyed bijection of a counter, so streams with different keys
+    are independent by construction (Salmon et al., SC'11).  SFC64 draws
+    normals faster, but its streams would be independent only through the
+    hashing of SeedSequence.  What a stream's values mean is STREAM_VERSION.
+    """
     if not (0 <= replicate < 2 ** 32 and 0 <= k < 2 ** 32):
         raise ValueError("replicate and k must fit in 32 bits")
     key = np.array([seed % (2 ** 64), (replicate << 32) | k], dtype=np.uint64)
@@ -210,25 +252,27 @@ def mode_stream(seed, replicate, k):
 def _run_chain(P, S, xi, x0):
     """Iterate the exact transition as a blocked scan from the state x0.
 
-    xi: (n, 3, M) standard normals; x0: (2, M) start state (u, v), zeros for
-    a path from rest.  Step i maps the state x = (u, v) to P x + S[:2] xi[i]
-    and draws the Brownian increment S[2] xi[i].  Over a block of B = _BLOCK
-    steps that starts from x_b, the states are L xi_b + P^{j+1} x_b
-    (j = 0..B-1), where L is the lower block-Toeplitz operator with block
-    (j, i) = P^{j-i} S[:2].  One matmul per component over all blocks writes
-    each block's zero-start response straight into u and v, a loop over the
-    n/B blocks carries x_{b+1} = (last response of block b) + P^B x_b from
-    x_0 = x0, and one more matmul per component adds P^{j+1} x_b.  The
-    n mod B steps left over (all of them when n < B) use the leading rows and
-    columns of L.  This is the same recurrence; only the rounding differs
-    from stepping (about 1e-14 of a path's largest value).  dw is formed
-    elementwise, exactly as S[2] xi.
+    xi: (n, 2, M) standard normals; x0: (2, M) start state (u, v), zeros for
+    a path from rest; S: the block factor of _psd_factor.  Step i maps the
+    state x = (u, v) to P x + S_ss xi[i] and gives the path part c^T xi[i] of
+    the Brownian increment, the part of dw that the state noise determines.
+    Over a block of B = _BLOCK steps that starts from x_b, the states are
+    L xi_b + P^{j+1} x_b (j = 0..B-1), where L is the lower block-Toeplitz
+    operator with block (j, i) = P^{j-i} S_ss.  One matmul per component over
+    all blocks writes each block's zero-start response straight into u and v,
+    a loop over the n/B blocks carries x_{b+1} = (last response of block b)
+    + P^B x_b from x_0 = x0, and one more matmul per component adds
+    P^{j+1} x_b.  The n mod B steps left over (all of them when n < B) use
+    the leading rows and columns of L.  This is the same recurrence; only the
+    rounding differs from stepping (about 1e-14 of a path's largest value).
 
-    Returns (u, v, dw) with u, v of shape (n+1, M) (row 0 is x0) and dw of
-    shape (n, M), in the scaled coordinates of P and S.  A long path can be
-    run in pieces: the last rows of one call's u and v start the next, and
-    the pieces differ from one call only by rounding.  Each replicate's path
-    is contiguous (the arrays are transposed views), and the values do not
+    Returns (u, v, dwp) with u, v of shape (n+1, M) (row 0 is x0) and the
+    path part dwp of shape (n, M), in the scaled coordinates of P and S; the
+    caller adds sigma eta.  All three are views of one buffer, so a single
+    path's u, v and dw keep one allocation alive.  A long path can be run in
+    pieces: the last rows of one call's u and v start the next, and the
+    pieces differ from one call only by rounding.  Each replicate's path is
+    contiguous (the arrays are transposed views), and the values do not
     depend on the memory layout of xi.
     """
     n, _, m = xi.shape
@@ -243,50 +287,59 @@ def _run_chain(P, S, xi, x0):
     while d < B:                                      # P^(d+1..2d) = P^d P^(1..d)
         np.matmul(powers[d], powers[1:d + 1], out=powers[d + 1:2 * d + 1])
         d *= 2
-    G = powers[:B] @ S[:2]                            # G[d] = P^d S[:2]
+    G = powers[:B] @ S[:2, :2]                        # G[d] = P^d S_ss
     # L's rows are ordered (component, step), so each component's response is one slice
-    L = np.zeros((2, B, B, 3))
+    L = np.zeros((2, B, B, 2))
     j, i = _TRIL
     L[:, j, i, :] = G[j - i].transpose(1, 0, 2)
-    LT = L.reshape(2 * B, 3 * B).T
+    LT = L.reshape(2 * B, 2 * B).T
     C = powers[1:].transpose(1, 2, 0)                 # C[c, :, j] = row c of P^{j+1}
 
     # Replicate-major throughout: z is a view of draws filled replicate by
     # replicate, even of a few steps of them (reshape copies any other layout
     # of xi, to the same values), and the results are transposed views in
     # which each replicate's path is contiguous.
-    z = xi.transpose(2, 0, 1).reshape(m, 3 * n)
-    dw = np.multiply(z[:, 0::3], S[2, 0])
-    tmp = np.multiply(z[:, 1::3], S[2, 1])
-    dw += tmp
-    dw += np.multiply(z[:, 2::3], S[2, 2], out=tmp)
+    z = xi.transpose(2, 0, 1).reshape(m, 2 * n)
+    uv = np.empty((3, m, n + 1))                      # u, v, and c^T xi in its first n columns
+    # c^T xi elementwise, one contiguous pass and one add: a matmul would round
+    # differently for another layout of xi
+    cz = np.multiply(z, np.tile(S[2, :2], n))
+    dwp = np.add(cz[:, 0::2], cz[:, 1::2], out=uv[2, :, :n])
 
-    uv = np.empty((2, m, n + 1))
-    uv[:, :, 0] = x0
-    blocks = uv[:, :, 1:full + 1].reshape(2, m, nb, B)  # views: written in place
+    uv[:2, :, 0] = x0
+    blocks = uv[:2, :, 1:full + 1].reshape(2, m, nb, B)  # views: written in place
     for c in range(2):                                # zero-start responses of every block
-        np.matmul(z[:, :3 * full].reshape(m, nb, 3 * B), LT[:, c * B:(c + 1) * B], out=blocks[c])
+        np.matmul(z[:, :2 * full].reshape(m, nb, 2 * B), LT[:, c * B:(c + 1) * B], out=blocks[c])
     x = np.empty((nb + 1, 2, m))                      # x[b]: state where block b starts
     x[0] = x0
     x[1:] = blocks[..., -1].transpose(2, 0, 1)
     for b in range(nb):
         x[b + 1] += powers[B] @ x[b]
-    corr = tmp[:, :full].reshape(m, nb, B)
+    corr = cz[:, :full].reshape(m, nb, B)             # cz is free again
     for c in range(2):
         blocks[c] += np.matmul(x[:nb].transpose(2, 0, 1), C[c], out=corr)
         # the remainder: leading rows and columns of L's component c
-        uv[c, :, full + 1:] = (z[:, 3 * full:] @ LT[:3 * rem, c * B:c * B + rem]
+        uv[c, :, full + 1:] = (z[:, 2 * full:] @ LT[:2 * rem, c * B:c * B + rem]
                                + x[nb].T @ C[c, :, :rem])
-    return uv[0].T, uv[1].T, dw.T
+    return uv[0].T, uv[1].T, dwp.T
 
 
 def simulate_mode(lam, mu, grid, rng, k=1):
-    """One exact trajectory of a single mode, driven by the given generator."""
+    """One exact trajectory of a single mode, driven by the given generator.
+
+    The generator gives the 2n path normals first, as each replicate's
+    stream does in the Monte Carlo, so the same stream gives the same path
+    there and here.  Then it gives n more, eta, for the part of each Brownian
+    increment that the path leaves free: dw = c^T xi + sigma eta.
+    """
+    n = grid.n_steps
     P, Q, scale = _scaled_transition(mu, grid.dt, lam=lam)
     S, _ = _psd_factor(Q)
-    xi = rng.standard_normal((grid.n_steps, 3))[:, :, None]
-    u, v, dw = _run_chain(P, S, xi, np.zeros((2, 1)))
-    return ModeTrajectory(k, u[:, 0], v[:, 0], dw[:, 0], scale, lam, mu, grid.dt)
+    xi = rng.standard_normal((n, 2))[:, :, None]
+    u, v, dwp = _run_chain(P, S, xi, np.zeros((2, 1)))
+    dw = dwp[:, 0]  # a view of the path's buffer, completed in place
+    dw += S[2, 2] * rng.standard_normal(n)
+    return ModeTrajectory(k, u[:, 0], v[:, 0], dw, scale, lam, mu, grid.dt)
 
 
 def simulate_solution(spec, params, N, grid, seed, replicate=0):

@@ -91,9 +91,9 @@ def test_criterion_02_m_v_functions():
 def _endpoint_sample(lam, mu, grid, n_rep, seed):
     P, Q, scale = _scaled_transition(mu, grid.dt, lam=lam, warn=False)
     S, _ = _psd_factor(Q)
-    xi = np.empty((grid.n_steps, 3, n_rep))
+    xi = np.empty((grid.n_steps, 2, n_rep))
     for m in range(n_rep):
-        xi[:, :, m] = mode_stream(seed, m, 1).standard_normal((grid.n_steps, 3))
+        xi[:, :, m] = mode_stream(seed, m, 1).standard_normal((grid.n_steps, 2))
     u, v, _ = _run_chain(P, S, xi, np.zeros((2, n_rep)))
     return u[-1] / scale, v[-1]
 

@@ -186,6 +186,26 @@ class TestCheck:
         assert "check.k_range: " in err and "k_max=10" in err, err
         assert not (outdir / "check_report.json").exists()
 
+    @pytest.mark.parametrize("k_range", [[10, 30], [5, 5]])
+    def test_k_range_with_one_mode_exits_one(self, tmp_path, outdir, capsys, k_range):
+        # one mode cannot show growth: a configuration error, not a FAIL verdict
+        from hypermle import cli
+
+        cfg = write_config(tmp_path / "c.json", {
+            "spectrum": {"kappa": {"kind": "constant", "coefficient": 0.0},
+                         "tau": {"kind": "power_law", "coefficient": 1.0, "exponent": 2.0},
+                         "rho": {"kind": "constant", "coefficient": 0.0},
+                         "nu": {"kind": "constant", "coefficient": 1.0}, "k_max": 10},
+            "params": {"theta1": 1.0, "theta2": -0.5, "theta1_box": [0.5, 2.0],
+                       "theta2_box": [-1.0, 1.0]},
+            "check": {"k_range": k_range},
+            "experiment": {"out": str(outdir)},
+        })
+        assert cli.main(["check", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "check.k_range: " in err and "one mode" in err, err
+        assert not (outdir / "check_report.json").exists()
+
 
 class TestConfigDocs:
     @staticmethod
@@ -417,6 +437,22 @@ class TestSimulateEstimateRoundTrip:
         entries = [json.loads(l) for l in
                    (outdir / "manifest.jsonl").read_text().strip().splitlines()]
         assert entries[-1]["seed"] == 999
+
+    def test_stream_version_recorded(self, ex1_config, outdir):
+        from hypermle import cli
+        from hypermle.simulate import STREAM_VERSION
+
+        assert STREAM_VERSION == 2
+        common = ["--config", ex1_config, "--n-list", "2,4", "--replicates", "30", "--workers", "1"]
+        for verb in ("consistency", "normality", "lln"):
+            assert cli.main(["mc", verb, *common]) == 0
+            summary = json.loads((outdir / f"{verb}_summary.json").read_text())
+            assert summary["stream_version"] == STREAM_VERSION, verb
+        assert cli.main(["simulate", "--config", ex1_config, "--n-list", "2"]) == 0
+        entries = [json.loads(l) for l in
+                   (outdir / "manifest.jsonl").read_text().strip().splitlines()]
+        assert len(entries) == 4
+        assert all(e["stream_version"] == STREAM_VERSION for e in entries)
 
 
 class TestNonpositiveEigenvalues:

@@ -23,7 +23,8 @@ from hypermle.montecarlo import (
     verify_lln,
 )
 from hypermle.simulate import (_BLOCK, TimeGrid, _psd_factor, _run_chain, _scaled_transition,
-                               _true_mode, mode_stream)
+                               _true_mode, mode_stream, transition)
+from hypermle.spectrum import Constant, ModelParams, SpectrumSpec
 
 
 class TestKsStatistic:
@@ -192,18 +193,41 @@ class TestTwoSampleKs:
 
 
 def _one_shot_task(spec, params, k, lam_mu, grid, seed, M, residual):
-    """_mode_task's contributions from one _run_chain call over the whole grid."""
+    """_mode_task's contributions from one _run_chain call over the whole grid.
+
+    Each stream gives 2n path normals, then the two normals eta of dw's free
+    part; given the path, (sum u0 eta, sum v0 eta) is L_G eta, with L_G here
+    from np.linalg.cholesky of each replicate's Gram matrix of (u0, v0).
+    """
     lam, mu = lam_mu
+    n = grid.n_steps
     P, Q, scale = _scaled_transition(mu, grid.dt, lam=lam, warn=False)
     S, _ = _psd_factor(Q)
-    xi = np.stack([mode_stream(seed, m, k).standard_normal((grid.n_steps, 3)) for m in range(M)],
-                  axis=2)
-    u, v, dw = _run_chain(P, S, xi, np.zeros((2, M)))
-    sums = _mode_sums(u, v, dw, grid.dt, lam / scale, mu, residual=residual)
+    streams = [mode_stream(seed, m, k) for m in range(M)]
+    xi = np.stack([stream.standard_normal((n, 2)) for stream in streams], axis=2)
+    eta = [stream.standard_normal(2) for stream in streams]
+    u, v, dwp = _run_chain(P, S, xi, np.zeros((2, M)))
+    sums = _mode_sums(u, v, dwp, grid.dt, lam / scale, mu, residual=residual)
+    for m in range(M):
+        u0, v0 = u[:-1, m], v[:-1, m]
+        gram = np.array([[u0 @ u0, u0 @ v0], [u0 @ v0, v0 @ v0]])
+        free = S[2, 2] * (np.linalg.cholesky(gram) @ eta[m])
+        sums["sudws"][m] += free[0]
+        sums["svdw"][m] += free[1]
     sums["T"] = grid.T
     coeffs = _mode_coeffs(spec, k, scale)
     raw = _mode_contrib(coeffs, sums, endpoint=False, residual=True) if residual else None
-    return _mode_contrib(coeffs, sums, endpoint=True), raw
+    return _mode_contrib(coeffs, sums, endpoint=True), raw, _residual_iota_size(coeffs, sums, lam / scale, mu)
+
+
+def _residual_iota_size(coeffs, sums, lam_over_s, mu):
+    """Magnitudes of the three sums each residual-increment iota is the difference of."""
+    return {
+        "iota1": abs(coeffs["tau_s"]) * (np.abs(sums["sudvs"]) + abs(lam_over_s) * sums["su2s"]
+                                         + abs(mu) * np.abs(sums["suvs"])),
+        "iota2": abs(coeffs["nu"]) * (np.abs(sums["svdv"]) + abs(lam_over_s) * np.abs(sums["suvs"])
+                                      + abs(mu) * sums["sv2"]),
+    }
 
 
 class TestStreamedModeTask:
@@ -217,14 +241,18 @@ class TestStreamedModeTask:
         grid = TimeGrid(1.0, n)
         lam_mu = _true_mode(spec, params, k)[:2]
         got = _mode_task(spec, params, k, lam_mu, grid, 31, 4, residual)
-        want = _one_shot_task(spec, params, k, lam_mu, grid, 31, 4, residual)
+        *want, size = _one_shot_task(spec, params, k, lam_mu, grid, 31, 4, residual)
         assert (got[1] is None) == (not residual)
-        for g, w in zip(got, want):
+        for g, w, raw in zip(got, want, (False, True)):
             if w is None:
                 continue
             assert g.keys() == w.keys()
             for key in w:
-                np.testing.assert_allclose(g[key], w[key], rtol=1e-12, err_msg=key)
+                if raw and key in size:
+                    # a difference of three sums: rounding scales with their magnitudes
+                    assert np.all(np.abs(g[key] - w[key]) <= 1e-12 * size[key]), key
+                else:
+                    np.testing.assert_allclose(g[key], w[key], rtol=1e-12, err_msg=key)
 
     @pytest.mark.parametrize("n", [_BLOCK - 3, 2 * _CHUNK, _CHUNK + 3 * _BLOCK + 5])
     def test_halves_chained_through_start_state(self, n):
@@ -232,7 +260,7 @@ class TestStreamedModeTask:
         lam, mu, _ = _true_mode(spec, params, 7)
         P, Q, _ = _scaled_transition(mu, 1.0 / n, lam=lam, warn=False)
         S, _ = _psd_factor(Q)
-        xi = np.random.default_rng(n).standard_normal((n, 3, 5))
+        xi = np.random.default_rng(n).standard_normal((n, 2, 5))
         u, v, dw = _run_chain(P, S, xi, np.zeros((2, 5)))
         h = n // 2
         u1, v1, dw1 = _run_chain(P, S, xi[:h], np.zeros((2, 5)))
@@ -259,3 +287,87 @@ class TestStreamedModeTask:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * draw_bytes, peak / draw_bytes
+
+
+def _three_normal_sums(lam, mu, grid, M, seed):
+    """Plain-coordinate sums of a reference sampler: three normals per step from the full Q.
+
+    The factor is eigh of the whole 3x3 covariance of (state noise, dw), so
+    every step's dw is drawn with its state noise and no sum is sampled
+    given the path.  Returns (sum u dw, sum v dw, sum u dwhat, sum u^2 dt,
+    sum v^2 dt) over M replicates, dwhat the residual increment.
+    """
+    P, Q = transition(lam, mu, grid.dt)
+    w, V = np.linalg.eigh(Q)
+    S = V * np.sqrt(np.clip(w, 0.0, None))
+    rng = np.random.default_rng(seed)
+    u, v = np.zeros(M), np.zeros(M)
+    sudw, svdw, sudwhat, su2, sv2 = (np.zeros(M) for _ in range(5))
+    for _ in range(grid.n_steps):
+        eps_u, eps_v, dw = S @ rng.standard_normal((3, M))
+        u_new = P[0, 0] * u + P[0, 1] * v + eps_u
+        v_new = P[1, 0] * u + P[1, 1] * v + eps_v
+        sudw += u * dw
+        svdw += v * dw
+        sudwhat += u * (v_new - v + (lam * u - mu * v) * grid.dt)
+        su2 += u * u * grid.dt
+        sv2 += v * v * grid.dt
+        u, v = u_new, v_new
+    return sudw, svdw, sudwhat, su2, sv2
+
+
+def _two_normal_sums(lam, mu, grid, M, seed):
+    """The same sums from _mode_task: two normals per step, dw's sums sampled given the path.
+
+    With tau = nu = 1 and kappa = rho = 0 the contributions are the plain
+    sums: iota1 = -sum u dw, iota2 = sum v dw, K1 = sum u^2 dt, K2 = sum v^2 dt,
+    and the raw iota1 = -sum u dwhat.  Replicates come from calls of 5000
+    with seeds seed, seed + 1, ... so that no call holds all the paths.
+    """
+    spec = SpectrumSpec(Constant(0), Constant(1), Constant(0), Constant(1))
+    params = ModelParams(lam, mu, (lam / 2, 2 * lam), (mu - 1, mu + 1), grid.T)
+    parts = []
+    for call in range(M // 5000):
+        contrib, raw = _mode_task(spec, params, 1, (lam, mu), grid, seed + call, 5000, True)
+        parts.append((-contrib["iota1"], contrib["iota2"], -raw["iota1"], contrib["K1"], contrib["K2"]))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+class TestConditionalDwSums:
+    """The joint law of the dw sums with the path is that of three normals per step.
+
+    Each statistic is a z-score of a mean (or of a difference of two
+    independent means) over 40 000 replicates per sampler; |z| < 5 fails a
+    correct sampler with probability 5.7e-7 per statistic, about 8e-6 for the
+    14 below.
+    """
+
+    # (lam, mu) at 64 steps: resolved, where the path fixes dw up to
+    # sigma^2/dt = 1.3e-5; unresolved, where sigma^2/dt = 0.84 and the sampled
+    # part dominates
+    @pytest.mark.parametrize("lam, mu", [(400.0, -0.5), (1e5, -0.5)])
+    @pytest.mark.filterwarnings("ignore::hypermle.simulate.UnderresolvedModeWarning")
+    def test_moments_match_three_normal_sampler(self, lam, mu):
+        grid = TimeGrid(1.0, 64)
+        M = 40_000
+        ud, vd, uh, u2, v2 = _two_normal_sums(lam, mu, grid, M, seed=61)
+        ud3, vd3, uh3, u23, v23 = _three_normal_sums(lam, mu, grid, M, seed=62)
+
+        def z_diff(a, b):
+            return (a.mean() - b.mean()) / math.sqrt(a.var() / len(a) + b.var() / len(b))
+
+        def z_zero(a):
+            return a.mean() / math.sqrt(a.var() / len(a))
+
+        z = {
+            "E(sum u dw)^2": z_diff(ud * ud, ud3 * ud3),
+            "E(sum v dw)^2": z_diff(vd * vd, vd3 * vd3),
+            "E sum u dw sum v dw": z_diff(ud * vd, ud3 * vd3),
+            "E sum u dw sum u dwhat": z_diff(ud * uh, ud3 * uh3),
+            "E sum v dw sum v^2 dt": z_diff(vd * v2, vd3 * v23),
+            # the grid isometries, exact for left-point sums
+            "E(sum u dw)^2 = E sum u^2 dt": z_zero(ud * ud - u2),
+            "E(sum v dw)^2 = E sum v^2 dt": z_zero(vd * vd - v2),
+        }
+        bad = {name: val for name, val in z.items() if not abs(val) < 5.0}
+        assert not bad, bad

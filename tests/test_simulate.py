@@ -26,14 +26,21 @@ from hypermle.spectrum import Constant, ModelParams, PowerLaw, SpectrumSpec
 
 
 def sample_endpoints(lam, mu, grid, n_rep, seed=0):
-    """(u(T), v(T), w(T)) over replicates via the scaled chain, vectorized."""
+    """(u(T), v(T), w(T)) over replicates via the scaled chain, vectorized.
+
+    Each stream is laid out as simulate_mode reads it: 2n path normals, then
+    the n normals of dw's free part.
+    """
     P, Q, scale = _scaled_transition(mu, grid.dt, lam=lam, warn=False)
     S, _ = _psd_factor(Q)
-    xi = np.empty((grid.n_steps, 3, n_rep))
+    xi = np.empty((grid.n_steps, 2, n_rep))
+    eta = np.empty((grid.n_steps, n_rep))
     for m in range(n_rep):
-        xi[:, :, m] = mode_stream(seed, m, 1).standard_normal((grid.n_steps, 3))
-    u, v, dw = _run_chain(P, S, xi, np.zeros((2, n_rep)))
-    return u[-1] / scale, v[-1], dw.sum(axis=0)
+        stream = mode_stream(seed, m, 1)
+        xi[:, :, m] = stream.standard_normal((grid.n_steps, 2))
+        eta[:, m] = stream.standard_normal(grid.n_steps)
+    u, v, dwp = _run_chain(P, S, xi, np.zeros((2, n_rep)))
+    return u[-1] / scale, v[-1], (dwp + S[2, 2] * eta).sum(axis=0)
 
 
 class TestTransition:
@@ -71,6 +78,8 @@ class TestTransition:
         bad = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1e-3]])
         with pytest.raises(TransitionError):
             _psd_factor(bad)
+        with pytest.raises(TransitionError):  # the negative part in the state block instead
+            _psd_factor(np.diag([1.0, -1e-3, 1.0]))
 
     def test_underresolved_warning(self):
         grid = TimeGrid(1.0, 4)
@@ -86,7 +95,7 @@ class TestMarginalExactness:
     def test_endpoint_covariance(self, lam, mu):
         grid = TimeGrid(1.0, 16)
         n_rep = 40000
-        u, v, _ = sample_endpoints(lam, mu, grid, n_rep, seed=3)
+        u, v, _ = sample_endpoints(lam, mu, grid, n_rep, seed=5)
         mm = mode_moments(lam, mu, 1.0)
         cov_uv_true = fund_cross(lam, mu, 1.0)
         for got, want, name in [
@@ -199,10 +208,15 @@ class TestDeterminism:
 
     def test_contiguous_draws_match_shaped_draws(self):
         # filling a buffer leaves each (seed, replicate, mode) stream's values unchanged
-        buf = np.empty((2, 100, 3))
+        buf = np.empty((2, 100, 2))
+        eta = np.empty((2, 2))
         for m in range(2):
-            mode_stream(7, m, 3).standard_normal(out=buf[m])
-            assert np.array_equal(buf[m], mode_stream(7, m, 3).standard_normal((100, 3)))
+            stream = mode_stream(7, m, 3)
+            stream.standard_normal(out=buf[m])
+            stream.standard_normal(out=eta[m])
+            shaped = mode_stream(7, m, 3)
+            assert np.array_equal(buf[m], shaped.standard_normal((100, 2)))
+            assert np.array_equal(eta[m], shaped.standard_normal(2))
 
     def test_mode_independence(self):
         spec = SpectrumSpec(Constant(0), PowerLaw(1, 2), Constant(0), Constant(1))
@@ -223,7 +237,7 @@ def reference_chain(P, S, xi):
     u = np.zeros((n + 1, m))
     v = np.zeros((n + 1, m))
     for i in range(n):
-        noise = S[:2] @ xi[i]
+        noise = S[:2, :2] @ xi[i]
         u[i + 1] = P[0, 0] * u[i] + P[0, 1] * v[i] + noise[0]
         v[i + 1] = P[1, 0] * u[i] + P[1, 1] * v[i] + noise[1]
     return u, v
@@ -255,20 +269,30 @@ class TestBlockedChain:
     @pytest.mark.parametrize("m", [1, 3])
     def test_matches_step_loop(self, mode, n, m):
         P, S = chain_operators(*mode)
-        xi = np.random.default_rng(n * 10 + m).standard_normal((n, 3, m))
-        u, v, dw = _run_chain(P, S, xi, np.zeros((2, m)))
-        assert u.shape == v.shape == (n + 1, m) and dw.shape == (n, m)
+        xi = np.random.default_rng(n * 10 + m).standard_normal((n, 2, m))
+        u, v, dwp = _run_chain(P, S, xi, np.zeros((2, m)))
+        assert u.shape == v.shape == (n + 1, m) and dwp.shape == (n, m)
         assert np.all(u[0] == 0.0) and np.all(v[0] == 0.0)
         for got, want in zip((u, v), reference_chain(P, S, xi)):
             err = np.max(np.abs(got - want), axis=0)
             assert np.all(err <= 1e-12 * np.max(np.abs(want), axis=0))
-        assert np.array_equal(dw, S[2, 0] * xi[:, 0] + S[2, 1] * xi[:, 1] + S[2, 2] * xi[:, 2])
+        assert np.array_equal(dwp, S[2, 0] * xi[:, 0] + S[2, 1] * xi[:, 1])
+
+    @pytest.mark.parametrize("mode", CHAIN_MODES)
+    def test_block_factor(self, mode):
+        # S = [[S_ss, 0], [c^T, sigma]] with S S^T = Q: the state noise needs only two normals
+        lam, log_lam, mu = mode
+        _, Q, _ = _scaled_transition(mu, 1.0 / 4096, lam=lam if lam is not None else math.exp(log_lam),
+                                     warn=False)
+        S, _ = _psd_factor(Q)
+        assert np.all(S[:2, 2] == 0.0) and S[2, 2] >= 0.0
+        assert np.max(np.abs(S @ S.T - Q)) <= 1e-14 * np.max(np.abs(Q))
 
     @pytest.mark.parametrize("mode", CHAIN_MODES)
     def test_layout_independent(self, mode):
         # the Monte Carlo engine passes a transposed view of replicate-major draws
         P, S = chain_operators(*mode)
-        buf = np.random.default_rng(1).standard_normal((5, 4099, 3))
+        buf = np.random.default_rng(1).standard_normal((5, 4099, 2))
         view = buf.transpose(1, 2, 0)
         x0 = np.zeros((2, 5))
         for got, want in zip(_run_chain(P, S, view, x0),
