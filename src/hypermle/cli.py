@@ -174,10 +174,9 @@ def cmd_simulate(args):
     with path.open("w") as fh:
         fh.write("k,t_index,u,v,dw\n")
         for t in trajs:
-            u = t.u
-            for i in range(len(t) + 1):
-                dw = f"{t.dw[i]:.17g}" if i < len(t) else ""
-                fh.write(f"{t.k},{i},{u[i]:.17g},{t.v[i]:.17g},{dw}\n")
+            dw = [f"{x:.17g}" for x in t.dw.tolist()] + [""]
+            fh.write("".join(f"{t.k},{i},{u:.17g},{v:.17g},{d}\n"
+                             for i, (u, v, d) in enumerate(zip(t.u.tolist(), t.v.tolist(), dw))))
     print(f"wrote {path} ({N} modes, {cfg['grid'].n_steps} steps)")
     _manifest(out, "simulate", args, cfg, [path], started)
     return EXIT_OK
@@ -289,6 +288,7 @@ def cmd_mc(args):
             "rows": [{k: v for k, v in r.items() if k != "batch"} for r in res["rows"]],
             "slope1": res["slope1"], "slope1_stderr": res["slope1_stderr"],
             "slope2": res["slope2"], "slope2_stderr": res["slope2_stderr"],
+            "slope1_ci": list(res["slope1_ci"]), "slope2_ci": list(res["slope2_ci"]),
             "seed": mc_cfg.seed, "version": __version__, "stream_version": STREAM_VERSION,
             "config": cfg["raw"],
         }

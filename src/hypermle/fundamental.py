@@ -542,11 +542,12 @@ def _psi_mode_terms(spec, params, ks):
     """Per-mode contributions to (psi1, psi2, psi12, psi1_asym, psi2_asym)."""
     from .spectrum import lambda_mu_slog  # late import: avoid a module cycle
 
+    ks = np.asarray(ks)
+    (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, ks)
+    columns = (ks, s_lam, l_lam, mu, *spec.tau.slog_array(ks), *spec.nu.slog_array(ks))
+    rows = zip(*(c.tolist() for c in columns))  # Python floats, one mode per row
     out = np.empty((len(ks), 5))
-    for i, k in enumerate(ks):
-        (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, k)
-        s_tau, l_tau = spec.tau.slog(k)
-        s_nu, l_nu = spec.nu.slog(k)
+    for i, (k, s_lam, l_lam, mu, s_tau, l_tau, s_nu, l_nu) in enumerate(rows):
         nu = s_nu * math.exp(l_nu) if l_nu > -math.inf else 0.0
         if s_lam <= 0.0:
             # no large-lam form exists for such a mode: its exact terms fill the _asym columns

@@ -206,10 +206,10 @@ def run_replicates(spec, params, N, grid, seed, M, workers=1):
     """
     if N < 1 or N > spec.k_max:
         raise ValueError(f"N must lie in [1, {spec.k_max}]")
-    modes = []
-    for k in range(1, N + 1):
-        (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, k)
-        modes.append((_slog_lam(k, s_lam, l_lam), mu))
+    ks = np.arange(1, N + 1)
+    (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, ks)
+    modes = [(_slog_lam(k, s, l), m)
+             for k, s, l, m in zip(ks.tolist(), s_lam.tolist(), l_lam.tolist(), mu.tolist())]
     underresolved = sum(_underresolved(lam, mu, grid.dt) for lam, mu in modes)
     resolved = underresolved == 0
 

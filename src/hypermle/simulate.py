@@ -141,8 +141,8 @@ def _true_mode(spec, params, k):
     file read back with it reproduces the simulated coordinates exactly.
     """
     (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, k)
-    lam = _slog_lam(k, s_lam, l_lam)
-    return lam, mu, _pow2_scale(math.log(lam) if lam > 0.0 else None)
+    lam = _slog_lam(k, float(s_lam), float(l_lam))
+    return lam, float(mu), _pow2_scale(math.log(lam) if lam > 0.0 else None)
 
 
 def _psd_factor(Q):

@@ -10,7 +10,8 @@ All condition checks here are finite-range empirical verifications: each
 report carries the k-range it looked at, the constants it fitted, and a
 pass/fail/inconclusive verdict.  Sequences are evaluated internally in
 sign + log-magnitude form so that e.g. kappa_k = e^{2k} stays exact in sign
-and usable far beyond the float range.
+and usable far beyond the float range.  Each generator kind implements its
+sequence once, in numpy over an array of k; a single k is that array of one.
 """
 from __future__ import annotations
 
@@ -58,7 +59,9 @@ class Generator:
     """One eigenvalue sequence k -> value, exact in sign and log magnitude.
 
     Each concrete kind is a frozen dataclass with a class attribute `kind`:
-    the tag names it in configs, and its fields are the config fields.
+    the tag names it in configs, and its fields are the config fields.  A kind
+    implements its sequence once, as `slog_array` in numpy; `slog` is that
+    method at one k.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -66,19 +69,14 @@ class Generator:
         if "kind" in vars(cls):
             GENERATORS[cls.kind] = cls
 
-    def slog(self, k):
-        """(sign, log|value|) at integer k >= 1."""
+    def slog_array(self, ks):
+        """(signs, log|values|) at an array of integers k >= 1; ValueError names the first bad k."""
         raise NotImplementedError
 
-    def slog_array(self, ks):
-        ks = np.asarray(ks)
-        signs = np.empty(ks.shape)
-        logs = np.empty(ks.shape)
-        for i, k in enumerate(ks.ravel()):
-            s, l = self.slog(int(k))
-            signs.ravel()[i] = s
-            logs.ravel()[i] = l
-        return signs, logs
+    def slog(self, k):
+        """(sign, log|value|) at integer k >= 1."""
+        s, l = self.slog_array(k)
+        return float(s), float(l)
 
     def value(self, k):
         s, l = self.slog(k)
@@ -102,38 +100,35 @@ class Generator:
         return cfg
 
 
-def _check_k(k):
-    if k < 1 or int(k) != k:
-        raise ValueError(f"mode index must be a positive integer, got {k}")
-    return int(k)
+def _check_ks(ks):
+    """One k or an array of k as floats, each a positive integer; ValueError names the first bad one."""
+    ks = np.asarray(ks, dtype=float)
+    bad = ks[~(np.isfinite(ks) & (ks >= 1.0) & (ks == np.floor(ks)))]
+    if bad.size:
+        raise ValueError(f"mode index must be a positive integer, got {bad[0]:g}")
+    return ks
+
+
+def _first_outside(gen, ks, inside):
+    """Raise naming the first k of ks where `inside` is False."""
+    bad = ks[~inside]
+    if bad.size:
+        raise ValueError(f"{gen.kind} undefined at k={int(bad[0])} with shift={gen.shift}")
 
 
 class _CoefficientLaw(Generator):
-    """coefficient * e^{shape(k)}; a law supplies only its log-shape.
+    """coefficient * e^{shape(k)}; a law supplies only its log-shape, in numpy over an array of k."""
 
-    `_log_shape` uses `math`; the kinds evaluated over whole k-ranges also give
-    `_log_shape_array`, its `numpy` form, which may differ in the last bit.
-    """
-
-    _log_shape_array = None
-
-    def _log_shape(self, k):
+    def _log_shape(self, ks):
         raise NotImplementedError
 
-    def slog(self, k):
-        shape = self._log_shape(_check_k(k))  # first, so a domain error is raised even for c = 0
-        if self.coefficient == 0.0:
-            return 0.0, _NEG_INF
-        return math.copysign(1.0, self.coefficient), math.log(abs(self.coefficient)) + shape
-
     def slog_array(self, ks):
-        if self._log_shape_array is None:
-            return super().slog_array(ks)
-        ks = np.asarray(ks, dtype=float)
+        ks = _check_ks(ks)
+        shape = self._log_shape(ks)  # first, so a domain error is raised even for c = 0
         if self.coefficient == 0.0:
             return np.zeros_like(ks), np.full_like(ks, _NEG_INF)
         s = np.full_like(ks, math.copysign(1.0, self.coefficient))
-        return s, math.log(abs(self.coefficient)) + self._log_shape_array(ks)
+        return s, math.log(abs(self.coefficient)) + shape
 
 
 @dataclass(frozen=True)
@@ -144,14 +139,11 @@ class PowerLaw(_CoefficientLaw):
     exponent: float
     kind = "power_law"
 
-    def _log_shape(self, k):
-        return self.exponent * math.log(k)
-
-    def _log_shape_array(self, ks):
+    def _log_shape(self, ks):
         return self.exponent * np.log(ks)
 
     def value(self, k):
-        k = _check_k(k)
+        k = int(_check_ks(k))
         try:
             return self.coefficient * float(k) ** self.exponent
         except OverflowError:
@@ -169,13 +161,11 @@ class ExpLaw(_CoefficientLaw):
     rate: float
     kind = "exp_law"
 
-    def _log_shape(self, k):
-        return self.rate * k
-
-    _log_shape_array = _log_shape  # rate * k reads the same on arrays
+    def _log_shape(self, ks):
+        return self.rate * ks
 
     def value(self, k):
-        k = _check_k(k)
+        k = int(_check_ks(k))
         try:
             return self.coefficient * math.exp(self.rate * k)
         except OverflowError:
@@ -191,11 +181,11 @@ class LogLaw(_CoefficientLaw):
     shift: float = 0.0
     kind = "log_law"
 
-    def _log_shape(self, k):
-        base = math.log(k + self.shift)
-        if base <= 0.0:
-            raise ValueError(f"log_law undefined at k={k} with shift={self.shift}")
-        return self.exponent * math.log(base)
+    def _log_shape(self, ks):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            base = np.log(ks + self.shift)
+        _first_outside(self, ks, base > 0.0)
+        return self.exponent * np.log(base)
 
 
 @dataclass(frozen=True)
@@ -206,11 +196,11 @@ class LogLogLaw(_CoefficientLaw):
     shift: float = 0.0
     kind = "loglog_law"
 
-    def _log_shape(self, k):
-        inner = math.log(k + self.shift)
-        if inner <= 1.0:
-            raise ValueError(f"loglog_law undefined at k={k} with shift={self.shift}")
-        return math.log(math.log(inner))
+    def _log_shape(self, ks):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.log(ks + self.shift)
+        _first_outside(self, ks, inner > 1.0)
+        return np.log(np.log(inner))
 
 
 @dataclass(frozen=True)
@@ -218,14 +208,11 @@ class Constant(_CoefficientLaw):
     coefficient: float
     kind = "constant"
 
-    def _log_shape(self, k):
-        return 0.0
-
-    def _log_shape_array(self, ks):
+    def _log_shape(self, ks):
         return np.zeros_like(ks)
 
     def value(self, k):
-        _check_k(k)
+        _check_ks(k)
         return self.coefficient
 
     def power_law(self):
@@ -240,17 +227,21 @@ class Explicit(Generator):
     def __init__(self, values):
         object.__setattr__(self, "values", tuple(float(v) for v in values))
 
-    def slog(self, k):
-        v = self.value(k)
-        if v == 0.0:
-            return 0.0, _NEG_INF
-        return math.copysign(1.0, v), math.log(abs(v))
+    def _index(self, ks):
+        ks = _check_ks(ks)
+        past = ks[ks > len(self.values)]
+        if past.size:
+            raise ValueError(
+                f"explicit sequence has {len(self.values)} entries; k={int(past[0])} out of range")
+        return ks.astype(int) - 1
+
+    def slog_array(self, ks):
+        v = np.asarray(self.values)[self._index(ks)]
+        with np.errstate(divide="ignore"):
+            return np.where(v == 0.0, 0.0, np.copysign(1.0, v)), np.log(np.abs(v))
 
     def value(self, k):
-        k = _check_k(k)
-        if k > len(self.values):
-            raise ValueError(f"explicit sequence has {len(self.values)} entries; k={k} out of range")
-        return self.values[k - 1]
+        return self.values[self._index(k)]
 
     def k_max(self):
         return len(self.values)
@@ -263,9 +254,9 @@ class SignedAlternating(Generator):
     inner: Generator
     kind = "signed_alternating"
 
-    def slog(self, k):
-        s, l = self.inner.slog(k)
-        return (s if k % 2 == 0 else -s), l
+    def slog_array(self, ks):
+        s, l = self.inner.slog_array(ks)  # the inner kind checks ks
+        return np.where(np.asarray(ks) % 2 == 0, s, -s), l
 
     def k_max(self):
         return self.inner.k_max()
@@ -333,19 +324,9 @@ def eigenvalues(spec, k):
     return tuple(g.value(k) for g in (spec.kappa, spec.tau, spec.rho, spec.nu))
 
 
-def lambda_mu_slog(spec, theta1, theta2, k):
-    """((sign, log|lambda_k|), mu_k) with lambda in log form and mu as a float."""
-    sk, lk = spec.kappa.slog(k)
-    st, lt = spec.tau.slog(k)
-    st, lt = slog_scale(st, lt, theta1)
-    s_lam, l_lam = slog_add(sk, lk, st, lt)
-
-    sr, lr = spec.rho.slog(k)
-    sn, ln_ = spec.nu.slog(k)
-    with np.errstate(over="ignore"):
-        rho = sr * np.exp(lr) if lr > _NEG_INF else 0.0
-        nu = sn * np.exp(ln_) if ln_ > _NEG_INF else 0.0
-    return (float(s_lam), float(l_lam)), float(rho + theta2 * nu)
+def lambda_mu_slog(spec, theta1, theta2, ks):
+    """((signs, log|lambda_k|), mu_k) over an array of k: lambda in log form, mu as floats."""
+    return _lambda_slog_arrays(spec, theta1, ks), _mu_arrays(spec, theta2, ks)
 
 
 def lambda_mu(spec, theta1, theta2, k):
@@ -361,7 +342,7 @@ def lambda_mu(spec, theta1, theta2, k):
     (s, l), mu = lambda_mu_slog(spec, theta1, theta2, k)
     with np.errstate(over="ignore"):
         lam = s * np.exp(l) if l > _NEG_INF else 0.0
-    return float(lam), mu
+    return float(lam), float(mu)
 
 
 def _lambda_slog_arrays(spec, theta, ks):
@@ -788,18 +769,16 @@ def conditions_1_2(spec, params, n_max=1000):
     Condition 2: nu_k^2 M(T mu_k) slowly increasing (theta2).
     Both sequences are evaluated at the true theta, in log space.
     """
-    n_max = min(n_max, spec.k_max)
-    log_c1 = np.empty(n_max)
-    log_c2 = np.empty(n_max)
-    for i, k in enumerate(range(1, n_max + 1)):
-        (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, k)
-        if s_lam <= 0.0:
-            raise ValueError(f"conditions require lambda_k > 0; mode {k} fails")
-        m_log = m_func_log(params.T * mu)
-        s_tau, l_tau = spec.tau.slog(k)
-        s_nu, l_nu = spec.nu.slog(k)
-        log_c1[i] = (2.0 * l_tau - l_lam + m_log) if l_tau > -math.inf else -math.inf
-        log_c2[i] = (2.0 * l_nu + m_log) if l_nu > -math.inf else -math.inf
+    ks = np.arange(1, min(n_max, spec.k_max) + 1)
+    (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, ks)
+    if np.any(s_lam <= 0.0):
+        raise ValueError(f"conditions require lambda_k > 0; mode {ks[np.argmax(s_lam <= 0.0)]} fails")
+    m_log = np.array([m_func_log(x) for x in (params.T * mu).tolist()])
+    _, l_tau = spec.tau.slog_array(ks)
+    _, l_nu = spec.nu.slog_array(ks)
+    with np.errstate(invalid="ignore"):
+        log_c1 = np.where(l_tau > _NEG_INF, 2.0 * l_tau - l_lam + m_log, _NEG_INF)
+        log_c2 = np.where(l_nu > _NEG_INF, 2.0 * l_nu + m_log, _NEG_INF)
 
     fail = {"verdict": "fail", "ratio_curve": None, "tail_slope": math.nan}
     res1, res2 = (_slowly_increasing_log(c) if np.all(np.isfinite(c)) else fail for c in (log_c1, log_c2))

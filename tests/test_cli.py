@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, file outputs, round trips, manifests."""
 import json
+import math
 import re
 import subprocess
 import sys
@@ -483,6 +484,10 @@ class TestMc:
         assert res.returncode == 0, res.stderr
         summary = json.loads((outdir / "consistency_summary.json").read_text())
         assert len(summary["rows"]) == 2
+        keys = list(summary)
+        assert keys.index("slope1_ci") == keys.index("slope2_stderr") + 1
+        for band in (summary["slope1_ci"], summary["slope2_ci"]):
+            assert len(band) == 2 and all(math.isfinite(x) for x in band) and band[0] < band[1], band
         csv_lines = (outdir / "consistency_replicates.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 1 + 2 * 35
 

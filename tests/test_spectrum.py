@@ -29,6 +29,7 @@ from hypermle.spectrum import (
     consistency_conditions,
     eigenvalues,
     lambda_mu,
+    lambda_mu_slog,
     slowly_increasing_test,
     verify_lower_bound_props,
 )
@@ -324,6 +325,57 @@ EVERY_KIND = [
     Explicit([1.5, -2.0, 0.0, 4.0, 1e300]), SignedAlternating(PowerLaw(2.0, -1.0)),
     SignedAlternating(Explicit([3.0, 0.0, -1.0, 2.0, -5.0])),
 ]
+
+
+def _bits(*xs):
+    return np.array(xs, dtype=float).tobytes()  # bit for bit, signed zeros included
+
+
+def _defined_ks(gen, n=50):
+    """k = 1..n, capped at the kind's k_max, from the first k at which its law is defined."""
+    floor = {LogLaw: 1.0, LogLogLaw: math.e}.get(type(gen))  # k + shift must exceed it
+    first = 1 if floor is None else max(1, math.floor(floor - gen.shift) + 1)
+    return np.arange(first, min(n, gen.k_max() or n) + 1)
+
+
+class TestOneImplementation:
+    """Each kind's sequence is its slog_array; slog and the one-k calls are that array at one k."""
+
+    @pytest.mark.parametrize("gen", EVERY_KIND, ids=repr)
+    def test_slog_is_slog_array_at_one_k(self, gen):
+        ks = _defined_ks(gen)
+        signs, logs = gen.slog_array(ks)
+        for k, s, l in zip(ks.tolist(), signs.tolist(), logs.tolist()):
+            assert _bits(*gen.slog(k)) == _bits(s, l), k
+
+    @pytest.mark.parametrize("name", ["alg_ex1", "alg_ex5", "sec5_example"])
+    def test_lambda_mu_slog_over_ks_matches_one_k_calls(self, name):
+        spec, params = preset(name)
+        ks = np.arange(1, 501)
+        (s, l), mu = lambda_mu_slog(spec, params.theta1, params.theta2, ks)
+        for k in ks.tolist():
+            (s_k, l_k), mu_k = lambda_mu_slog(spec, params.theta1, params.theta2, k)
+            assert _bits(s_k, l_k, mu_k) == _bits(s[k - 1], l[k - 1], mu[k - 1]), k
+
+    @pytest.mark.parametrize("gen, ks, bad", [
+        (LogLaw(1.0, 1.0, -1.0), [7, 5, 2, 1], 2),
+        (LogLaw(0.0, 1.0, -1.0), [7, 5, 2, 1], 2),
+        (LogLogLaw(1.0), [9, 3, 2, 1], 2),
+        (Explicit([1.0, 2.0, 3.0]), [1, 5, 4], 5),
+    ], ids=repr)
+    def test_domain_error_names_first_bad_k(self, gen, ks, bad):
+        with pytest.raises(ValueError, match=rf"k={bad}\b"):
+            gen.slog_array(np.array(ks))
+        with pytest.raises(ValueError, match=rf"k={bad}\b"):
+            gen.slog(bad)
+
+    @pytest.mark.parametrize("k", [0, 2.5])
+    @pytest.mark.parametrize("gen", EVERY_KIND, ids=repr)
+    def test_index_not_a_positive_integer(self, gen, k):
+        with pytest.raises(ValueError, match=f"positive integer, got {k}$"):
+            gen.slog(k)
+        with pytest.raises(ValueError, match=f"positive integer, got {k}$"):
+            gen.slog_array([3, k])
 
 
 class TestSerialization:
