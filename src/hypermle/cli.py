@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -47,6 +48,7 @@ EXIT_CHECK_INCONCLUSIVE = 3
 EXIT_RUNTIME = 4
 
 _TABLE_DIMS = (1, 2, 4, 8)  # the dimensions d that growth_tables tabulates
+_READ_BATCH = 8192  # trajectory file lines parsed at a time, which bounds the parser's memory
 
 
 def _parser():
@@ -171,54 +173,55 @@ def cmd_simulate(args):
     trajs = simulate_solution(cfg["spec"], cfg["params"], N, cfg["grid"],
                               cfg["experiment"]["seed"])
     path = out / "trajectories.csv"
+    n = cfg["grid"].n_steps
+    # each mode's rows after their k: t_index, u, v and dw, which the last row has none of
+    rows = [f"{i},%.17g,%.17g,%.17g" for i in range(n)] + [f"{n},%.17g,%.17g,"]
     with path.open("w") as fh:
         fh.write("k,t_index,u,v,dw\n")
         for t in trajs:
-            dw = [f"{x:.17g}" for x in t.dw.tolist()] + [""]
-            fh.write("".join(f"{t.k},{i},{u:.17g},{v:.17g},{d}\n"
-                             for i, (u, v, d) in enumerate(zip(t.u.tolist(), t.v.tolist(), dw))))
-    print(f"wrote {path} ({N} modes, {cfg['grid'].n_steps} steps)")
+            vals = np.empty(3 * n + 2)  # u, v, dw row by row
+            vals[0::3], vals[1::3], vals[2::3] = t.u, t.v, t.dw
+            fh.write((f"{t.k}," + f"\n{t.k},".join(rows) + "\n") % tuple(vals.tolist()))
+    print(f"wrote {path} ({N} modes, {n} steps)")
     _manifest(out, "simulate", args, cfg, [path], started)
     return EXIT_OK
 
 
 def _read_trajectories(path, spec, params, grid):
-    """Mode trajectories from a `simulate` CSV, with each mode's lam, mu and scale restored."""
-    rows = {}
+    """Mode trajectories from a `simulate` CSV, with each mode's lam, mu and scale restored.
+
+    The rows may come in any order.
+    """
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
             if header != ["k", "t_index", "u", "v", "dw"]:
                 raise ConfigError(f"{path}: unexpected trajectory header {header}")
-            for lineno, line in enumerate(fh, 2):
-                try:
-                    k, ti, u, v, dw = line.rstrip("\n").split(",")
-                    rows.setdefault(int(k), []).append((int(ti), float(u), float(v),
-                                                        float(dw) if dw else None))
-                except ValueError as exc:
-                    raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
+            k_col, t_col, u_col, v_col, dw_col, has_dw = _trajectory_columns(fh, path)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:  # raised while a line is read, before it is parsed
         raise ConfigError(f"{path}: not a text file: {exc}") from exc
-    ks = sorted(rows)
-    if ks != list(range(1, len(ks) + 1)):
+
+    order = np.lexsort((t_col, k_col))
+    ks, starts, counts = np.unique(k_col[order], return_index=True, return_counts=True)
+    if ks.tolist() != list(range(1, len(ks) + 1)):
         raise ConfigError(f"{path}: holds {len(ks)} modes, not the modes 1..{len(ks)}")
+    n = grid.n_steps
     out = []
-    for k in ks:
-        entries = sorted(rows[k])
-        if [e[0] for e in entries] != list(range(grid.n_steps + 1)):
+    for k, start, count in zip(ks.tolist(), starts.tolist(), counts.tolist()):
+        rows = order[start:start + count]
+        if count != n + 1 or not np.array_equal(t_col[rows], np.arange(n + 1)):
             raise ConfigError(
-                f"{path}: mode {k} has {len(entries)} rows, not t_index 0..{grid.n_steps} "
+                f"{path}: mode {k} has {count} rows, not t_index 0..{n} "
                 f"of the configured grid (simulated with another --dt-steps?)")
         lam, mu, scale = _true_mode(spec, params, k)
-        u = np.array([e[1] for e in entries]) * scale
-        v = np.array([e[2] for e in entries])
-        if any(e[3] is None for e in entries[:-1]) or entries[-1][3] is not None:
+        u = u_col[rows] * scale
+        v = v_col[rows]
+        if not has_dw[rows[:-1]].all() or has_dw[rows[-1]]:
             raise ConfigError(
-                f"{path}: mode {k} needs dw on t_index 0..{grid.n_steps - 1} "
-                f"and none on t_index {grid.n_steps}")
-        dw = np.array([e[3] for e in entries[:-1]])
+                f"{path}: mode {k} needs dw on t_index 0..{n - 1} and none on t_index {n}")
+        dw = dw_col[rows[:-1]]
         for name, col in (("u", u), ("v", v), ("dw", dw)):
             finite = np.isfinite(col)
             if not finite.all():
@@ -226,6 +229,44 @@ def _read_trajectories(path, spec, params, grid):
                 raise ConfigError(f"{path}: line {line}: {name} is not finite")
         out.append(ModeTrajectory(k, u, v, dw, scale, lam, mu, grid.dt))
     return out
+
+
+def _trajectory_columns(fh, path):
+    """Columns k, t_index, u, v, dw and has_dw of the data lines of a trajectory file.
+
+    Lines are parsed _READ_BATCH at a time, each column with one map(int) or
+    map(float); only a batch in which that fails is parsed line by line, to
+    name the first line that does not parse.  dw is 0 where has_dw is False.
+    """
+    cols = [[] for _ in range(6)]
+    lineno = 2
+    while lines := list(itertools.islice(fh, _READ_BATCH)):
+        try:
+            if set(map(str.count, lines, itertools.repeat(","))) - {4}:
+                raise ValueError("a line without five fields")
+            fields = "".join(lines).replace("\n", ",").split(",")[:5 * len(lines)]
+            has_dw = np.fromiter(map(bool, fields[4::5]), bool, len(lines))
+            dw = np.zeros(len(lines))
+            dw[has_dw] = list(map(float, filter(None, fields[4::5])))
+            batch = (np.array(list(map(int, fields[0::5]))), np.array(list(map(int, fields[1::5]))),
+                     np.fromiter(map(float, fields[2::5]), float, len(lines)),
+                     np.fromiter(map(float, fields[3::5]), float, len(lines)), dw, has_dw)
+        except ValueError:
+            raise _first_bad_line(path, lines, lineno) from None
+        for col, part in zip(cols, batch):
+            col.append(part)
+        lineno += len(lines)
+    return [np.concatenate(col) if col else np.zeros(0) for col in cols]
+
+
+def _first_bad_line(path, lines, lineno):
+    """The error naming the first of these lines, from line lineno on, that does not parse."""
+    for lineno, line in enumerate(lines, lineno):
+        try:
+            k, ti, u, v, dw = line.rstrip("\n").split(",")
+            int(k), int(ti), float(u), float(v), float(dw) if dw else None
+        except ValueError as exc:
+            return ConfigError(f"{path}: line {lineno}: {exc}")
 
 
 def _line_of(path, k, t_index):

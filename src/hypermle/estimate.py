@@ -89,26 +89,29 @@ class EstimateResult:
 
 
 def _dot(a, b):
-    """Sum over axis 0 of a * b, without the product array; a, b are (n,) or (n, M)."""
-    return np.einsum("i...,i...->...", a, b)
+    """Sum over axis 0 of a * b, as one batched dot product; a, b are (n,) or (n, M).
+
+    Each path's dot product is one BLAS call on its contiguous steps, with
+    no product array and no copy.
+    """
+    return np.matmul(a.T[..., None, :], b.T[..., :, None])[..., 0, 0]
 
 
 def _mode_sums(u_scaled, v, dw, dt, lam_over_s, mu, residual=False):
     """Per-path reductions with time along axis 0; inputs may be (n+1,) or (n+1, M).
 
-    With residual, the sums against the residual increments
+    Only the sums the contributions read are formed.  With residual, these
+    include the left-endpoint sums against dv that the raw contributions
+    read, and the sums against the residual increments
     dwhat = dv + (lam_over_s * u0 - mu * v0) * dt follow from the other sums
     by that identity, without forming dwhat.
     """
     u0 = u_scaled[:-1]
     v0 = v[:-1]
-    dv = np.diff(v, axis=0)
     out = {
         "su2s": _dot(u0, u0) * dt,
         "sv2": _dot(v0, v0) * dt,
         "suvs": _dot(u0, v0) * dt,
-        "sudvs": _dot(u0, dv),
-        "svdv": _dot(v0, dv),
         "sudws": _dot(u0, dw),
         "svdw": _dot(v0, dw),
         "uTs2": u_scaled[-1] * u_scaled[-1],
@@ -116,6 +119,9 @@ def _mode_sums(u_scaled, v, dw, dt, lam_over_s, mu, residual=False):
         "vT2": v[-1] * v[-1],
     }
     if residual:
+        dv = np.diff(v, axis=0)
+        out["sudvs"] = _dot(u0, dv)
+        out["svdv"] = _dot(v0, dv)
         out["sudw_res"] = out["sudvs"] + lam_over_s * out["su2s"] - mu * out["suvs"]
         out["svdw_res"] = out["svdv"] + lam_over_s * out["suvs"] - mu * out["sv2"]
     return out
@@ -236,8 +242,9 @@ def _accumulate(trajectories, spec, endpoint, residual=False):
 
     def contribs():
         for traj in trajectories:
+            # the raw contributions read the sums against dv, which come with residual
             sums = _mode_sums(traj.u_scaled, traj.v, traj.dw, dt, traj.lam / traj.scale, traj.mu,
-                              residual=residual)
+                              residual=residual or not endpoint)
             sums["T"] = n * dt
             coeffs = _mode_coeffs(spec, traj.k, traj.scale)
             yield _mode_contrib(coeffs, sums, endpoint, residual)

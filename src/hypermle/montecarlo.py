@@ -37,8 +37,8 @@ import numpy as np
 from .estimate import (_ENDPOINT_KEYS, _decomposition_errors, _mode_coeffs, _mode_contrib,
                        _mode_order_sum, _mode_sums, _nonsingular, _solve_normal)
 from .fundamental import _slog_lam, psi_curve
-from .simulate import (_BLOCK, _psd_factor, _run_chain, _scaled_transition, _underresolved,
-                       mode_stream)
+from .simulate import (_CHUNK, _chain_operators, _psd_factor, _run_chain, _scaled_transition,
+                       _underresolved, mode_stream)
 from .spectrum import lambda_mu_slog
 
 __all__ = [
@@ -58,12 +58,6 @@ _SIGNIFICANCE = 0.01           # level of run_normality's KS verdicts (a key of 
 _N_BOOT = 1000                 # bootstrap resamples per interval
 _CI_PERCENTILES = (2.5, 97.5)  # bounds of each bootstrap interval
 _LOG_FLAG_SLOPE = 0.2          # fit_growth: a power slope below this may be log N growth
-# Steps _mode_task runs and reduces at a time.  Fewer chunks mean less
-# per-call overhead, which worker threads contend for; longer ones a larger
-# working set (at 48 replicates and n = 4096 one chunk's arrays peak at 0.4
-# of the draw buffer).  512 to 1024 steps timed alike at 48 and 500
-# replicates on one thread; 768 was best at 32 replicates on two.
-_CHUNK = 48 * _BLOCK
 
 
 @dataclass
@@ -108,35 +102,39 @@ class BatchResult:
 def _mode_task(spec, params, k, lam_mu, grid, seed, M, residual):
     """Everything mode k contributes, independent of all other modes.
 
-    Each replicate's stream gives its 2n path normals, which fill one
-    buffer, and then two more, eta.  The chain runs through the buffer
-    _CHUNK steps at a time, each chunk starting from the state the previous
-    one ended in, and _mode_sums reduces each chunk's paths while they are
-    in cache.  The running sums add up over the chunks; the endpoint
-    products come from the last one.  dw's free part sigma eta_i (see
-    _psd_factor) enters only the sums over u_i and v_i, and given the path
-    (sum u_i eta_i, sum v_i eta_i) is N(0, G) with G the Gram matrix of
-    (u_0, v_0); so sigma L_G eta, L_G the Cholesky factor of G, completes
-    the dw sums exactly in law.  Returns the endpoint contributions and,
-    with residual, the raw ones with residual increments.
+    The M replicate streams are made first, and then each gives its 2n path
+    normals and two more, eta, in one fill of its row of the draw buffer.
+    The chain runs through the buffer _CHUNK steps at a time, each chunk
+    starting from the state the previous one ended in, and _mode_sums
+    reduces each chunk's paths while they are in cache.  The running sums
+    add up over the chunks; the endpoint products come from the last one.
+    dw's free part sigma eta_i (see _psd_factor) enters only the sums over
+    u_i and v_i, and given the path (sum u_i eta_i, sum v_i eta_i) is N(0, G)
+    with G the Gram matrix of (u_0, v_0); so sigma L_G eta, L_G the Cholesky
+    factor of G, completes the dw sums exactly in law.  Returns the endpoint
+    contributions and, with residual, the raw ones with residual increments.
     """
     lam, mu = lam_mu
-    dt = grid.dt
+    n, dt = grid.n_steps, grid.dt
     P, Q, scale = _scaled_transition(mu, dt, lam=lam, warn=False)
     S, _ = _psd_factor(Q)
 
-    buf = np.empty((M, grid.n_steps, 2))  # each replicate's path normals are contiguous
-    eta = np.empty((M, 2))
-    for m in range(M):
-        stream = mode_stream(seed, m, k)
-        stream.standard_normal(out=buf[m])
-        stream.standard_normal(out=eta[m])
-    xi = buf.transpose(1, 2, 0)
+    # The fills run without the interpreter lock; with every stream made first,
+    # they come in one long stretch that other worker threads can overlap.
+    streams = [mode_stream(seed, m, k) for m in range(M)]
+    draws = np.empty((M, 2 * n + 2))  # each replicate's normals are contiguous
+    for stream, row in zip(streams, draws):
+        stream.standard_normal(out=row)
+    xi = draws[:, :2 * n].reshape(M, n, 2).transpose(1, 2, 0)
+    eta = draws[:, 2 * n:]
 
+    # Made after the draw buffer, not before it: the other order left the heap
+    # 0.7 MiB larger at the peak of a 48-replicate consistency run.
+    ops = _chain_operators(P, S, n)
     x = np.zeros((2, M))
     sums = None
-    for t0 in range(0, grid.n_steps, _CHUNK):
-        u, v, dwp = _run_chain(P, S, xi[t0:t0 + _CHUNK], x)
+    for t0 in range(0, n, _CHUNK):
+        u, v, dwp = _run_chain(ops, x, xi[t0:t0 + _CHUNK])
         part = _mode_sums(u, v, dwp, dt, lam / scale, mu, residual=residual)
         if sums is not None:
             for key in part.keys() - _ENDPOINT_KEYS:
@@ -304,16 +302,21 @@ def _bootstrap_mean_ci(x, seed):
 
 
 def _bootstrap_slopes(err_lists, N_list, seed):
-    """Resample replicates within each N, refit the decay slope each time."""
+    """Resample replicates within each N, refit the decay slope each time.
+
+    The resamples are drawn one after another, each drawing its indices for
+    every N in turn; then each N's means are one fancy-index mean, and the
+    slopes one least-squares fit with a right-hand side per resample.
+    """
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x510], dtype=np.uint64)))
-    logN = np.log(np.asarray(N_list, dtype=float))
-    slopes = np.empty(_N_BOOT)
+    idx = [np.empty((_N_BOOT, len(errs)), dtype=np.int64) for errs in err_lists]
     for b in range(_N_BOOT):
-        means = []
-        for errs in err_lists:
-            idx = rng.integers(0, len(errs), size=len(errs))
-            means.append(np.mean(errs[idx]))
-        slopes[b], _ = _fit_slope(logN, np.log(means))
+        for errs, rows in zip(err_lists, idx):
+            rows[b] = rng.integers(0, len(errs), size=len(errs))
+    log_means = np.log([np.mean(errs[rows], axis=1) for errs, rows in zip(err_lists, idx)])
+    logN = np.log(np.asarray(N_list, dtype=float))
+    A = np.vstack([logN, np.ones_like(logN)]).T
+    slopes = np.linalg.lstsq(A, log_means, rcond=None)[0][0]
     return tuple(float(p) for p in np.percentile(slopes, _CI_PERCENTILES))
 
 

@@ -15,15 +15,17 @@ real dw at every step; the Monte Carlo, which needs dw only through two
 sums per replicate, samples those sums given the path from two normals
 (montecarlo._mode_task).  STREAM_VERSION names this layout.
 
-A path is that linear recurrence run as a blocked scan (the matrix form of
-a prefix scan): a matmul with a block-Toeplitz operator of powers of the
-propagator gives every block of _BLOCK steps its response from a zero
-start, a loop over the blocks carries the state from one block to the
-next, and one more matmul adds each block's response to its start.  The
-same engine serves one path (simulate_mode, one call from rest) and a batch
-of replicates (montecarlo._mode_task, one call per chunk of steps, each
-starting from the state the last one ended in); it differs from stepping
-the recurrence only by rounding.
+A path is that linear recurrence run as a two-level blocked scan (the
+matrix form of a prefix scan; Blelloch 1990), _CHUNK steps at a time: a
+matmul with a block-Toeplitz operator of powers of the propagator gives
+every block of _BLOCK steps its response from a zero start, a matmul with a
+block-Toeplitz operator of powers of P^_BLOCK gives every block its start
+state, and one more matmul adds each block's response to its start.  The
+operators are built once per mode (_chain_operators), and no Python loop
+runs over the blocks.  The same engine serves one path (simulate_mode, one
+call from rest) and a batch of replicates (montecarlo._mode_task, one call
+per chunk, each starting from the state the last one ended in), through
+the same chunks; it differs from stepping the recurrence only by rounding.
 
 Stiff modes are propagated in energy coordinates (sqrt(lam)*u, v) with a
 power-of-two scale, so extreme eigenvalues neither overflow nor lose the
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +68,19 @@ _LN2 = math.log(2.0)
 
 # steps one block matmul of _run_chain advances (a power of two)
 _BLOCK = 16
-# (row, column) indices of the lower triangle of one block's Toeplitz operator
-_TRIL = np.tril_indices(_BLOCK)
+# Steps the scan runs at a time: each chunk's block starts come from one
+# matmul with a carry operator over its blocks, and the Monte Carlo reduces
+# each chunk while it is in cache.  Fewer chunks mean less per-call overhead,
+# which worker threads contend for; longer ones a larger working set and
+# carry operator.  512 to 1024 steps timed alike at 48 and 500 replicates on
+# one thread; 768 was best at 32 replicates on two.
+_CHUNK = 48 * _BLOCK
+# The largest m*n*k of a matrix product that OpenBLAS runs on one thread
+# (65536 times its GEMM_MULTITHREAD_THRESHOLD of 4).  The scan's carry keeps
+# each product below it: one product over all replicates would be split over
+# BLAS threads, for which worker threads then queue (on two vCPUs, two
+# workers at 150 replicates took 1.5 s where one thread per product took 1.1 s).
+_BLAS_ONE_THREAD = 2 ** 18
 
 
 class UnderresolvedModeWarning(UserWarning):
@@ -249,52 +263,91 @@ def mode_stream(seed, replicate, k):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_chain(P, S, xi, x0):
+class _ChainOperators(NamedTuple):
+    """What _run_chain applies to every chunk of one mode's paths (see _chain_operators)."""
+
+    LT: np.ndarray     # (2B, 2B): transpose of the block-Toeplitz operator L, rows (component, step)
+    C: np.ndarray      # (2, 2, B): C[c, :, j] = row c of P^(j+1)
+    HT: np.ndarray     # (2(nb+1), 2(nb+1)): transpose of the carry operator H over nb blocks
+    c: np.ndarray      # (2,): the row c^T of the block factor S
+    steps: int         # steps per chunk: _CHUNK, or the whole path when shorter
+
+
+def _powers(A, d):
+    """(A^0, ..., A^d) of a 2x2 matrix, each power the product of two earlier ones."""
+    out = np.empty((d + 1, 2, 2))
+    out[0] = np.eye(2)
+    if d:
+        out[1] = A
+    k = 1
+    while k < d:                                      # A^(k+1..k+j) = A^k A^(1..j)
+        j = min(k, d - k)
+        np.matmul(out[k], out[1:j + 1], out=out[k + 1:k + j + 1])
+        k += j
+    return out
+
+
+def _lower_toeplitz(blocks, size):
+    """(size, 2, size, 2) view with block (j, i) = blocks[j - i] for i <= j, else zero."""
+    padded = np.zeros((2 * size - 1, 2, 2))           # padded[size - 1 + d] = blocks[d], d >= 0
+    padded[size - 1:] = blocks[:size]
+    s0, s1, s2 = padded.strides
+    return np.lib.stride_tricks.as_strided(padded[size - 1:], (size, 2, size, 2), (s0, s1, -s0, s2),
+                                           writeable=False)
+
+
+def _chain_operators(P, S, n):
+    """The operators of the blocked scan for paths of n steps, built once per mode.
+
+    With B = _BLOCK: L, the lower block-Toeplitz operator with block (j, i) =
+    P^(j-i) S_ss, gives a block's states from a zero start; C, the powers
+    P^(j+1), add its start state; and H, the lower block-Toeplitz operator
+    with block (b, j) = (P^B)^(b-j), gives every block start of a chunk of
+    nb blocks from the chunk's start and the blocks' zero-start ends.  The
+    powers of P^B reach P^(nb B), at most the path's whole span.
+    """
+    B = _BLOCK
+    steps = min(n, _CHUNK)
+    nb = steps // B
+    powers = _powers(P, B)
+    G = powers[:B] @ S[:2, :2]                        # G[d] = P^d S_ss
+    # L's rows are ordered (component, step), so each component's response is one slice
+    L = _lower_toeplitz(G, B).transpose(1, 0, 2, 3)
+    H = _lower_toeplitz(_powers(powers[B], nb), nb + 1)
+    return _ChainOperators(LT=L.reshape(2 * B, 2 * B).T, C=powers[1:].transpose(1, 2, 0),
+                           HT=H.reshape(2 * (nb + 1), 2 * (nb + 1)).T, c=S[2, :2].copy(),
+                           steps=steps)
+
+
+def _run_chain(ops, x0, xi):
     """Iterate the exact transition as a blocked scan from the state x0.
 
-    xi: (n, 2, M) standard normals; x0: (2, M) start state (u, v), zeros for
-    a path from rest; S: the block factor of _psd_factor.  Step i maps the
-    state x = (u, v) to P x + S_ss xi[i] and gives the path part c^T xi[i] of
-    the Brownian increment, the part of dw that the state noise determines.
-    Over a block of B = _BLOCK steps that starts from x_b, the states are
-    L xi_b + P^{j+1} x_b (j = 0..B-1), where L is the lower block-Toeplitz
-    operator with block (j, i) = P^{j-i} S_ss.  One matmul per component over
-    all blocks writes each block's zero-start response straight into u and v,
-    a loop over the n/B blocks carries x_{b+1} = (last response of block b)
-    + P^B x_b from x_0 = x0, and one more matmul per component adds
-    P^{j+1} x_b.  The n mod B steps left over (all of them when n < B) use
-    the leading rows and columns of L.  This is the same recurrence; only the
+    ops: _chain_operators of the mode's P and S; x0: (2, M) start state (u,
+    v), zeros for a path from rest; xi: (n, 2, M) standard normals.  Step i
+    maps the state x = (u, v) to P x + S_ss xi[i] and gives the path part
+    c^T xi[i] of the Brownian increment, the part of dw that the state noise
+    determines.  The steps run in chunks of ops.steps, each a two-level scan
+    (Blelloch 1990).  Over a block of B = _BLOCK steps that starts from x_b
+    the states are L xi_b + P^(j+1) x_b (j = 0..B-1).  One matmul per
+    component writes every block's zero-start response L xi_b straight into
+    u and v; a matmul with the carry operator H turns the chunk's start and
+    the blocks' last responses into every block start x_b (one product per
+    group of replicates, see _BLAS_ONE_THREAD); and one more matmul per
+    component adds P^(j+1) x_b.  The steps after the last full
+    block (all of them when n < B) use the leading rows and columns of L, and
+    a shorter last chunk those of H.  This is the same recurrence; only the
     rounding differs from stepping (about 1e-14 of a path's largest value).
 
     Returns (u, v, dwp) with u, v of shape (n+1, M) (row 0 is x0) and the
     path part dwp of shape (n, M), in the scaled coordinates of P and S; the
     caller adds sigma eta.  All three are views of one buffer, so a single
     path's u, v and dw keep one allocation alive.  A long path can be run in
-    pieces: the last rows of one call's u and v start the next, and the
-    pieces differ from one call only by rounding.  Each replicate's path is
-    contiguous (the arrays are transposed views), and the values do not
+    pieces of whole chunks, the last rows of one call's u and v starting the
+    next, and the pieces give the values of one call.  Each replicate's path
+    is contiguous (the arrays are transposed views), and the values do not
     depend on the memory layout of xi.
     """
     n, _, m = xi.shape
-    B = _BLOCK
-    nb, rem = divmod(n, B)
-    full = nb * B
-
-    powers = np.empty((B + 1, 2, 2))                  # powers[d] = P^d
-    powers[0] = np.eye(2)
-    powers[1] = P
-    d = 1
-    while d < B:                                      # P^(d+1..2d) = P^d P^(1..d)
-        np.matmul(powers[d], powers[1:d + 1], out=powers[d + 1:2 * d + 1])
-        d *= 2
-    G = powers[:B] @ S[:2, :2]                        # G[d] = P^d S_ss
-    # L's rows are ordered (component, step), so each component's response is one slice
-    L = np.zeros((2, B, B, 2))
-    j, i = _TRIL
-    L[:, j, i, :] = G[j - i].transpose(1, 0, 2)
-    LT = L.reshape(2 * B, 2 * B).T
-    C = powers[1:].transpose(1, 2, 0)                 # C[c, :, j] = row c of P^{j+1}
-
     # Replicate-major throughout: z is a view of draws filled replicate by
     # replicate, even of a few steps of them (reshape copies any other layout
     # of xi, to the same values), and the results are transposed views in
@@ -303,25 +356,43 @@ def _run_chain(P, S, xi, x0):
     uv = np.empty((3, m, n + 1))                      # u, v, and c^T xi in its first n columns
     # c^T xi elementwise, one contiguous pass and one add: a matmul would round
     # differently for another layout of xi
-    cz = np.multiply(z, np.tile(S[2, :2], n))
+    cz = np.multiply(z, np.tile(ops.c, n))
     dwp = np.add(cz[:, 0::2], cz[:, 1::2], out=uv[2, :, :n])
-
     uv[:2, :, 0] = x0
-    blocks = uv[:2, :, 1:full + 1].reshape(2, m, nb, B)  # views: written in place
+    for t0 in range(0, n, ops.steps):                 # cz is free again: scratch space
+        t1 = min(t0 + ops.steps, n)
+        _scan_chunk(ops, z[:, 2 * t0:2 * t1], uv[:2, :, t0:t1 + 1], cz[:, 2 * t0:2 * t1])
+    return uv[0].T, uv[1].T, dwp.T
+
+
+def _scan_chunk(ops, z, uv, scratch):
+    """One chunk of _run_chain: uv[:, :, 1:] from the start uv[:, :, 0] and the normals z.
+
+    scratch is a free (M, 2 * steps) block, which holds the start corrections.
+    """
+    m = z.shape[0]
+    B = _BLOCK
+    nb, rem = divmod(z.shape[1] // 2, B)
+    full = nb * B
+    LT, C = ops.LT, ops.C
+
+    blocks = uv[:, :, 1:full + 1].reshape(2, m, nb, B)  # views: written in place
     for c in range(2):                                # zero-start responses of every block
         np.matmul(z[:, :2 * full].reshape(m, nb, 2 * B), LT[:, c * B:(c + 1) * B], out=blocks[c])
-    x = np.empty((nb + 1, 2, m))                      # x[b]: state where block b starts
-    x[0] = x0
-    x[1:] = blocks[..., -1].transpose(2, 0, 1)
-    for b in range(nb):
-        x[b + 1] += powers[B] @ x[b]
-    corr = cz[:, :full].reshape(m, nb, B)             # cz is free again
+    ends = np.empty((m, nb + 1, 2))                   # the chunk's start, then each block's end
+    ends[:, 0] = uv[:, :, 0].T
+    ends[:, 1:] = blocks[..., -1].transpose(1, 2, 0)
+    k = 2 * (nb + 1)
+    x = np.empty((m, nb + 1, 2))                      # x[:, b]: start of block b
+    rows = max(1, _BLAS_ONE_THREAD // (k * k))        # replicates per carry product
+    for r in range(0, m, rows):
+        np.matmul(ends[r:r + rows].reshape(-1, k), ops.HT[:k, :k], out=x[r:r + rows].reshape(-1, k))
+    corr = scratch[:, :full].reshape(m, nb, B)
     for c in range(2):
-        blocks[c] += np.matmul(x[:nb].transpose(2, 0, 1), C[c], out=corr)
+        blocks[c] += np.matmul(x[:, :nb], C[c], out=corr)
         # the remainder: leading rows and columns of L's component c
         uv[c, :, full + 1:] = (z[:, 2 * full:] @ LT[:2 * rem, c * B:c * B + rem]
-                               + x[nb].T @ C[c, :, :rem])
-    return uv[0].T, uv[1].T, dwp.T
+                               + x[:, nb] @ C[c, :, :rem])
 
 
 def simulate_mode(lam, mu, grid, rng, k=1):
@@ -329,14 +400,15 @@ def simulate_mode(lam, mu, grid, rng, k=1):
 
     The generator gives the 2n path normals first, as each replicate's
     stream does in the Monte Carlo, so the same stream gives the same path
-    there and here.  Then it gives n more, eta, for the part of each Brownian
-    increment that the path leaves free: dw = c^T xi + sigma eta.
+    there and here, through the same chunks of the scan.  Then it gives n
+    more, eta, for the part of each Brownian increment that the path leaves
+    free: dw = c^T xi + sigma eta.
     """
     n = grid.n_steps
     P, Q, scale = _scaled_transition(mu, grid.dt, lam=lam)
     S, _ = _psd_factor(Q)
     xi = rng.standard_normal((n, 2))[:, :, None]
-    u, v, dwp = _run_chain(P, S, xi, np.zeros((2, 1)))
+    u, v, dwp = _run_chain(_chain_operators(P, S, n), np.zeros((2, 1)), xi)
     dw = dwp[:, 0]  # a view of the path's buffer, completed in place
     dw += S[2, 2] * rng.standard_normal(n)
     return ModeTrajectory(k, u[:, 0], v[:, 0], dw, scale, lam, mu, grid.dt)

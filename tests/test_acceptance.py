@@ -7,6 +7,7 @@ Monte Carlo verdicts (consistency, normality + independence, the negative
 control, and the exponential-spectrum general case).
 """
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,8 +24,13 @@ from hypermle.montecarlo import (
     run_normality,
     run_replicates,
 )
-from hypermle.simulate import TimeGrid, _psd_factor, _run_chain, _scaled_transition, mode_stream
+from hypermle.simulate import (TimeGrid, _chain_operators, _psd_factor, _run_chain,
+                               _scaled_transition, mode_stream)
 from hypermle.spectrum import check_hyperbolic, conditions_1_2, slowly_increasing_test
+
+
+# The Monte Carlo runs on every core; its output is byte-identical at any worker count.
+WORKERS = os.cpu_count() or 1
 
 
 def report(num, ok, detail):
@@ -94,7 +100,7 @@ def _endpoint_sample(lam, mu, grid, n_rep, seed):
     xi = np.empty((grid.n_steps, 2, n_rep))
     for m in range(n_rep):
         xi[:, :, m] = mode_stream(seed, m, 1).standard_normal((grid.n_steps, 2))
-    u, v, _ = _run_chain(P, S, xi, np.zeros((2, n_rep)))
+    u, v, _ = _run_chain(_chain_operators(P, S, grid.n_steps), np.zeros((2, n_rep)), xi)
     return u[-1] / scale, v[-1]
 
 
@@ -134,7 +140,8 @@ def test_criterion_03_marginal_exactness():
 @pytest.fixture(scope="module")
 def isometry_run():
     spec, params = preset("alg_ex1", d=1)
-    batch = run_replicates(spec, params, 400, TimeGrid(1.0, 4096), seed=45, M=500)
+    batch = run_replicates(spec, params, 400, TimeGrid(1.0, 4096), seed=45, M=500,
+                           workers=WORKERS)
     pv = psi_curve(spec, params, [400])[0]
     return batch, pv
 
@@ -227,7 +234,7 @@ def test_criterion_06b_overdamped_normalizer_accuracy():
 def test_criterion_07_consistency_rates():
     spec, params = preset("alg_ex1", d=1)  # theta = (1, -0.5)
     cfg = ExperimentConfig(spec=spec, params=params, N_list=[25, 50, 100, 200, 400],
-                           replicates=200, grid=TimeGrid(1.0, 4096), seed=70)
+                           replicates=200, grid=TimeGrid(1.0, 4096), seed=70, workers=WORKERS)
     res = run_consistency(cfg)
     decays = all(res["rows"][i]["mean_abs_err1"] > res["rows"][-1]["mean_abs_err1"]
                  for i in range(2))
@@ -245,7 +252,7 @@ def test_criterion_07_consistency_rates():
 def test_criterion_08_normality_independence():
     spec, params = preset("alg_ex1", d=1)
     cfg = ExperimentConfig(spec=spec, params=params, N_list=[200], replicates=300,
-                           grid=TimeGrid(1.0, 4096), seed=80)
+                           grid=TimeGrid(1.0, 4096), seed=80, workers=WORKERS)
     rep = run_normality(cfg)
     crit = rep.critical[0.01]
     ok = rep.ks1 < crit and rep.ks2 < crit and abs(rep.corr12) < 0.15
@@ -263,7 +270,7 @@ def test_criterion_09_negative_control():
     grid = TimeGrid(1.0, 1024)  # normality-experiment grid (documented bias check)
 
     cfg = ExperimentConfig(spec=spec, params=params, N_list=[25, 50, 100, 200, 400],
-                           replicates=50, grid=grid, seed=90)
+                           replicates=50, grid=grid, seed=90, workers=WORKERS)
     res = run_consistency(cfg)
     first, last = res["rows"][0]["mean_abs_err1"], res["rows"][-1]["mean_abs_err1"]
     nonvanishing = last > 0.5 * first
@@ -272,7 +279,7 @@ def test_criterion_09_negative_control():
     fails = 0
     ks_vals = []
     for meta in range(20):
-        batch = run_replicates(spec, params, 400, grid, seed=9000 + meta, M=150)
+        batch = run_replicates(spec, params, 400, grid, seed=9000 + meta, M=150, workers=WORKERS)
         z1 = math.sqrt(pv.psi1) * batch.err1[~batch.excluded]
         D, crit = ks_statistic(z1)
         ks_vals.append(D)
@@ -295,7 +302,7 @@ def test_criterion_10_general_case():
     conds_ok = cond["cond1"] == "pass" and cond["cond2"] == "pass"
 
     cfg = ExperimentConfig(spec=spec, params=params, N_list=[200], replicates=300,
-                           grid=TimeGrid(1.0, 4096), seed=100)
+                           grid=TimeGrid(1.0, 4096), seed=100, workers=WORKERS)
     rep = run_normality(cfg)
     crit = rep.critical[0.01]
     ks_ok = rep.ks1 < crit and rep.ks2 < crit

@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -390,6 +391,40 @@ class TestSimulateEstimateRoundTrip:
         err = capsys.readouterr().err
         assert f"{path}" in err and message in err, err
         assert not (outdir / "estimate.json").exists()
+
+    def test_rows_in_any_order(self, outdir, monkeypatch):
+        # shuffled rows, the last without its newline, parsed a few lines at a time
+        from hypermle import cli
+
+        common = ["--config", str(CONFIGS / "alg_ex1.json"), "--n-list", "3",
+                  "--dt-steps", "64", "--seed", "3", "--out", str(outdir)]
+        assert cli.main(["simulate", *common]) == 0
+        path = outdir / "trajectories.csv"
+        assert cli.main(["estimate", *common, "--trajectories", str(path)]) == 0
+        want = (outdir / "estimate.json").read_text()
+        header, *rows = path.read_text().splitlines()
+        np.random.default_rng(4).shuffle(rows)
+        shuffled = outdir / "shuffled.csv"
+        shuffled.write_text("\n".join([header] + rows))
+        monkeypatch.setattr(cli, "_READ_BATCH", 7)
+        assert cli.main(["estimate", *common, "--trajectories", str(shuffled)]) == 0
+        assert (outdir / "estimate.json").read_text() == want
+
+    def test_bad_line_named_past_the_first_batch(self, outdir, capsys, monkeypatch):
+        from hypermle import cli
+
+        common = ["--config", str(CONFIGS / "alg_ex1.json"), "--n-list", "2",
+                  "--dt-steps", "64", "--seed", "3", "--out", str(outdir)]
+        assert cli.main(["simulate", *common]) == 0
+        path = outdir / "trajectories.csv"
+        lines = path.read_text().splitlines()
+        lines[100] = lines[100] + ",0.5"  # line 101 of the file, in the 15th batch of 7
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(cli, "_READ_BATCH", 7)
+        capsys.readouterr()
+        assert cli.main(["estimate", *common, "--trajectories", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: line 101: too many values to unpack" in err, err
 
     @pytest.mark.parametrize("header", [b"", b"k,t_index,u,v,dw\n"], ids=["bytes", "after_header"])
     def test_binary_trajectory_file_rejected(self, outdir, capsys, header):

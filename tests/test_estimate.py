@@ -141,6 +141,25 @@ class TestModeSums:
         for key, (value, magnitude) in want.items():
             assert np.all(np.abs(got[key] - value) <= 2 * 512 * np.finfo(float).eps * magnitude), key
 
+    @pytest.mark.parametrize("shape", [(513,), (513, 4)])
+    def test_endpoint_sums_form_no_dv_sums(self, shape, monkeypatch):
+        # the endpoint contributions read no sum against dv or dwhat, so none is formed
+        rng = np.random.default_rng(6)
+        u = np.cumsum(rng.standard_normal(shape), axis=0)
+        v = np.cumsum(rng.standard_normal(shape), axis=0)
+        dw = rng.standard_normal((512,) + shape[1:])
+        want = reference_sums(u, v, dw, 1.0 / 512, 9.0, -0.5)
+
+        def no_diff(*args, **kwargs):
+            raise AssertionError("dv formed")
+
+        monkeypatch.setattr(np, "diff", no_diff)
+        got = _mode_sums(u, v, dw, 1.0 / 512, 9.0, -0.5)
+        assert got.keys() == want.keys() - {"sudvs", "svdv", "sudw_res", "svdw_res"}
+        for key in got:
+            value, magnitude = want[key]
+            assert np.all(np.abs(got[key] - value) <= 2 * 512 * np.finfo(float).eps * magnitude), key
+
 
 class TestErrorDecomposition:
     def test_identity_exact_for_shared_endpoints(self):

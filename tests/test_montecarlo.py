@@ -12,6 +12,7 @@ from hypermle.fundamental import PsiValues
 from hypermle.montecarlo import (
     _CHUNK,
     ExperimentConfig,
+    _bootstrap_slopes,
     _mode_task,
     exp_weight_lln_fixture,
     fit_growth,
@@ -22,8 +23,8 @@ from hypermle.montecarlo import (
     two_sample_ks,
     verify_lln,
 )
-from hypermle.simulate import (_BLOCK, TimeGrid, _psd_factor, _run_chain, _scaled_transition,
-                               _true_mode, mode_stream, transition)
+from hypermle.simulate import (_BLOCK, TimeGrid, _chain_operators, _psd_factor, _run_chain,
+                               _scaled_transition, _true_mode, mode_stream, transition)
 from hypermle.spectrum import Constant, ModelParams, SpectrumSpec
 
 
@@ -180,6 +181,31 @@ class TestHarness:
         assert np.max(np.abs(dec1 - rec1)) < 0.05 * np.std(dec1) + 5e-3
 
 
+def _bootstrap_slopes_loop(err_lists, N_list, seed):
+    """_bootstrap_slopes one resample and one N at a time, fitting each slope alone."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x510], dtype=np.uint64)))
+    logN = np.log(np.asarray(N_list, dtype=float))
+    A = np.vstack([logN, np.ones_like(logN)]).T
+    slopes = np.empty(1000)
+    for b in range(1000):
+        means = []
+        for errs in err_lists:
+            idx = rng.integers(0, len(errs), size=len(errs))
+            means.append(np.mean(errs[idx]))
+        slopes[b] = np.linalg.lstsq(A, np.log(means), rcond=None)[0][0]
+    return tuple(float(p) for p in np.percentile(slopes, (2.5, 97.5)))
+
+
+class TestBootstrapSlopes:
+    # the same stream of resample indices, drawn in the same order: the same bands, bit for bit
+    @pytest.mark.parametrize("counts", [[48] * 4, [200] * 4, [48, 47, 48, 45]])
+    def test_matches_loop(self, counts):
+        rng = np.random.default_rng(len(counts) + counts[-1])
+        err_lists = [np.abs(rng.standard_normal(c)) * 2.0 ** -j for j, c in enumerate(counts)]
+        N_list = [5 * 2 ** j for j in range(len(counts))]
+        assert _bootstrap_slopes(err_lists, N_list, 11) == _bootstrap_slopes_loop(err_lists, N_list, 11)
+
+
 class TestTwoSampleKs:
     def test_identical_distributions(self):
         rng = np.random.default_rng(11)
@@ -206,7 +232,7 @@ def _one_shot_task(spec, params, k, lam_mu, grid, seed, M, residual):
     streams = [mode_stream(seed, m, k) for m in range(M)]
     xi = np.stack([stream.standard_normal((n, 2)) for stream in streams], axis=2)
     eta = [stream.standard_normal(2) for stream in streams]
-    u, v, dwp = _run_chain(P, S, xi, np.zeros((2, M)))
+    u, v, dwp = _run_chain(_chain_operators(P, S, n), np.zeros((2, M)), xi)
     sums = _mode_sums(u, v, dwp, grid.dt, lam / scale, mu, residual=residual)
     for m in range(M):
         u0, v0 = u[:-1, m], v[:-1, m]
@@ -216,7 +242,9 @@ def _one_shot_task(spec, params, k, lam_mu, grid, seed, M, residual):
         sums["svdw"][m] += free[1]
     sums["T"] = grid.T
     coeffs = _mode_coeffs(spec, k, scale)
-    raw = _mode_contrib(coeffs, sums, endpoint=False, residual=True) if residual else None
+    if not residual:
+        return _mode_contrib(coeffs, sums, endpoint=True), None, {}
+    raw = _mode_contrib(coeffs, sums, endpoint=False, residual=True)
     return _mode_contrib(coeffs, sums, endpoint=True), raw, _residual_iota_size(coeffs, sums, lam / scale, mu)
 
 
@@ -261,10 +289,11 @@ class TestStreamedModeTask:
         P, Q, _ = _scaled_transition(mu, 1.0 / n, lam=lam, warn=False)
         S, _ = _psd_factor(Q)
         xi = np.random.default_rng(n).standard_normal((n, 2, 5))
-        u, v, dw = _run_chain(P, S, xi, np.zeros((2, 5)))
+        ops = _chain_operators(P, S, n)
+        u, v, dw = _run_chain(ops, np.zeros((2, 5)), xi)
         h = n // 2
-        u1, v1, dw1 = _run_chain(P, S, xi[:h], np.zeros((2, 5)))
-        u2, v2, dw2 = _run_chain(P, S, xi[h:], np.stack((u1[-1], v1[-1])))
+        u1, v1, dw1 = _run_chain(ops, np.zeros((2, 5)), xi[:h])
+        u2, v2, dw2 = _run_chain(ops, np.stack((u1[-1], v1[-1])), xi[h:])
         for whole, first, second in ((u, u1, u2), (v, v1, v2)):
             assert np.array_equal(second[0], first[-1])
             joined = np.concatenate((first, second[1:]))

@@ -9,10 +9,13 @@ from scipy.stats import ks_2samp
 from hypermle.fundamental import mode_moments
 from hypermle.montecarlo import run_replicates  # batched sampler reused as a fast oracle
 from hypermle.simulate import (
+    _BLOCK,
+    _CHUNK,
     ModeTrajectory,
     TimeGrid,
     TransitionError,
     UnderresolvedModeWarning,
+    _chain_operators,
     _psd_factor,
     _run_chain,
     _scaled_transition,
@@ -39,7 +42,7 @@ def sample_endpoints(lam, mu, grid, n_rep, seed=0):
         stream = mode_stream(seed, m, 1)
         xi[:, :, m] = stream.standard_normal((grid.n_steps, 2))
         eta[:, m] = stream.standard_normal(grid.n_steps)
-    u, v, dwp = _run_chain(P, S, xi, np.zeros((2, n_rep)))
+    u, v, dwp = _run_chain(_chain_operators(P, S, grid.n_steps), np.zeros((2, n_rep)), xi)
     return u[-1] / scale, v[-1], (dwp + S[2, 2] * eta).sum(axis=0)
 
 
@@ -207,16 +210,15 @@ class TestDeterminism:
         assert np.array_equal(a.K1, b.K1)
 
     def test_contiguous_draws_match_shaped_draws(self):
-        # filling a buffer leaves each (seed, replicate, mode) stream's values unchanged
-        buf = np.empty((2, 100, 2))
-        eta = np.empty((2, 2))
-        for m in range(2):
-            stream = mode_stream(7, m, 3)
-            stream.standard_normal(out=buf[m])
-            stream.standard_normal(out=eta[m])
+        # one fill of a replicate's row (the Monte Carlo's draws) gives the
+        # values of the (seed, replicate, mode) stream drawn as 2n path normals,
+        # then the two normals eta
+        draws = np.empty((2, 2 * 100 + 2))
+        for m, row in enumerate(draws):
+            mode_stream(7, m, 3).standard_normal(out=row)
             shaped = mode_stream(7, m, 3)
-            assert np.array_equal(buf[m], shaped.standard_normal((100, 2)))
-            assert np.array_equal(eta[m], shaped.standard_normal(2))
+            assert np.array_equal(row[:200].reshape(100, 2), shaped.standard_normal((100, 2)))
+            assert np.array_equal(row[200:], shaped.standard_normal(2))
 
     def test_mode_independence(self):
         spec = SpectrumSpec(Constant(0), PowerLaw(1, 2), Constant(0), Constant(1))
@@ -244,7 +246,8 @@ def reference_chain(P, S, xi):
 
 
 # (lam or None, log lam, mu): resolved, undamped, stiff, growing, scaled far beyond
-# the grid, scaled beyond the float range of lam*u, and overdamped with real roots
+# the grid, scaled beyond the float range of lam*u, overdamped with real roots, and
+# lam < 0, a path growing like e^(10 t)
 CHAIN_MODES = [
     (1.0, None, -0.5),
     (1.0, None, 0.0),
@@ -253,6 +256,7 @@ CHAIN_MODES = [
     (None, 80.0, 1.5),
     (None, 200.0, 1.6),
     (100.0, None, -5000.0),
+    (-100.0, None, 0.0),
 ]
 
 
@@ -265,18 +269,37 @@ def chain_operators(lam, log_lam, mu, dt=1.0 / 4096):
 
 class TestBlockedChain:
     @pytest.mark.parametrize("mode", CHAIN_MODES)
-    @pytest.mark.parametrize("n", [1, 15, 16, 17, 4099])
-    @pytest.mark.parametrize("m", [1, 3])
+    # within one block; one, two and a remainder of blocks; 5 chunks and a last of
+    # 16 blocks + 3 steps; 2 whole chunks; one chunk of blocks and a remainder
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 4099, 2 * _CHUNK, _CHUNK - 5])
+    @pytest.mark.parametrize("m", [1, 3, 40])  # 40: a whole chunk's carry takes two products
     def test_matches_step_loop(self, mode, n, m):
         P, S = chain_operators(*mode)
         xi = np.random.default_rng(n * 10 + m).standard_normal((n, 2, m))
-        u, v, dwp = _run_chain(P, S, xi, np.zeros((2, m)))
+        u, v, dwp = _run_chain(_chain_operators(P, S, n), np.zeros((2, m)), xi)
         assert u.shape == v.shape == (n + 1, m) and dwp.shape == (n, m)
         assert np.all(u[0] == 0.0) and np.all(v[0] == 0.0)
         for got, want in zip((u, v), reference_chain(P, S, xi)):
             err = np.max(np.abs(got - want), axis=0)
             assert np.all(err <= 1e-12 * np.max(np.abs(want), axis=0))
         assert np.array_equal(dwp, S[2, 0] * xi[:, 0] + S[2, 1] * xi[:, 1])
+
+    @pytest.mark.parametrize("mode", CHAIN_MODES)
+    def test_chunks_are_one_run(self, mode):
+        # the Monte Carlo runs whole chunks in separate calls, each from the state
+        # the last one ended in: the values of one call over the whole path
+        P, S = chain_operators(*mode)
+        n = 2 * _CHUNK + 3 * _BLOCK + 5
+        xi = np.random.default_rng(3).standard_normal((n, 2, 4))
+        ops = _chain_operators(P, S, n)
+        u, v, dwp = _run_chain(ops, np.zeros((2, 4)), xi)
+        x = np.zeros((2, 4))
+        for t0 in range(0, n, _CHUNK):
+            uc, vc, dc = _run_chain(ops, x, xi[t0:t0 + _CHUNK])
+            t1 = t0 + len(dc)
+            assert np.array_equal(uc, u[t0:t1 + 1]) and np.array_equal(vc, v[t0:t1 + 1])
+            assert np.array_equal(dc, dwp[t0:t1])
+            x = np.stack((uc[-1], vc[-1]))
 
     @pytest.mark.parametrize("mode", CHAIN_MODES)
     def test_block_factor(self, mode):
@@ -294,9 +317,9 @@ class TestBlockedChain:
         P, S = chain_operators(*mode)
         buf = np.random.default_rng(1).standard_normal((5, 4099, 2))
         view = buf.transpose(1, 2, 0)
-        x0 = np.zeros((2, 5))
-        for got, want in zip(_run_chain(P, S, view, x0),
-                             _run_chain(P, S, np.ascontiguousarray(view), x0)):
+        ops, x0 = _chain_operators(P, S, 4099), np.zeros((2, 5))
+        for got, want in zip(_run_chain(ops, x0, view),
+                             _run_chain(ops, x0, np.ascontiguousarray(view))):
             assert np.array_equal(got, want)
 
 
