@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import itertools
 import json
+import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .montecarlo import (
     write_replicate_csv,
     write_summary_json,
 )
-from .simulate import STREAM_VERSION, ModeTrajectory, TimeGrid, _true_mode, simulate_solution
+from .simulate import STREAM_VERSION, ModeTrajectory, TimeGrid, _true_modes, simulate_solution
 from .spectrum import check_hyperbolic, classify_algebraic, consistency_conditions, NonAlgebraicSpectrumError
 
 EXIT_OK = 0
@@ -48,7 +49,6 @@ EXIT_CHECK_INCONCLUSIVE = 3
 EXIT_RUNTIME = 4
 
 _TABLE_DIMS = (1, 2, 4, 8)  # the dimensions d that growth_tables tabulates
-_READ_BATCH = 8192  # trajectory file lines parsed at a time, which bounds the parser's memory
 
 
 def _parser():
@@ -190,92 +190,89 @@ def cmd_simulate(args):
 def _read_trajectories(path, spec, params, grid):
     """Mode trajectories from a `simulate` CSV, with each mode's lam, mu and scale restored.
 
-    The rows may come in any order.
+    The rows may come in any order.  One np.loadtxt call parses them; when it
+    fails, or a check of the rows fails, one scan over the lines names the
+    first bad line (_first_bad_line), or else the check names the mode.
     """
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
             if header != ["k", "t_index", "u", "v", "dw"]:
                 raise ConfigError(f"{path}: unexpected trajectory header {header}")
-            k_col, t_col, u_col, v_col, dw_col, has_dw = _trajectory_columns(fh, path)
+            try:
+                with warnings.catch_warnings():  # a file without rows is named below
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(fh, [("k", np.int64), ("t_index", np.int64), ("u", float),
+                                           ("v", float), ("dw", float)],
+                                      delimiter=",", comments=None, ndmin=1,
+                                      converters={4: lambda cell: cell or "nan"})  # no dw: NaN
+            except ValueError as exc:  # a UnicodeDecodeError too, which the scan meets again
+                raise _first_bad_line(path) or ConfigError(f"{path}: {exc}") from None
+        try:
+            return _mode_trajectories(path, rows, spec, params, grid)
+        except ConfigError as exc:
+            raise _first_bad_line(path) or exc from None
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:  # raised while a line is read, before it is parsed
         raise ConfigError(f"{path}: not a text file: {exc}") from exc
 
-    order = np.lexsort((t_col, k_col))
-    ks, starts, counts = np.unique(k_col[order], return_index=True, return_counts=True)
-    if ks.tolist() != list(range(1, len(ks) + 1)):
-        raise ConfigError(f"{path}: holds {len(ks)} modes, not the modes 1..{len(ks)}")
-    n = grid.n_steps
-    out = []
-    for k, start, count in zip(ks.tolist(), starts.tolist(), counts.tolist()):
-        rows = order[start:start + count]
-        if count != n + 1 or not np.array_equal(t_col[rows], np.arange(n + 1)):
-            raise ConfigError(
-                f"{path}: mode {k} has {count} rows, not t_index 0..{n} "
-                f"of the configured grid (simulated with another --dt-steps?)")
-        lam, mu, scale = _true_mode(spec, params, k)
-        u = u_col[rows] * scale
-        v = v_col[rows]
-        if not has_dw[rows[:-1]].all() or has_dw[rows[-1]]:
-            raise ConfigError(
-                f"{path}: mode {k} needs dw on t_index 0..{n - 1} and none on t_index {n}")
-        dw = dw_col[rows[:-1]]
-        for name, col in (("u", u), ("v", v), ("dw", dw)):
-            finite = np.isfinite(col)
-            if not finite.all():
-                line = _line_of(path, k, int(np.argmin(finite)))
-                raise ConfigError(f"{path}: line {line}: {name} is not finite")
-        out.append(ModeTrajectory(k, u, v, dw, scale, lam, mu, grid.dt))
-    return out
 
+def _mode_trajectories(path, rows, spec, params, grid):
+    """The ModeTrajectory of each mode in the parsed rows of a trajectory file.
 
-def _trajectory_columns(fh, path):
-    """Columns k, t_index, u, v, dw and has_dw of the data lines of a trajectory file.
-
-    Lines are parsed _READ_BATCH at a time, each column with one map(int) or
-    map(float); only a batch in which that fails is parsed line by line, to
-    name the first line that does not parse.  dw is 0 where has_dw is False.
+    Raises ConfigError unless the rows hold modes 1..N, each with t_index
+    0..n, dw on every row but the last (NaN there) and finite values.
     """
-    cols = [[] for _ in range(6)]
-    lineno = 2
-    while lines := list(itertools.islice(fh, _READ_BATCH)):
-        try:
-            if set(map(str.count, lines, itertools.repeat(","))) - {4}:
-                raise ValueError("a line without five fields")
-            fields = "".join(lines).replace("\n", ",").split(",")[:5 * len(lines)]
-            has_dw = np.fromiter(map(bool, fields[4::5]), bool, len(lines))
-            dw = np.zeros(len(lines))
-            dw[has_dw] = list(map(float, filter(None, fields[4::5])))
-            batch = (np.array(list(map(int, fields[0::5]))), np.array(list(map(int, fields[1::5]))),
-                     np.fromiter(map(float, fields[2::5]), float, len(lines)),
-                     np.fromiter(map(float, fields[3::5]), float, len(lines)), dw, has_dw)
-        except ValueError:
-            raise _first_bad_line(path, lines, lineno) from None
-        for col, part in zip(cols, batch):
-            col.append(part)
-        lineno += len(lines)
-    return [np.concatenate(col) if col else np.zeros(0) for col in cols]
+    if not len(rows):
+        raise ConfigError(f"{path}: holds no trajectory rows")
+    ks, counts = np.unique(rows["k"], return_counts=True)
+    N, n = len(ks), grid.n_steps
+    if not np.array_equal(ks, np.arange(1, N + 1)):
+        raise ConfigError(f"{path}: holds {N} modes, not the modes 1..{N}")
+    order = np.lexsort((rows["t_index"], rows["k"]))
+    t_col, u_col, v_col, dw_col = (rows[name][order] for name in ("t_index", "u", "v", "dw"))
+    bad = counts != n + 1
+    if not bad.any():
+        bad = (t_col.reshape(N, n + 1) != np.arange(n + 1)).any(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad)) + 1
+        raise ConfigError(
+            f"{path}: mode {k} has {counts[k - 1]} rows, not t_index 0..{n} "
+            f"of the configured grid (simulated with another --dt-steps?)")
+    has_dw = ~np.isnan(dw_col.reshape(N, n + 1))
+    bad = ~has_dw[:, :-1].all(axis=1) | has_dw[:, -1]
+    if bad.any():
+        raise ConfigError(f"{path}: mode {int(np.argmax(bad)) + 1} needs dw on t_index "
+                          f"0..{n - 1} and none on t_index {n}")
+    modes = _true_modes(spec, params, N)
+    u, v, dw = u_col.reshape(N, n + 1), v_col.reshape(N, n + 1), dw_col.reshape(N, n + 1)[:, :-1]
+    u *= np.array([scale for _, _, scale in modes])[:, None]
+    if not (np.isfinite(u).all() and np.isfinite(v).all() and np.isfinite(dw).all()):
+        # named here only when every cell is finite: then a u overflowed at its mode's scale
+        raise ConfigError(f"{path}: a u value overflows at its mode's scale")
+    return [ModeTrajectory(k, u[k - 1], v[k - 1], dw[k - 1], scale, lam, mu, grid.dt)
+            for k, (lam, mu, scale) in enumerate(modes, 1)]
 
 
-def _first_bad_line(path, lines, lineno):
-    """The error naming the first of these lines, from line lineno on, that does not parse."""
-    for lineno, line in enumerate(lines, lineno):
-        try:
-            k, ti, u, v, dw = line.rstrip("\n").split(",")
-            int(k), int(ti), float(u), float(v), float(dw) if dw else None
-        except ValueError as exc:
-            return ConfigError(f"{path}: line {lineno}: {exc}")
-
-
-def _line_of(path, k, t_index):
-    """Line number of mode k's row at t_index in a trajectory file whose rows all parse."""
+def _first_bad_line(path):
+    """The error naming the first data line of a trajectory file that does not parse or
+    holds a value that is not finite, or None."""
     with open(path) as fh:
         fh.readline()
         for lineno, line in enumerate(fh, 2):
-            if tuple(map(int, line.split(",", 2)[:2])) == (k, t_index):
-                return lineno
+            if line == "\n":  # np.loadtxt skips empty lines
+                continue
+            try:
+                k, ti, u, v, dw = line.rstrip("\n").split(",")
+                int(k), int(ti)
+                values = {"u": float(u), "v": float(v), "dw": float(dw) if dw else 0.0}
+            except ValueError as exc:
+                return ConfigError(f"{path}: line {lineno}: {exc}")
+            for name, value in values.items():
+                if not math.isfinite(value):
+                    return ConfigError(f"{path}: line {lineno}: {name} is not finite")
+    return None
 
 
 def cmd_estimate(args):

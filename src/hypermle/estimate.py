@@ -231,14 +231,11 @@ def _accumulate(trajectories, spec, endpoint, residual=False):
     """(Stats, iota1, iota2) of the trajectories, from one _mode_sums pass per mode."""
     if not trajectories:
         raise ValueError("no trajectories")
-    n = len(trajectories[0])
-    if any(len(t) != n for t in trajectories):
+    n, dt = len(trajectories[0]), trajectories[0].grid_dt
+    if any(len(t) != n or t.grid_dt != dt for t in trajectories):
         raise ValueError("all trajectories must share one grid")
     if max(t.k for t in trajectories) > spec.k_max:
         raise ValueError("trajectory mode index exceeds the spectrum's k_max")
-    if not all(math.isfinite(t.grid_dt) for t in trajectories):
-        raise ValueError("trajectories must carry grid_dt (set by the simulate helpers)")
-    dt = trajectories[0].grid_dt
 
     def contribs():
         for traj in trajectories:

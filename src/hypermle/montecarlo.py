@@ -36,10 +36,10 @@ import numpy as np
 
 from .estimate import (_ENDPOINT_KEYS, _decomposition_errors, _mode_coeffs, _mode_contrib,
                        _mode_order_sum, _mode_sums, _nonsingular, _solve_normal)
-from .fundamental import _slog_lam, psi_curve
+from .fundamental import psi_curve
 from .simulate import (_CHUNK, _chain_operators, _psd_factor, _run_chain, _scaled_transition,
-                       _underresolved, mode_stream)
-from .spectrum import lambda_mu_slog
+                       _true_modes, _underresolved, mode_stream)
+from .spectrum import lambda_mu_slog  # perfbench/tracing.py wraps this name; nothing here calls it
 
 __all__ = [
     "ExperimentConfig",
@@ -204,15 +204,12 @@ def run_replicates(spec, params, N, grid, seed, M, workers=1):
     """
     if N < 1 or N > spec.k_max:
         raise ValueError(f"N must lie in [1, {spec.k_max}]")
-    ks = np.arange(1, N + 1)
-    (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, ks)
-    modes = [(_slog_lam(k, s, l), m)
-             for k, s, l, m in zip(ks.tolist(), s_lam.tolist(), l_lam.tolist(), mu.tolist())]
-    underresolved = sum(_underresolved(lam, mu, grid.dt) for lam, mu in modes)
+    modes = _true_modes(spec, params, N)
+    underresolved = sum(_underresolved(lam, mu, grid.dt) for lam, mu, _ in modes)
     resolved = underresolved == 0
 
     def task(k):
-        return _mode_task(spec, params, k, modes[k - 1], grid, seed, M, resolved)
+        return _mode_task(spec, params, k, modes[k - 1][:2], grid, seed, M, resolved)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor

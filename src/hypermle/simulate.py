@@ -120,10 +120,10 @@ class ModeTrajectory:
     u_scaled: np.ndarray
     v: np.ndarray
     dw: np.ndarray
-    scale: float = 1.0
-    lam: float = math.nan
-    mu: float = math.nan
-    grid_dt: float = math.nan
+    scale: float
+    lam: float
+    mu: float
+    grid_dt: float
 
     @property
     def u(self):
@@ -148,15 +148,19 @@ def _underresolved(lam, mu, dt):
     return disc < 0.0 and math.sqrt(-disc) * dt > math.pi
 
 
-def _true_mode(spec, params, k):
-    """(lam, mu, scale) of mode k at the true parameters, as simulate_solution runs it.
+def _true_modes(spec, params, N):
+    """(lam, mu, scale) of each of the modes 1..N at the true parameters, from one spectrum call.
 
     The scale is the one _scaled_transition derives from lam, so a trajectory
     file read back with it reproduces the simulated coordinates exactly.
     """
-    (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, k)
-    lam = _slog_lam(k, float(s_lam), float(l_lam))
-    return lam, float(mu), _pow2_scale(math.log(lam) if lam > 0.0 else None)
+    ks = np.arange(1, N + 1)
+    (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, ks)
+    out = []
+    for k, s, l, m in zip(ks.tolist(), s_lam.tolist(), l_lam.tolist(), mu.tolist()):
+        lam = _slog_lam(k, s, l)
+        out.append((lam, m, _pow2_scale(math.log(lam) if lam > 0.0 else None)))
+    return out
 
 
 def _psd_factor(Q):
@@ -422,11 +426,8 @@ def simulate_solution(spec, params, N, grid, seed, replicate=0):
     """
     if N < 1 or N > spec.k_max:
         raise ValueError(f"N must lie in [1, {spec.k_max}]")
-    out = []
-    for k in range(1, N + 1):
-        lam, mu, _ = _true_mode(spec, params, k)
-        out.append(simulate_mode(lam, mu, grid, mode_stream(seed, replicate, k), k=k))
-    return out
+    return [simulate_mode(lam, mu, grid, mode_stream(seed, replicate, k), k=k)
+            for k, (lam, mu, _) in enumerate(_true_modes(spec, params, N), 1)]
 
 
 def ito_sum(integrand, increments):

@@ -367,11 +367,13 @@ class TestSimulateEstimateRoundTrip:
 
     @pytest.mark.parametrize("row, message", [
         ("1,3,0.5,0.25,inf", "line 5: dw is not finite"),
+        ("1,3,0.5,0.25,nan", "line 5: dw is not finite"),
         ("1,3,nan,0.25,0.125", "line 5: u is not finite"),
         ("1,3,0.5,0.25", "line 5: not enough values to unpack"),
         ("x3,3,0.5,0.25,0.125", "line 5: invalid literal for int()"),
+        ("1,2,0.5,0.25,0.125", "mode 1 has 65 rows, not t_index 0..64"),
         (None, "cannot read"),
-    ], ids=["inf_dw", "nan_u", "four_fields", "bad_k", "missing_file"])
+    ], ids=["inf_dw", "nan_dw", "nan_u", "four_fields", "bad_k", "repeated_t", "missing_file"])
     def test_bad_trajectory_file_rejected(self, outdir, capsys, row, message):
         from hypermle import cli
 
@@ -392,8 +394,8 @@ class TestSimulateEstimateRoundTrip:
         assert f"{path}" in err and message in err, err
         assert not (outdir / "estimate.json").exists()
 
-    def test_rows_in_any_order(self, outdir, monkeypatch):
-        # shuffled rows, the last without its newline, parsed a few lines at a time
+    def test_rows_in_any_order(self, outdir):
+        # shuffled rows, the last without its newline
         from hypermle import cli
 
         common = ["--config", str(CONFIGS / "alg_ex1.json"), "--n-list", "3",
@@ -406,11 +408,10 @@ class TestSimulateEstimateRoundTrip:
         np.random.default_rng(4).shuffle(rows)
         shuffled = outdir / "shuffled.csv"
         shuffled.write_text("\n".join([header] + rows))
-        monkeypatch.setattr(cli, "_READ_BATCH", 7)
         assert cli.main(["estimate", *common, "--trajectories", str(shuffled)]) == 0
         assert (outdir / "estimate.json").read_text() == want
 
-    def test_bad_line_named_past_the_first_batch(self, outdir, capsys, monkeypatch):
+    def test_bad_line_named_past_the_first_batch(self, outdir, capsys):
         from hypermle import cli
 
         common = ["--config", str(CONFIGS / "alg_ex1.json"), "--n-list", "2",
@@ -418,13 +419,64 @@ class TestSimulateEstimateRoundTrip:
         assert cli.main(["simulate", *common]) == 0
         path = outdir / "trajectories.csv"
         lines = path.read_text().splitlines()
-        lines[100] = lines[100] + ",0.5"  # line 101 of the file, in the 15th batch of 7
+        lines[100] = lines[100] + ",0.5"  # line 101 of the file
         path.write_text("\n".join(lines) + "\n")
-        monkeypatch.setattr(cli, "_READ_BATCH", 7)
         capsys.readouterr()
         assert cli.main(["estimate", *common, "--trajectories", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"{path}: line 101: too many values to unpack" in err, err
+
+    @pytest.mark.parametrize("row, message", [
+        ("13,4000,nan,0.25,0.125", "u is not finite"),
+        ("13,4000,0.5,0.25,0.125x", "could not convert string to float: '0.125x'"),
+    ], ids=["nan_u", "bad_dw"])
+    def test_bad_line_named_deep_in_a_large_file(self, outdir, capsys, row, message):
+        # 53 262 lines, the bad one past row 50 000 (a chunk numpy.loadtxt reads some files in)
+        from hypermle import cli
+
+        common = ["--config", str(CONFIGS / "alg_ex1.json"), "--n-list", "13",
+                  "--seed", "3", "--out", str(outdir)]
+        assert cli.main(["simulate", *common]) == 0
+        path = outdir / "trajectories.csv"
+        lines = path.read_text().splitlines()
+        assert len(lines) == 53262
+        lineno = 1 + 12 * 4097 + 4000 + 1  # mode 13 at t_index 4000
+        assert lines[lineno - 1].startswith("13,4000,")
+        lines[lineno - 1] = row
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["estimate", *common, "--trajectories", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: line {lineno}: {message}" in err, err
+
+    def test_header_only_file_rejected(self, outdir, capsys):
+        from hypermle import cli
+
+        path = outdir / "empty.csv"
+        outdir.mkdir()
+        path.write_text("k,t_index,u,v,dw\n")
+        assert cli.main(["estimate", "--config", str(CONFIGS / "alg_ex1.json"),
+                         "--out", str(outdir), "--trajectories", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {path}: holds no trajectory rows" in err, err
+        assert not (outdir / "estimate.json").exists()
+
+    def test_empty_lines_and_nan_on_last_rows_accepted(self, outdir):
+        # np.loadtxt skips empty lines, and a dw of nan on a mode's last row reads as no dw
+        from hypermle import cli
+
+        common = ["--config", str(CONFIGS / "alg_ex1.json"), "--n-list", "3",
+                  "--dt-steps", "64", "--seed", "3", "--out", str(outdir)]
+        assert cli.main(["simulate", *common]) == 0
+        path = outdir / "trajectories.csv"
+        assert cli.main(["estimate", *common, "--trajectories", str(path)]) == 0
+        want = (outdir / "estimate.json").read_text()
+        lines = [line + "nan" if line.split(",")[1] == "64" else line
+                 for line in path.read_text().splitlines()[1:]]
+        edited = outdir / "edited.csv"
+        edited.write_text("k,t_index,u,v,dw\n\n" + "\n\n".join(lines) + "\n")
+        assert cli.main(["estimate", *common, "--trajectories", str(edited)]) == 0
+        assert (outdir / "estimate.json").read_text() == want
 
     @pytest.mark.parametrize("header", [b"", b"k,t_index,u,v,dw\n"], ids=["bytes", "after_header"])
     def test_binary_trajectory_file_rejected(self, outdir, capsys, header):
@@ -537,12 +589,13 @@ class TestMc:
     def test_underresolved_modes_in_summaries(self, outdir):
         from hypermle import cli
         from hypermle.config import load_config
-        from hypermle.simulate import _true_mode, _underresolved
+        from hypermle.simulate import _true_modes, _underresolved
 
         config = str(CONFIGS / "sec5_exponential.json")
         cfg = load_config(config)
-        counts = [sum(_underresolved(*_true_mode(cfg["spec"], cfg["params"], k)[:2], 1.0 / 256)
-                      for k in range(1, N + 1)) for N in (4, 8, 12)]
+        counts = [sum(_underresolved(lam, mu, 1.0 / 256)
+                      for lam, mu, _ in _true_modes(cfg["spec"], cfg["params"], N))
+                  for N in (4, 8, 12)]
         assert counts == [0, 2, 6]  # the grid of 256 steps resolves modes 1..6 only
         common = ["--config", config, "--n-list", "4,8,12", "--dt-steps", "256",
                   "--replicates", "30", "--workers", "1", "--out", str(outdir)]

@@ -195,6 +195,27 @@ class TestErrorDecomposition:
             error_decomposition(trajs, EX1, EX1_PARAMS)
 
 
+class TestTrajectoryInputs:
+    def test_mode_fields_required(self):
+        # without lam and mu the residual route's iota would be NaN and no mode underresolved
+        from hypermle.simulate import ModeTrajectory
+
+        n = 8
+        with pytest.raises(TypeError):
+            ModeTrajectory(1, np.zeros(n + 1), np.zeros(n + 1), np.zeros(n))
+        with pytest.raises(TypeError):
+            ModeTrajectory(1, np.zeros(n + 1), np.zeros(n + 1), np.zeros(n), 1.0, grid_dt=1.0 / n)
+
+    def test_mixed_grids_rejected(self):
+        # the same n_steps over T = 1 and T = 2: equal lengths, steps of different size
+        trajs = (simulate_solution(EX1, EX1_PARAMS, 2, TimeGrid(1.0, 64), seed=3)
+                 + simulate_solution(EX1, EX1_PARAMS, 3, TimeGrid(2.0, 64), seed=3)[2:])
+        with pytest.raises(ValueError, match="share one grid"):
+            sufficient_statistics(trajs, EX1)
+        with pytest.raises(ValueError, match="share one grid"):
+            estimate_from_trajectories(trajs, EX1, EX1_PARAMS)
+
+
 class TestScaleEquivariance:
     def test_tau_rescaling(self):
         # simulating with tau' = c tau and theta1' = theta1/c leaves the data

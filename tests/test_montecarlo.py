@@ -24,7 +24,7 @@ from hypermle.montecarlo import (
     verify_lln,
 )
 from hypermle.simulate import (_BLOCK, TimeGrid, _chain_operators, _psd_factor, _run_chain,
-                               _scaled_transition, _true_mode, mode_stream, transition)
+                               _scaled_transition, _true_modes, mode_stream, transition)
 from hypermle.spectrum import Constant, ModelParams, SpectrumSpec
 
 
@@ -267,7 +267,7 @@ class TestStreamedModeTask:
     def test_matches_one_shot(self, n, residual, preset_name, k):
         spec, params = preset(preset_name)
         grid = TimeGrid(1.0, n)
-        lam_mu = _true_mode(spec, params, k)[:2]
+        lam_mu = _true_modes(spec, params, k)[k - 1][:2]
         got = _mode_task(spec, params, k, lam_mu, grid, 31, 4, residual)
         *want, size = _one_shot_task(spec, params, k, lam_mu, grid, 31, 4, residual)
         assert (got[1] is None) == (not residual)
@@ -285,7 +285,7 @@ class TestStreamedModeTask:
     @pytest.mark.parametrize("n", [_BLOCK - 3, 2 * _CHUNK, _CHUNK + 3 * _BLOCK + 5])
     def test_halves_chained_through_start_state(self, n):
         spec, params = preset("alg_ex1")
-        lam, mu, _ = _true_mode(spec, params, 7)
+        lam, mu, _ = _true_modes(spec, params, 7)[6]
         P, Q, _ = _scaled_transition(mu, 1.0 / n, lam=lam, warn=False)
         S, _ = _psd_factor(Q)
         xi = np.random.default_rng(n).standard_normal((n, 2, 5))
@@ -306,7 +306,7 @@ class TestStreamedModeTask:
         spec, params = preset("alg_ex1")
         grid = TimeGrid(1.0, 4096)
         M = 48
-        lam_mu = _true_mode(spec, params, 10)[:2]
+        lam_mu = _true_modes(spec, params, 10)[9][:2]
         draw_bytes = M * grid.n_steps * 2 * 8
         _mode_task(spec, params, 10, lam_mu, grid, 3, M, True)  # one-time allocations go first
         tracemalloc.start()
