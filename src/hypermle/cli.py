@@ -221,8 +221,9 @@ def _read_trajectories(path, spec, params, grid):
 def _mode_trajectories(path, rows, spec, params, grid):
     """The ModeTrajectory of each mode in the parsed rows of a trajectory file.
 
-    Raises ConfigError unless the rows hold modes 1..N, each with t_index
-    0..n, dw on every row but the last (NaN there) and finite values.
+    Raises ConfigError unless the rows hold modes 1..N, N within the
+    spectrum's k_max, each with t_index 0..n, dw on every row but the last
+    (NaN there) and finite values.
     """
     if not len(rows):
         raise ConfigError(f"{path}: holds no trajectory rows")
@@ -230,6 +231,8 @@ def _mode_trajectories(path, rows, spec, params, grid):
     N, n = len(ks), grid.n_steps
     if not np.array_equal(ks, np.arange(1, N + 1)):
         raise ConfigError(f"{path}: holds {N} modes, not the modes 1..{N}")
+    if N > spec.k_max:
+        raise ConfigError(f"{path}: holds {N} modes; the spectrum declares k_max={spec.k_max}")
     order = np.lexsort((rows["t_index"], rows["k"]))
     t_col, u_col, v_col, dw_col = (rows[name][order] for name in ("t_index", "u", "v", "dw"))
     bad = counts != n + 1

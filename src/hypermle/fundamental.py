@@ -6,16 +6,19 @@ functions M and V, and a handful of integrals of f^2 and f'^2 over [0, T].
 
 The energy integrals are sums of exponential moments and are evaluated in
 closed form for every lam: by a series in (mu^2/4 - lam) T^2 when the total
-phase l*T is below 0.5 (or strong damping, l <= |mu|/16, confines the
-kernel to where it is), by exact antiderivatives up to phase 1e7, and for
-lam > 0 by their phase-averaged envelope (relative error O(1/(l*T))) beyond,
-or when lam itself leaves the float range.  lam <= 0 has real roots, one of
-them >= 0, so it never needs the envelope.  covariance_u follows from
-int f^2 by the shift identity of f.  No integral is computed by quadrature
-at run time; the tests keep adaptive quadrature as an independent oracle.
+phase l*T is below 0.5 (or strong damping, l <= -mu/16 with mu < 0,
+confines the kernel to where it is), by exact antiderivatives up to phase
+1e7, and for lam > 0 by their phase-averaged envelope (relative error
+O(1/(l*T))) beyond, or when lam itself leaves the float range.  lam <= 0 has
+real roots, one of them >= 0, so it never needs the envelope.  covariance_u
+follows from int f^2 by the shift identity of f.  No integral is computed by
+quadrature at run time; the tests keep adaptive quadrature as an independent
+oracle.  The antiderivative and envelope formulas take one mode or arrays of
+modes alike, so psi_curve evaluates all its modes in one array pass.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -113,14 +116,11 @@ def _sc_series(x):
 
 
 def _stable_real_roots(lam, b, ell):
-    """Roots b +- ell with the smaller one obtained from the product r+ r- = lam."""
-    if b <= 0.0:
-        r_minus = b - ell
-        r_plus = lam / r_minus if r_minus != 0.0 else 0.0
-    else:
-        r_plus = b + ell
-        r_minus = lam / r_plus if r_plus != 0.0 else 0.0
-    return r_plus, r_minus
+    """Roots b +- ell (ell > 0): the one of larger modulus directly, the other from r+ r- = lam."""
+    damped = b <= 0.0
+    far = b + _where(damped, -ell, ell)
+    near = lam / far
+    return _where(damped, (near, far), (far, near))
 
 
 def fund_solution(lam, mu, t):
@@ -224,43 +224,138 @@ def v_func(x):
 
 
 def m_func_log(x):
-    """log M(x), stable for arguments far outside the float range of e^x."""
-    if abs(x) <= 30.0:
-        return math.log(m_func(x))
-    if x > 30.0:
-        return x - math.log(2.0 * x * x) + math.log1p(-(x + 1.0) * math.exp(-x))
-    return math.log(-x - 1.0 + math.exp(x)) - math.log(2.0 * x * x)
+    """log M(x), stable for arguments far outside the float range of e^x; x a float or an array."""
+    if not isinstance(x, np.ndarray):
+        return float(m_func_log(np.array([x], dtype=float))[0])
+    out = np.empty(x.shape)
+    mid, high = np.abs(x) <= 30.0, x > 30.0
+    low = ~(mid | high)
+    out[mid] = _each(math.log, m_func(x[mid]))
+    xh, xl = x[high], x[low]
+    out[high] = xh - _each(math.log, 2.0 * xh * xh) + _each(math.log1p, -(xh + 1.0) * _each(math.exp, -xh))
+    out[low] = _each(math.log, -xl - 1.0 + _each(math.exp, xl)) - _each(math.log, 2.0 * xl * xl)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# One formula for a mode or for an array of modes
+# ---------------------------------------------------------------------------
+# The antiderivative and envelope formulas below take numbers (one mode, from
+# scaled_mode_integrals and _closed_integrals) or float arrays (many modes,
+# from _scaled_integrals) and round alike either way.  These helpers are where
+# the two differ: a branch becomes a mask, and the math module's exp, log and
+# pow, whose last bit numpy's do not always share, go element by element.
+
+
+def _where(cond, a, b):
+    """a where cond holds, b elsewhere."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _any(cond):
+    return cond.any() if isinstance(cond, np.ndarray) else cond
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _each(fn, x, *more):
+    """fn(x, *more), applied element by element when x is an array (more: arrays like it, or numbers)."""
+    if not isinstance(x, np.ndarray):
+        return fn(x, *more)
+    more = (m.tolist() if isinstance(m, np.ndarray) else itertools.repeat(m) for m in more)
+    return np.fromiter(map(fn, x.tolist(), *more), dtype=float, count=x.size)
+
+
+def _complex(re, im):
+    if not isinstance(re, np.ndarray):
+        return complex(re, im)
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _square(z):
+    """z*z; a complex array's rounded as Python rounds a complex product (numpy's may fuse a multiply-add)."""
+    if isinstance(z, np.ndarray) and z.dtype.kind == "c":
+        return _complex(z.real * z.real - z.imag * z.imag, 2.0 * (z.real * z.imag))
+    return z * z
+
+
+def _check_exponent(x):
+    """Raise FundamentalOverflowError for an exponent beyond _EXP_MAX (an array's first such)."""
+    if isinstance(x, np.ndarray):
+        beyond = x[x > _EXP_MAX]
+        if beyond.size:
+            raise FundamentalOverflowError(float(beyond[0]))
+    elif x > _EXP_MAX:
+        raise FundamentalOverflowError(x)
 
 
 # ---------------------------------------------------------------------------
 # Exact antiderivative building blocks
 # ---------------------------------------------------------------------------
 
+# terms of the series of _p0 (t_0 = 1, t_j = t_{j-1} * zT / d_j) and _w0 (t_0 = 1/2, t_j = t_{j-1} * zT * a_j / d_j)
+_P0_STEPS = tuple(j + 1.0 for j in range(1, 22))
+_W0_STEPS = tuple((j + 1.0, (j + 2.0) * (j + 1.0)) for j in range(1, 22))
+
+
+def _p0_series(zT):
+    term = acc = 1.0
+    for d in _P0_STEPS:
+        term = term * zT / d
+        acc += term
+    return acc
+
+
+def _w0_series(zT):
+    term = acc = 0.5
+    for a, d in _W0_STEPS:
+        term = term * zT * a / d
+        acc += term
+    return acc
+
+
+def _p0_quotient(z, zT):
+    return (np.exp(zT) - 1.0) / z
+
+
+def _w0_quotient(z, zT):
+    return (np.exp(zT) - zT - 1.0) / _square(z)
+
+
+def _split(near, z, zT, scale, series, quotient):
+    """scale * series(zT) where near holds, quotient(z, zT) elsewhere, over arrays."""
+    if not near.any():
+        return quotient(z, zT)
+    out = np.empty_like(zT)
+    out[near] = scale * series(zT[near])
+    out[~near] = quotient(z[~near], zT[~near])
+    return out
+
+
+# _p0 and _w0 take their series for |zT| < 0.5.  Only a real z gets there: a
+# complex z comes from a mode of phase ell*T >= 0.5, so |zT| >= 0.5.
+
 
 def _p0(z, T):
-    """int_0^T e^{zt} dt for complex or real z, series-stable near z = 0."""
+    """int_0^T e^{zt} dt = (e^{zT} - 1)/z for real or complex z, series-stable near z = 0."""
     zT = z * T
-    if abs(zT) < 0.5:
-        term = 1.0 + 0j if isinstance(z, complex) else 1.0
-        acc = term
-        for j in range(1, 22):
-            term = term * zT / (j + 1)
-            acc += term
-        return T * acc
-    return (np.exp(zT) - 1.0) / z
+    near = abs(zT) < 0.5
+    if isinstance(near, np.ndarray):
+        return _split(near, z, zT, T, _p0_series, _p0_quotient)
+    return T * _p0_series(zT) if near else _p0_quotient(z, zT)
 
 
 def _w0(z, T):
     """int_0^T (T - t) e^{zt} dt = (e^{zT} - zT - 1)/z^2."""
     zT = z * T
-    if abs(zT) < 0.5:
-        term = 0.5 + 0j if isinstance(z, complex) else 0.5
-        acc = term
-        for j in range(1, 22):
-            term = term * zT * (j + 1) / ((j + 2) * (j + 1))
-            acc += term
-        return T * T * acc
-    return (np.exp(zT) - zT - 1.0) / (z * z)
+    near = abs(zT) < 0.5
+    if isinstance(near, np.ndarray):
+        return _split(near, z, zT, T * T, _w0_series, _w0_quotient)
+    return T * T * _w0_series(zT) if near else _w0_quotient(z, zT)
 
 
 @dataclass(frozen=True)
@@ -352,7 +447,7 @@ def _integrals_series(lam, mu, T):
 def _integrals_closed_complex(lam, mu, T, ell):
     b = 0.5 * mu
     c = 2.0 * b
-    z = complex(2.0 * b, 2.0 * ell)
+    z = _complex(2.0 * b, 2.0 * ell)
     p0c = _p0(c, T)
     p0z = _p0(z, T)
     w0c = _w0(c, T)
@@ -363,26 +458,34 @@ def _integrals_closed_complex(lam, mu, T, ell):
     iif2 = (w0c - w0z.real) / (2.0 * ell2)
     ifd2 = 0.5 * (p0c + p0z.real) + (b / ell) * p0z.imag + (b * b / (2.0 * ell2)) * (p0c - p0z.real)
     iifd2 = 0.5 * (w0c + w0z.real) + (b / ell) * w0z.imag + (b * b / (2.0 * ell2)) * (w0c - w0z.real)
-    intf = _p0(complex(b, ell), T).imag / ell
+    intf = _p0(_complex(b, ell), T).imag / ell
     return if2, ifd2, iif2, iifd2, intf
 
 
 def _integrals_closed_real(lam, mu, T, ell):
     b = 0.5 * mu
     r_plus, r_minus = _stable_real_roots(lam, b, ell)
-    if max(r_plus, 0.0) * 2.0 * T > _EXP_MAX:
-        raise FundamentalOverflowError(2.0 * r_plus * T)
+    _check_exponent(2.0 * r_plus * T)
     four_ell2 = 4.0 * ell * ell
     p0p, p0m, p0c = _p0(2.0 * r_plus, T), _p0(2.0 * r_minus, T), _p0(mu, T)
     w0p, w0m, w0c = _w0(2.0 * r_plus, T), _w0(2.0 * r_minus, T), _w0(mu, T)
+    # r ** 2 by the C library's pow, as Python takes it: numpy's r ** 2 is r * r, not always the same
+    r2_plus, r2_minus = _each(pow, r_plus, 2), _each(pow, r_minus, 2)
 
     if2 = (p0p - 2.0 * p0c + p0m) / four_ell2
     iif2 = (w0p - 2.0 * w0c + w0m) / four_ell2
     # r+^2 e^{2 r+ T} alone can leave the float range where int f'^2 does not
-    ifd2 = (r_plus ** 2 / four_ell2) * p0p + (r_minus ** 2 * p0m - 2.0 * lam * p0c) / four_ell2
-    iifd2 = (r_plus ** 2 * w0p - 2.0 * lam * w0c + r_minus ** 2 * w0m) / four_ell2
+    ifd2 = (r2_plus / four_ell2) * p0p + (r2_minus * p0m - 2.0 * lam * p0c) / four_ell2
+    iifd2 = (r2_plus * w0p - 2.0 * lam * w0c + r2_minus * w0m) / four_ell2
     intf = (_p0(r_plus, T) - _p0(r_minus, T)) / (2.0 * ell)
     return if2, ifd2, iif2, iifd2, intf
+
+
+def _b2_over_lam(b, log_lam):
+    """b^2/lam from log lam, at most 1."""
+    if isinstance(b, np.ndarray):
+        return _each(_b2_over_lam, b, log_lam)
+    return 0.0 if b == 0.0 else math.exp(min(2.0 * math.log(abs(b)) - log_lam, 0.0))
 
 
 def _integrals_envelope(log_lam, mu, T):
@@ -392,12 +495,9 @@ def _integrals_envelope(log_lam, mu, T):
     range (the only regime that has to).
     """
     b = 0.5 * mu
-    if b == 0.0:
-        b2_over_lam = 0.0
-    else:
-        b2_over_lam = math.exp(min(2.0 * math.log(abs(b)) - log_lam, 0.0))
-        if b2_over_lam >= 0.5:
-            raise ValueError("envelope integrals require mu^2 << 4 lam")
+    b2_over_lam = _b2_over_lam(b, log_lam)
+    if _any(b2_over_lam >= 0.5):
+        raise ValueError("envelope integrals require mu^2 << 4 lam")
     lam_over_ell2 = 1.0 / (1.0 - b2_over_lam)
     b2_over_ell2 = b2_over_lam * lam_over_ell2
 
@@ -410,6 +510,28 @@ def _integrals_envelope(log_lam, mu, T):
     return ScaledIntegrals(lam_if2, ifd2, lam_iif2, iifd2, 0.0, "envelope")
 
 
+# regime of a mode's energy integrals
+_SERIES, _REAL, _COMPLEX, _ENVELOPE = range(4)
+
+
+def _regime(lam, mu, T):
+    """(ell, series, real, closed) of modes (lam, mu) over [0, T], numbers or arrays.
+
+    The first of series, real and closed that holds names the evaluation:
+    the series, the real-root or the complex-root antiderivatives; the
+    envelope serves where none does.  The series covers total phase ell*T
+    below 0.5, and strong damping (8*ell <= -b, b = mu/2): there e^{bt}
+    confines the integrands to t ~ 1/|b|, where the antiderivatives cancel by
+    (b/ell)^2 while the series terms shrink by (ell/b)^2 <= 1/64 each,
+    whatever the phase.
+    """
+    b = 0.5 * mu
+    disc = b * b - lam
+    ell = _sqrt(abs(disc))
+    phase = ell * T
+    return ell, (phase < _SERIES_PHASE_MAX) | (8.0 * ell <= -b), disc > 0.0, phase <= _ENVELOPE_PHASE_MIN
+
+
 def scaled_mode_integrals(mu, T, log_lam):
     """Dispatch between series, antiderivative, and envelope evaluation (lam = e^log_lam > 0).
 
@@ -418,8 +540,7 @@ def scaled_mode_integrals(mu, T, log_lam):
     """
     if T <= 0.0:
         raise ValueError("T must be positive")
-    if mu * T > _EXP_MAX:
-        raise FundamentalOverflowError(mu * T)
+    _check_exponent(mu * T)
     if log_lam > _EXP_MAX:
         return _integrals_envelope(log_lam, mu, T)
     lam = math.exp(log_lam)
@@ -437,21 +558,50 @@ def _closed_integrals(lam, mu, T):
     real-root antiderivatives.  None for complex roots beyond phase
     _ENVELOPE_PHASE_MIN, where only the (lam-scaled) envelope serves.
     """
-    b = 0.5 * mu
-    disc = b * b - lam
-    ell = math.sqrt(abs(disc))
-    phase = ell * T
-
-    # Under strong damping (ell <= |b|/8) e^{bt} confines the integrands to
-    # t ~ 1/|b|, where the antiderivatives cancel by (b/ell)^2 while the series
-    # terms shrink by (ell/b)^2 <= 1/64 each, whatever the phase.
-    if phase < _SERIES_PHASE_MAX or 8.0 * ell <= -b:
+    ell, series, real, closed = _regime(lam, mu, T)
+    if series:
         return _integrals_series(lam, mu, T)
-    if disc > 0.0:
+    if real:
         return _integrals_closed_real(lam, mu, T, ell)
-    if phase <= _ENVELOPE_PHASE_MIN:
+    if closed:
         return _integrals_closed_complex(lam, mu, T, ell)
     return None
+
+
+def _scaled_integrals(mu, T, log_lam):
+    """scaled_mode_integrals of float arrays of modes in one pass: the rows lam_if2, ifd2,
+    lam_iif2, iifd2 and sqlam_if of a (5, n) array.
+
+    A mask picks each mode's regime.  The few series modes go one at a time,
+    as _phi works per argument.
+    """
+    if T <= 0.0:
+        raise ValueError("T must be positive")
+    _check_exponent(mu * T)
+    in_range = log_lam <= _EXP_MAX  # beyond, lam leaves the float range and the envelope serves
+    lam = _each(math.exp, np.where(in_range, log_lam, 0.0))
+    ell, *tests = _regime(lam, mu, T)
+    regime = np.where(in_range, np.select(tests, [_SERIES, _REAL, _COMPLEX], _ENVELOPE), _ENVELOPE)
+
+    out = np.empty((5, len(lam)))
+    for code, formula in ((_REAL, _integrals_closed_real), (_COMPLEX, _integrals_closed_complex)):
+        sel = regime == code
+        out[:, sel] = formula(lam[sel], mu[sel], T, ell[sel])
+    for i in np.flatnonzero(regime == _SERIES).tolist():
+        out[:, i] = _integrals_series(float(lam[i]), float(mu[i]), T)
+    closed = regime != _ENVELOPE
+    out[0, closed] *= lam[closed]
+    out[2, closed] *= lam[closed]
+    out[4, closed] *= np.sqrt(lam[closed])
+
+    env = ~closed
+    log_env = log_lam[env]
+    rebuilt = in_range[env]  # as scaled_mode_integrals does: the envelope of a float lam takes log(lam)
+    log_env[rebuilt] = _each(math.log, lam[env][rebuilt])
+    e = _integrals_envelope(log_env, mu[env], T)
+    out[:4, env] = (e.lam_if2, e.ifd2, e.lam_iif2, e.iifd2)
+    out[4, env] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -538,47 +688,42 @@ class PsiValues:
     psi2_asym: float
 
 
+def _from_slog(s, l):
+    """s * e^l elementwise, by math.exp; 0 where l = -inf."""
+    return np.where(l > -math.inf, s * _each(math.exp, l), 0.0)
+
+
 def _psi_mode_terms(spec, params, ks):
-    """Per-mode contributions to (psi1, psi2, psi12, psi1_asym, psi2_asym)."""
+    """Per-mode contributions to (psi1, psi2, psi12, psi1_asym, psi2_asym), one row per mode."""
     from .spectrum import lambda_mu_slog  # late import: avoid a module cycle
 
     ks = np.asarray(ks)
     (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, ks)
-    columns = (ks, s_lam, l_lam, mu, *spec.tau.slog_array(ks), *spec.nu.slog_array(ks))
-    rows = zip(*(c.tolist() for c in columns))  # Python floats, one mode per row
+    s_tau, l_tau = spec.tau.slog_array(ks)
+    s_nu, l_nu = spec.nu.slog_array(ks)
+    T = params.T
+    nu = _from_slog(s_nu, l_nu)
     out = np.empty((len(ks), 5))
-    for i, (k, s_lam, l_lam, mu, s_tau, l_tau, s_nu, l_nu) in enumerate(rows):
-        nu = s_nu * math.exp(l_nu) if l_nu > -math.inf else 0.0
-        if s_lam <= 0.0:
-            # no large-lam form exists for such a mode: its exact terms fill the _asym columns
-            if2, _, iif2, iifd2, _ = _closed_integrals(_slog_lam(k, s_lam, l_lam), mu, params.T)
-            tau = s_tau * math.exp(l_tau) if l_tau > -math.inf else 0.0
-            exact = [tau * tau * iif2, nu * nu * iifd2, -0.5 * tau * nu * if2]
-            out[i] = exact + exact[:2]
-            continue
-        si = scaled_mode_integrals(mu, params.T, log_lam=l_lam)
 
-        c1 = math.exp(2.0 * l_tau - l_lam) if l_tau > -math.inf else 0.0
-        c12 = (
-            s_tau * s_nu * math.exp(l_tau + l_nu - l_lam)
-            if (l_tau > -math.inf and l_nu > -math.inf)
-            else 0.0
-        )
-        x = params.T * mu
-        m_log = m_func_log(x)
-        with np.errstate(over="ignore"):
-            asym1 = (
-                math.exp(min(2.0 * l_tau - l_lam + m_log, _EXP_MAX)) * params.T ** 2
-                if l_tau > -math.inf
-                else 0.0
-            )
-        asym2 = nu * nu * params.T ** 2 * math.exp(min(m_log, _EXP_MAX))
+    # no large-lam form exists for a mode with lam <= 0: its exact terms fill the _asym columns
+    neg = np.flatnonzero(s_lam <= 0.0)
+    tau = _from_slog(s_tau[neg], l_tau[neg])
+    for i, t, n in zip(neg.tolist(), tau.tolist(), nu[neg].tolist()):
+        lam = _slog_lam(int(ks[i]), float(s_lam[i]), float(l_lam[i]))
+        if2, _, iif2, iifd2, _ = _closed_integrals(lam, float(mu[i]), T)
+        exact = [t * t * iif2, n * n * iifd2, -0.5 * t * n * if2]
+        out[i] = exact + exact[:2]
 
-        out[i, 0] = c1 * si.lam_iif2
-        out[i, 1] = nu * nu * si.iifd2
-        out[i, 2] = -0.5 * c12 * si.lam_if2
-        out[i, 3] = asym1
-        out[i, 4] = asym2
+    pos = s_lam > 0.0
+    lam_if2, _, lam_iif2, iifd2, _ = _scaled_integrals(mu[pos], T, l_lam[pos])
+    s_tau, l_tau, s_nu, l_nu, nu, l_lam = (a[pos] for a in (s_tau, l_tau, s_nu, l_nu, nu, l_lam))
+    has_tau, has_nu = l_tau > -math.inf, l_nu > -math.inf
+    c1 = np.where(has_tau, _each(math.exp, 2.0 * l_tau - l_lam), 0.0)
+    c12 = np.where(has_tau & has_nu, s_tau * s_nu * _each(math.exp, l_tau + l_nu - l_lam), 0.0)
+    m_log = m_func_log(T * mu[pos])
+    asym1 = np.where(has_tau, _each(math.exp, np.minimum(2.0 * l_tau - l_lam + m_log, _EXP_MAX)) * T ** 2, 0.0)
+    asym2 = nu * nu * T ** 2 * _each(math.exp, np.minimum(m_log, _EXP_MAX))
+    out[pos] = np.column_stack([c1 * lam_iif2, nu * nu * iifd2, -0.5 * c12 * lam_if2, asym1, asym2])
     return out
 
 

@@ -773,7 +773,7 @@ def conditions_1_2(spec, params, n_max=1000):
     (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, ks)
     if np.any(s_lam <= 0.0):
         raise ValueError(f"conditions require lambda_k > 0; mode {ks[np.argmax(s_lam <= 0.0)]} fails")
-    m_log = np.array([m_func_log(x) for x in (params.T * mu).tolist()])
+    m_log = m_func_log(params.T * mu)
     _, l_tau = spec.tau.slog_array(ks)
     _, l_nu = spec.nu.slog_array(ks)
     with np.errstate(invalid="ignore"):

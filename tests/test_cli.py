@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, file outputs, round trips, manifests."""
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -11,12 +12,16 @@ import numpy as np
 import pytest
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv, cwd=None):
+    """Run `python -m hypermle` with this checkout's src/ first on the child's PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "hypermle", *argv],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=env,
     )
 
 
@@ -460,6 +465,27 @@ class TestSimulateEstimateRoundTrip:
         err = capsys.readouterr().err
         assert f"config error: {path}: holds no trajectory rows" in err, err
         assert not (outdir / "estimate.json").exists()
+
+    def test_more_modes_than_k_max_rejected(self, tmp_path, outdir, capsys):
+        from hypermle import cli
+
+        common = ["--n-list", "5", "--dt-steps", "64", "--seed", "3", "--out", str(outdir)]
+        assert cli.main(["simulate", "--config", str(CONFIGS / "alg_ex1.json"), *common]) == 0
+        path = outdir / "trajectories.csv"
+        power = {"kind": "power_law", "coefficient": 1.0, "exponent": 2.0}
+        cfg = write_config(tmp_path / "short.json", {
+            "spectrum": {"kappa": power, "tau": {"kind": "explicit", "values": [1.0, 4.0, 9.0]},
+                         "rho": {"kind": "constant", "coefficient": 0.0},
+                         "nu": {"kind": "constant", "coefficient": 1.0}, "k_max": 3},
+            "params": {"theta1": 1.0, "theta2": -0.5, "theta1_box": [0.5, 2.0],
+                       "theta2_box": [-1.0, 1.0], "T": 1.0},
+            "grid": {"n_steps": 64},
+            "experiment": {"out": str(outdir / "estimate")},
+        })
+        capsys.readouterr()
+        assert cli.main(["estimate", "--config", cfg, "--trajectories", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {path}: holds 5 modes; the spectrum declares k_max=3" in err, err
 
     def test_empty_lines_and_nan_on_last_rows_accepted(self, outdir):
         # np.loadtxt skips empty lines, and a dw of nan on a mode's last row reads as no dw

@@ -1,5 +1,6 @@
 """Analytic-core tests: fundamental solution, M/V functions, mode integrals, psi."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.integrate import solve_ivp
 import hypermle.fundamental as fundamental
 import hypermle.quadrature as quadrature
 import hypermle.simulate as simulate
+from hypermle.config import load_config
 from hypermle.equations import preset
 from hypermle.fundamental import (
     FundamentalOverflowError,
@@ -533,6 +535,183 @@ class TestPsi:
         pv = psi(spec, params, 200)
         assert pv.psi1 == pytest.approx(pv.psi1_asym, rel=0.01)
         assert pv.psi2 == pytest.approx(pv.psi2_asym, rel=0.01)
+
+
+def _one_mode_integrals(mu, T, log_lam):
+    si = scaled_mode_integrals(float(mu), T, float(log_lam))
+    return [si.lam_if2, si.ifd2, si.lam_iif2, si.iifd2, si.sqlam_if]
+
+
+def _assert_array_pass_matches_one_mode(lam, mu, T, log_lam=None):
+    """_scaled_integrals over the modes equals scaled_mode_integrals of each, bit for bit."""
+    if log_lam is None:
+        log_lam = np.log(np.asarray(lam, dtype=float))
+    mu = np.asarray(mu, dtype=float)
+    got = fundamental._scaled_integrals(mu, T, log_lam)
+    want = np.array([_one_mode_integrals(m, T, l) for m, l in zip(mu, log_lam)]).T
+    assert got.tobytes() == want.tobytes()
+
+
+def _regimes(lam, mu, T):
+    _, *tests = fundamental._regime(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float), T)
+    return set(np.select(tests, ["series", "real", "complex"], "envelope").tolist())
+
+
+class TestArrayIntegrals:
+    """The array pass of psi_curve and the one-mode entry points run the same formulas."""
+
+    @staticmethod
+    def random_modes(rng, n=200):
+        """(lam, mu, T) with lam > 0 across the series, real, complex and envelope regimes."""
+        u = rng.uniform
+        T = 10.0 ** u(-3.5, 0.3)
+        mu = -(10.0 ** u(-3.0, 3.0, n)) * rng.choice([1.0, 1.0, 1.0, -1e-2], n)
+        b = 0.5 * mu
+        ell = 10.0 ** u(-1.0, 12.0, n) / T
+        sign = rng.choice([1.0, -1.0], n)  # complex or real roots
+        lam = b * b + sign * ell * ell
+        keep = (lam > 0.0) & (mu * T < 600.0)
+        return lam[keep], mu[keep], T
+
+    def test_random_modes_in_every_regime(self):
+        rng, seen = np.random.default_rng(20260), set()
+        for _ in range(40):
+            lam, mu, T = self.random_modes(rng)
+            seen |= _regimes(lam, mu, T)
+            _assert_array_pass_matches_one_mode(lam, mu, T)
+        assert seen == {"series", "real", "complex", "envelope"}
+
+    def test_real_roots_whose_square_is_not_a_product(self):
+        # Python's r ** 2 goes through the C library's pow, which is not always r * r
+        rng, n = np.random.default_rng(20261), 20000
+        u = rng.uniform
+        mu = -(10.0 ** u(-2.0, 3.0, n)) * rng.choice([1.0, -1e-2], n)
+        b = 0.5 * mu
+        lam = b * b * u(1e-3, 0.98, n)
+        ell, series, real, _ = fundamental._regime(lam, mu, 1.0)
+        r_plus, r_minus = fundamental._stable_real_roots(lam, b, ell)
+        keep = ~series & real & (2.0 * r_plus < 600.0)
+        squares = [r ** 2 for r in r_minus[keep].tolist()]
+        assert (np.array(squares) != r_minus[keep] * r_minus[keep]).any()
+        _assert_array_pass_matches_one_mode(lam[keep], mu[keep], 1.0)
+
+    def test_envelope_near_its_damping_limit(self):
+        # b^2/lam up to 0.45, where 1/(1 - b^2/lam) magnifies the last bits of log lam
+        u = np.random.default_rng(20262).uniform
+        lam = 10.0 ** u(15.0, 300.0, 2000)
+        mu = -2.0 * np.sqrt(u(0.05, 0.45, 2000) * lam)
+        assert _regimes(lam, mu, 1.0) == {"envelope"}
+        _assert_array_pass_matches_one_mode(lam, mu, 1.0)
+
+    def test_envelope_takes_the_log_of_the_rebuilt_lambda(self):
+        # like scaled_mode_integrals, log(e^log_lam), which below lam = e can differ from log_lam
+        rng = np.random.default_rng(20263)
+        log_lam = rng.uniform(-2.3, 0.9, 400000)
+        log_lam = log_lam[[math.log(math.exp(x)) != x for x in log_lam.tolist()]]
+        lam = np.exp(log_lam)
+        mu = -2.0 * np.sqrt(rng.uniform(0.05, 0.45, len(lam)) * lam)
+        assert _regimes(lam, mu, 1e8) == {"envelope"}
+        _assert_array_pass_matches_one_mode(lam, mu, 1e8, log_lam=log_lam)
+
+    @pytest.mark.parametrize(
+        "lam, mu, T",
+        [
+            (0.5, -1.0, 1.0),             # phase 0.5 exactly
+            (63.0, -16.0, 1.0),           # real roots, 8*ell = -b
+            (65.0, -16.0, 1.0),           # complex roots, 8*ell = -b
+            (1e14 + 0.25, -1.0, 1.0),     # phase 1e7 exactly
+            (1.0, 0.0, 2 * math.pi),      # b = 0 (test_psi12_sign_and_value's mode)
+        ],
+    )
+    def test_regime_boundaries(self, lam, mu, T):
+        # the neighbours a few ulps away fall on both sides of the switch
+        lams = [lam * (1.0 + j * 2.0 ** -52) for j in range(-4, 5)]
+        if mu != 0.0:
+            assert len(_regimes(lams, [mu] * len(lams), T)) == 2
+        _assert_array_pass_matches_one_mode(lams, [mu] * len(lams), T)
+
+    def test_log_lambda_700(self):
+        log_lam = np.array([np.nextafter(700.0, 0.0), 700.0, np.nextafter(700.0, 800.0), 800.0])
+        mu, T = np.full(4, -1.5), 1e-150  # phase ~ 100: closed up to log lam = 700
+        got = fundamental._scaled_integrals(mu, T, log_lam)
+        want = np.array([_one_mode_integrals(m, T, l) for m, l in zip(mu, log_lam)]).T
+        assert got.tobytes() == want.tobytes()
+        assert [scaled_mode_integrals(-1.5, T, l).regime for l in log_lam] == ["closed"] * 2 + ["envelope"] * 2
+
+    def test_nonpositive_lambda(self):
+        # lam <= 0 takes the real-root antiderivatives outside the series regime
+        lam = np.array([0.0, -1e-3, -1.0, -9.0, -1e6, 0.0, -4.0])
+        mu = np.array([-3.0, 2.0, 0.0, -0.5, -1e4, 1.5, 40.0])
+        T = 1.0
+        ell, series, real, _ = fundamental._regime(lam, mu, T)
+        assert (~series & real).all()
+        got = np.array(fundamental._integrals_closed_real(lam, mu, T, ell))
+        want = np.array([fundamental._closed_integrals(l, m, T) for l, m in zip(lam.tolist(), mu.tolist())]).T
+        assert got.tobytes() == want.tobytes()
+
+    def test_overflow_names_the_first_mode(self):
+        with pytest.raises(FundamentalOverflowError) as array_exc:
+            fundamental._scaled_integrals(np.array([-1.0, 710.0, 720.0]), 1.0, np.zeros(3))
+        with pytest.raises(FundamentalOverflowError) as one_exc:
+            scaled_mode_integrals(710.0, 1.0, 0.0)
+        assert str(array_exc.value) == str(one_exc.value)
+
+    def test_m_func_log_array_matches_scalar_formulas(self):
+        # np.log(M) differs from math.log(M) on about 1 argument in 2000
+        spread = np.random.default_rng(20264).uniform(-40.0, 40.0, 50000)
+        x = np.concatenate([[-1e6, -30.5, -30.0, -1.0, 0.0, 1e-4, 29.9, 30.0, 30.5, 700.0], spread])
+        got = m_func_log(x)
+        want = []
+        for v in x.tolist():  # the scalar forms
+            if abs(v) <= 30.0:
+                want.append(math.log(m_func(v)))
+            elif v > 30.0:
+                want.append(v - math.log(2.0 * v * v) + math.log1p(-(v + 1.0) * math.exp(-v)))
+            else:
+                want.append(math.log(-v - 1.0 + math.exp(v)) - math.log(2.0 * v * v))
+        assert got.tolist() == want
+        assert [m_func_log(v) for v in x[:10].tolist()] == want[:10]
+
+
+def one_mode_psi_terms(spec, params, N):
+    """Each mode's psi terms from the one-mode integrals and math.exp: the per-mode reference."""
+    ks = np.arange(1, N + 1)
+    (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, ks)
+    columns = (ks, s_lam, l_lam, mu, *spec.tau.slog_array(ks), *spec.nu.slog_array(ks))
+    T, rows = params.T, []
+    for k, s_lam, l_lam, mu, s_tau, l_tau, s_nu, l_nu in zip(*(c.tolist() for c in columns)):
+        nu = s_nu * math.exp(l_nu) if l_nu > -math.inf else 0.0
+        if s_lam <= 0.0:
+            tau = s_tau * math.exp(l_tau) if l_tau > -math.inf else 0.0
+            if2, _, iif2, iifd2, _ = fundamental._closed_integrals(fundamental._slog_lam(k, s_lam, l_lam), mu, T)
+            exact = [tau * tau * iif2, nu * nu * iifd2, -0.5 * tau * nu * if2]
+            rows.append(exact + exact[:2])
+            continue
+        si = scaled_mode_integrals(mu, T, l_lam)
+        c1 = math.exp(2.0 * l_tau - l_lam) if l_tau > -math.inf else 0.0
+        c12 = s_tau * s_nu * math.exp(l_tau + l_nu - l_lam) if l_tau > -math.inf and l_nu > -math.inf else 0.0
+        m_log = m_func_log(T * mu)
+        asym1 = math.exp(min(2.0 * l_tau - l_lam + m_log, 700.0)) * T ** 2 if l_tau > -math.inf else 0.0
+        asym2 = nu * nu * T ** 2 * math.exp(min(m_log, 700.0))
+        rows.append([c1 * si.lam_iif2, nu * nu * si.iifd2, -0.5 * c12 * si.lam_if2, asym1, asym2])
+    return np.array(rows)
+
+
+def _psi_table_spectra():
+    demos = Path(__file__).resolve().parent.parent / "demos" / "configs"
+    alg_ex1, sec5 = (load_config(demos / name) for name in ("alg_ex1.json", "sec5_exponential.json"))
+    alg_ex3 = preset("alg_ex3")  # T = 1, theta = (1, 1/2), as the psi_table workload has it
+    return [((alg_ex1["spec"], alg_ex1["params"]), 600), (alg_ex3, 3000),
+            ((sec5["spec"], sec5["params"]), 3000), (negative_kappa_model(), 40)]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["alg_ex1", "alg_ex3", "sec5", "negative_kappa"])
+def test_psi_curve_is_the_cumulative_sum_of_one_mode_terms(case):
+    (spec, params), N = _psi_table_spectra()[case]
+    rows = psi_curve(spec, params, range(1, N + 1))
+    got = np.array([[r.psi1, r.psi2, r.psi12, r.psi1_asym, r.psi2_asym] for r in rows])
+    want = np.cumsum(one_mode_psi_terms(spec, params, N), axis=0)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestUpsilon:
