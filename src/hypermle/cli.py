@@ -248,14 +248,14 @@ def _mode_trajectories(path, rows, spec, params, grid):
     if bad.any():
         raise ConfigError(f"{path}: mode {int(np.argmax(bad)) + 1} needs dw on t_index "
                           f"0..{n - 1} and none on t_index {n}")
-    modes = _true_modes(spec, params, N)
+    lam, mu, scale = _true_modes(spec, params, N)
     u, v, dw = u_col.reshape(N, n + 1), v_col.reshape(N, n + 1), dw_col.reshape(N, n + 1)[:, :-1]
-    u *= np.array([scale for _, _, scale in modes])[:, None]
+    u *= scale[:, None]
     if not (np.isfinite(u).all() and np.isfinite(v).all() and np.isfinite(dw).all()):
         # named here only when every cell is finite: then a u overflowed at its mode's scale
         raise ConfigError(f"{path}: a u value overflows at its mode's scale")
-    return [ModeTrajectory(k, u[k - 1], v[k - 1], dw[k - 1], scale, lam, mu, grid.dt)
-            for k, (lam, mu, scale) in enumerate(modes, 1)]
+    return [ModeTrajectory(k, u[k - 1], v[k - 1], dw[k - 1], *mode, grid.dt)
+            for k, mode in enumerate(zip(scale.tolist(), lam.tolist(), mu.tolist()), 1)]
 
 
 def _first_bad_line(path):

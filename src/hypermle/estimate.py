@@ -333,7 +333,8 @@ def estimate_from_trajectories(trajectories, spec, params=None, psi_values=None)
     stats, iota1, iota2 = _accumulate(trajectories, spec, endpoint=True)
     th1, th2 = mle(stats)
     res = EstimateResult(th1, th2, stats=stats)
-    res.underresolved_modes = sum(_underresolved(t.lam, t.mu, t.grid_dt) for t in trajectories)
+    lam, mu, dt = np.array([(t.lam, t.mu, t.grid_dt) for t in trajectories]).T
+    res.underresolved_modes = int(np.count_nonzero(_underresolved(lam, mu, dt)))
     if res.underresolved_modes:
         warnings.warn(
             f"{res.underresolved_modes} of {len(trajectories)} modes oscillate faster than "

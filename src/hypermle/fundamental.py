@@ -13,12 +13,12 @@ O(1/(l*T))) beyond, or when lam itself leaves the float range.  lam <= 0 has
 real roots, one of them >= 0, so it never needs the envelope.  covariance_u
 follows from int f^2 by the shift identity of f.  No integral is computed by
 quadrature at run time; the tests keep adaptive quadrature as an independent
-oracle.  The antiderivative and envelope formulas take one mode or arrays of
-modes alike, so psi_curve evaluates all its modes in one array pass.
+oracle.  f, f' and the integrals are numpy over arrays of modes: one pass
+serves all of psi_curve's modes, or all the transitions of a run, and a
+single mode is an array of one.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +53,8 @@ DOUBLE_ROOT_BAND = 1e-8
 _SERIES_X = 0.25
 # largest exponent taken through exp(); e^700 is within the float range
 _EXP_MAX = 700.0
+# largest x whose math.exp(x) is a float
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # regime thresholds of the energy integrals, in units of total phase l*T
 _SERIES_PHASE_MAX = math.sqrt(_SERIES_X)  # below: series in (l*T)^2
@@ -70,11 +72,12 @@ class FundamentalOverflowError(OverflowError):
         self.log_magnitude = exponent
 
 
-def _slog_lam(k, s_lam, l_lam):
-    """lam of mode k from its (sign, log |lam|) form; the one place that rebuilds it."""
-    if l_lam > _EXP_MAX:
-        raise ValueError(f"mode {k}: lambda exceeds the float range; simulation unsupported")
-    return s_lam * math.exp(l_lam) if s_lam != 0.0 else 0.0
+def _slog_lam(ks, s_lam, l_lam):
+    """lam of the modes ks from their (sign, log |lam|) form; the one place that rebuilds it."""
+    beyond = ks[l_lam > _EXP_MAX]
+    if beyond.size:
+        raise ValueError(f"mode {beyond[0]}: lambda exceeds the float range; simulation unsupported")
+    return _from_slog(s_lam, l_lam)
 
 
 @dataclass(frozen=True)
@@ -118,31 +121,28 @@ def _sc_series(x):
 def _stable_real_roots(lam, b, ell):
     """Roots b +- ell (ell > 0): the one of larger modulus directly, the other from r+ r- = lam."""
     damped = b <= 0.0
-    far = b + _where(damped, -ell, ell)
+    far = b + np.where(damped, -ell, ell)
     near = lam / far
-    return _where(damped, (near, far), (far, near))
+    return np.where(damped, near, far), np.where(damped, far, near)
 
 
 def fund_solution(lam, mu, t):
-    """(f(t), f'(t)) for scalar lam, mu; t may be an array.
+    """(f(t), f'(t)), with lam, mu and t broadcast together; floats when all three are numbers.
 
-    Branches follow the sign of mu^2/4 - lam; near the double root the
-    sin/sinh factor is evaluated by a single series in (l t)^2 so that the
-    value is continuous across the switch.
+    One mode at many times, or many modes at one time.  Branches follow the
+    sign of mu^2/4 - lam; near the double root the sin/sinh factor is
+    evaluated by a single series in (l t)^2 so that the value is continuous
+    across the switch.
     """
-    t = np.asarray(t, dtype=float)
+    lam, mu, t = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (lam, mu, t)))
     scalar = t.ndim == 0
-    t = np.atleast_1d(t)
+    lam, mu, t = (np.atleast_1d(a) for a in (lam, mu, t))
     if np.any(t < 0.0):
         raise ValueError("fund_solution requires t >= 0")
     b = 0.5 * mu
     disc = b * b - lam
-    ell = math.sqrt(abs(disc))
-
-    tmax = float(t.max()) if t.size else 0.0
-    grow = b + (ell if disc > 0.0 else 0.0)  # largest root's real part
-    if grow * tmax > _EXP_MAX:
-        raise FundamentalOverflowError(grow * tmax)
+    ell = np.sqrt(np.abs(disc))
+    _check_exponent((b + np.where(disc > 0.0, ell, 0.0)) * t)  # the largest root's real part
 
     x = disc * t * t  # signed (l t)^2
     f = np.empty_like(t)
@@ -150,27 +150,29 @@ def fund_solution(lam, mu, t):
 
     near = np.abs(x) < _SERIES_X
     if np.any(near):
-        tn = t[near]
+        tn, bn = t[near], b[near]
         s, c = _sc_series(x[near])
-        ebt = np.exp(b * tn)
+        ebt = np.exp(bn * tn)
         f[near] = tn * s * ebt
-        fdot[near] = ebt * (b * tn * s + c)
+        fdot[near] = ebt * (bn * tn * s + c)
 
-    far = ~near
-    if np.any(far):
-        tf = t[far]
-        if disc < 0.0:
-            ebt = np.exp(b * tf)
-            sn = np.sin(ell * tf)
-            cs = np.cos(ell * tf)
-            f[far] = ebt * sn / ell
-            fdot[far] = ebt * (cs + b * sn / ell)
-        else:
-            r_plus, r_minus = _stable_real_roots(lam, b, ell)
-            ep = np.exp(np.minimum(r_plus * tf, _EXP_MAX))
-            em = np.exp(np.minimum(r_minus * tf, _EXP_MAX))
-            f[far] = (ep - em) / (2.0 * ell)
-            fdot[far] = (r_plus * ep - r_minus * em) / (2.0 * ell)
+    cplx = ~near & (disc < 0.0)
+    if np.any(cplx):
+        tf, bf, lf = t[cplx], b[cplx], ell[cplx]
+        ebt = np.exp(bf * tf)
+        sn = np.sin(lf * tf)
+        cs = np.cos(lf * tf)
+        f[cplx] = ebt * sn / lf
+        fdot[cplx] = ebt * (cs + bf * sn / lf)
+
+    real = ~(near | cplx)
+    if np.any(real):
+        tf, lf = t[real], ell[real]
+        r_plus, r_minus = _stable_real_roots(lam[real], b[real], lf)
+        ep = np.exp(np.minimum(r_plus * tf, _EXP_MAX))
+        em = np.exp(np.minimum(r_minus * tf, _EXP_MAX))
+        f[real] = (ep - em) / (2.0 * lf)
+        fdot[real] = (r_plus * ep - r_minus * em) / (2.0 * lf)
 
     if scalar:
         return float(f[0]), float(fdot[0])
@@ -224,9 +226,7 @@ def v_func(x):
 
 
 def m_func_log(x):
-    """log M(x), stable for arguments far outside the float range of e^x; x a float or an array."""
-    if not isinstance(x, np.ndarray):
-        return float(m_func_log(np.array([x], dtype=float))[0])
+    """log M(x) over a float array x, stable far outside the float range of e^x."""
     out = np.empty(x.shape)
     mid, high = np.abs(x) <= 30.0, x > 30.0
     low = ~(mid | high)
@@ -238,39 +238,21 @@ def m_func_log(x):
 
 
 # ---------------------------------------------------------------------------
-# One formula for a mode or for an array of modes
+# Rounding of the array formulas
 # ---------------------------------------------------------------------------
-# The antiderivative and envelope formulas below take numbers (one mode, from
-# scaled_mode_integrals and _closed_integrals) or float arrays (many modes,
-# from _scaled_integrals) and round alike either way.  These helpers are where
-# the two differ: a branch becomes a mask, and the math module's exp, log and
-# pow, whose last bit numpy's do not always share, go element by element.
-
-
-def _where(cond, a, b):
-    """a where cond holds, b elsewhere."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
-
-
-def _any(cond):
-    return cond.any() if isinstance(cond, np.ndarray) else cond
-
-
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+# The formulas below run over float arrays of modes.  Where the math module's
+# exp, log and pow, or Python's complex product, round differently from
+# numpy's in the last bit, they take the former, element by element, as the
+# one-mode code they replaced did, so the outputs keep their bits.
 
 
 def _each(fn, x, *more):
-    """fn(x, *more), applied element by element when x is an array (more: arrays like it, or numbers)."""
-    if not isinstance(x, np.ndarray):
-        return fn(x, *more)
-    more = (m.tolist() if isinstance(m, np.ndarray) else itertools.repeat(m) for m in more)
+    """fn(x, *more) element by element over the array x (more: arrays like x, or numbers)."""
+    more = (np.broadcast_to(m, x.shape).tolist() for m in more)
     return np.fromiter(map(fn, x.tolist(), *more), dtype=float, count=x.size)
 
 
 def _complex(re, im):
-    if not isinstance(re, np.ndarray):
-        return complex(re, im)
     z = np.empty(re.shape, dtype=complex)
     z.real, z.imag = re, im
     return z
@@ -278,19 +260,16 @@ def _complex(re, im):
 
 def _square(z):
     """z*z; a complex array's rounded as Python rounds a complex product (numpy's may fuse a multiply-add)."""
-    if isinstance(z, np.ndarray) and z.dtype.kind == "c":
+    if z.dtype.kind == "c":
         return _complex(z.real * z.real - z.imag * z.imag, 2.0 * (z.real * z.imag))
     return z * z
 
 
 def _check_exponent(x):
-    """Raise FundamentalOverflowError for an exponent beyond _EXP_MAX (an array's first such)."""
-    if isinstance(x, np.ndarray):
-        beyond = x[x > _EXP_MAX]
-        if beyond.size:
-            raise FundamentalOverflowError(float(beyond[0]))
-    elif x > _EXP_MAX:
-        raise FundamentalOverflowError(x)
+    """Raise FundamentalOverflowError for the first exponent of the array x beyond _EXP_MAX."""
+    beyond = x[x > _EXP_MAX]
+    if beyond.size:
+        raise FundamentalOverflowError(float(beyond[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +305,10 @@ def _w0_quotient(z, zT):
     return (np.exp(zT) - zT - 1.0) / _square(z)
 
 
-def _split(near, z, zT, scale, series, quotient):
-    """scale * series(zT) where near holds, quotient(z, zT) elsewhere, over arrays."""
+def _split(z, T, scale, series, quotient):
+    """scale * series(zT) where |zT| < 0.5, quotient(z, zT) elsewhere, over an array z."""
+    zT = z * T
+    near = abs(zT) < 0.5
     if not near.any():
         return quotient(z, zT)
     out = np.empty_like(zT)
@@ -342,20 +323,12 @@ def _split(near, z, zT, scale, series, quotient):
 
 def _p0(z, T):
     """int_0^T e^{zt} dt = (e^{zT} - 1)/z for real or complex z, series-stable near z = 0."""
-    zT = z * T
-    near = abs(zT) < 0.5
-    if isinstance(near, np.ndarray):
-        return _split(near, z, zT, T, _p0_series, _p0_quotient)
-    return T * _p0_series(zT) if near else _p0_quotient(z, zT)
+    return _split(z, T, T, _p0_series, _p0_quotient)
 
 
 def _w0(z, T):
     """int_0^T (T - t) e^{zt} dt = (e^{zT} - zT - 1)/z^2."""
-    zT = z * T
-    near = abs(zT) < 0.5
-    if isinstance(near, np.ndarray):
-        return _split(near, z, zT, T * T, _w0_series, _w0_quotient)
-    return T * T * _w0_series(zT) if near else _w0_quotient(z, zT)
+    return _split(z, T, T * T, _w0_series, _w0_quotient)
 
 
 @dataclass(frozen=True)
@@ -482,21 +455,21 @@ def _integrals_closed_real(lam, mu, T, ell):
 
 
 def _b2_over_lam(b, log_lam):
-    """b^2/lam from log lam, at most 1."""
-    if isinstance(b, np.ndarray):
-        return _each(_b2_over_lam, b, log_lam)
-    return 0.0 if b == 0.0 else math.exp(min(2.0 * math.log(abs(b)) - log_lam, 0.0))
+    """b^2/lam from log lam, at most 1, over arrays."""
+    def one(b, log_lam):
+        return 0.0 if b == 0.0 else math.exp(min(2.0 * math.log(abs(b)) - log_lam, 0.0))
+    return _each(one, b, log_lam)
 
 
 def _integrals_envelope(log_lam, mu, T):
-    """Phase-averaged integrals; valid for l*T >> 1, error O(1/(l*T)).
+    """Phase-averaged (lam_if2, ifd2, lam_iif2, iifd2); valid for l*T >> 1, error O(1/(l*T)).
 
     Works from log(lam) directly, so it covers eigenvalues beyond the float
     range (the only regime that has to).
     """
     b = 0.5 * mu
     b2_over_lam = _b2_over_lam(b, log_lam)
-    if _any(b2_over_lam >= 0.5):
+    if (b2_over_lam >= 0.5).any():
         raise ValueError("envelope integrals require mu^2 << 4 lam")
     lam_over_ell2 = 1.0 / (1.0 - b2_over_lam)
     b2_over_ell2 = b2_over_lam * lam_over_ell2
@@ -507,7 +480,7 @@ def _integrals_envelope(log_lam, mu, T):
     ifd2 = 0.5 * (1.0 + b2_over_ell2) * p0c
     lam_iif2 = 0.5 * lam_over_ell2 * w0c
     iifd2 = 0.5 * (1.0 + b2_over_ell2) * w0c
-    return ScaledIntegrals(lam_if2, ifd2, lam_iif2, iifd2, 0.0, "envelope")
+    return lam_if2, ifd2, lam_iif2, iifd2
 
 
 # regime of a mode's energy integrals
@@ -515,7 +488,7 @@ _SERIES, _REAL, _COMPLEX, _ENVELOPE = range(4)
 
 
 def _regime(lam, mu, T):
-    """(ell, series, real, closed) of modes (lam, mu) over [0, T], numbers or arrays.
+    """(ell, series, real, closed) of float arrays of modes (lam, mu) over [0, T].
 
     The first of series, real and closed that holds names the evaluation:
     the series, the real-root or the complex-root antiderivatives; the
@@ -527,59 +500,43 @@ def _regime(lam, mu, T):
     """
     b = 0.5 * mu
     disc = b * b - lam
-    ell = _sqrt(abs(disc))
+    ell = np.sqrt(abs(disc))
     phase = ell * T
     return ell, (phase < _SERIES_PHASE_MAX) | (8.0 * ell <= -b), disc > 0.0, phase <= _ENVELOPE_PHASE_MIN
 
 
+def _log_lam(lam):
+    """log lam by math.log where lam > 0, and 0 elsewhere, over a float array."""
+    return _each(math.log, np.where(lam > 0.0, lam, 1.0))
+
+
 def scaled_mode_integrals(mu, T, log_lam):
-    """Dispatch between series, antiderivative, and envelope evaluation (lam = e^log_lam > 0).
+    """The integrals of one mode with lam = e^log_lam > 0: _scaled_integrals of an array of one."""
+    rows, envelope = _scaled_integrals(np.ones(1), np.array([mu], dtype=float), T,
+                                       np.array([log_lam], dtype=float))
+    return ScaledIntegrals(*rows[:, 0].tolist(), "envelope" if envelope[0] else "closed")
 
-    Every integral carries the factor e^{mu T}; beyond e^_EXP_MAX it raises
-    FundamentalOverflowError, as the real-root antiderivatives do.
+
+def _scaled_integrals(lam, mu, T, log_lam):
+    """Energy integrals over [0, T] of float arrays of modes, in one pass: (rows, envelope).
+
+    rows is (5, n): lam int f^2, int f'^2, lam int (T-t) f^2, int (T-t) f'^2
+    and sqrt(lam) int f.  A mode with lam > 0 is read from log_lam, its lam
+    giving only the sign, so it may lie beyond the float range; a mode with
+    lam <= 0 is read from lam and its rows carry no lam factors.  envelope
+    marks the modes the envelope served.  A mask picks each mode's regime;
+    the few series modes go one at a time, as _phi works per argument.
+
+    Every integral of a mode with lam > 0 carries the factor e^{mu T}; beyond
+    e^_EXP_MAX it raises FundamentalOverflowError, as the real-root
+    antiderivatives do.
     """
     if T <= 0.0:
         raise ValueError("T must be positive")
-    _check_exponent(mu * T)
-    if log_lam > _EXP_MAX:
-        return _integrals_envelope(log_lam, mu, T)
-    lam = math.exp(log_lam)
-    closed = _closed_integrals(lam, mu, T)
-    if closed is None:
-        return _integrals_envelope(math.log(lam), mu, T)
-    if2, ifd2, iif2, iifd2, intf = closed
-    return ScaledIntegrals(lam * if2, ifd2, lam * iif2, iifd2, math.sqrt(lam) * intf, "closed")
-
-
-def _closed_integrals(lam, mu, T):
-    """(int f^2, int f'^2, int (T-t) f^2, int (T-t) f'^2, int f) over [0, T], lam of either sign.
-
-    lam <= 0 has real roots, one of them >= 0, so it takes the series or the
-    real-root antiderivatives.  None for complex roots beyond phase
-    _ENVELOPE_PHASE_MIN, where only the (lam-scaled) envelope serves.
-    """
-    ell, series, real, closed = _regime(lam, mu, T)
-    if series:
-        return _integrals_series(lam, mu, T)
-    if real:
-        return _integrals_closed_real(lam, mu, T, ell)
-    if closed:
-        return _integrals_closed_complex(lam, mu, T, ell)
-    return None
-
-
-def _scaled_integrals(mu, T, log_lam):
-    """scaled_mode_integrals of float arrays of modes in one pass: the rows lam_if2, ifd2,
-    lam_iif2, iifd2 and sqlam_if of a (5, n) array.
-
-    A mask picks each mode's regime.  The few series modes go one at a time,
-    as _phi works per argument.
-    """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    _check_exponent(mu * T)
-    in_range = log_lam <= _EXP_MAX  # beyond, lam leaves the float range and the envelope serves
-    lam = _each(math.exp, np.where(in_range, log_lam, 0.0))
+    pos = lam > 0.0
+    _check_exponent(mu[pos] * T)
+    in_range = ~pos | (log_lam <= _EXP_MAX)  # beyond, lam leaves the float range and the envelope serves
+    lam = np.where(pos, _each(math.exp, np.where(pos & in_range, log_lam, 0.0)), lam)
     ell, *tests = _regime(lam, mu, T)
     regime = np.where(in_range, np.select(tests, [_SERIES, _REAL, _COMPLEX], _ENVELOPE), _ENVELOPE)
 
@@ -589,19 +546,18 @@ def _scaled_integrals(mu, T, log_lam):
         out[:, sel] = formula(lam[sel], mu[sel], T, ell[sel])
     for i in np.flatnonzero(regime == _SERIES).tolist():
         out[:, i] = _integrals_series(float(lam[i]), float(mu[i]), T)
-    closed = regime != _ENVELOPE
-    out[0, closed] *= lam[closed]
-    out[2, closed] *= lam[closed]
-    out[4, closed] *= np.sqrt(lam[closed])
+    envelope = regime == _ENVELOPE
+    scaled = pos & ~envelope
+    out[0, scaled] *= lam[scaled]
+    out[2, scaled] *= lam[scaled]
+    out[4, scaled] *= np.sqrt(lam[scaled])
 
-    env = ~closed
-    log_env = log_lam[env]
-    rebuilt = in_range[env]  # as scaled_mode_integrals does: the envelope of a float lam takes log(lam)
-    log_env[rebuilt] = _each(math.log, lam[env][rebuilt])
-    e = _integrals_envelope(log_env, mu[env], T)
-    out[:4, env] = (e.lam_if2, e.ifd2, e.lam_iif2, e.iifd2)
-    out[4, env] = 0.0
-    return out
+    log_env = log_lam[envelope]
+    rebuilt = in_range[envelope]  # the envelope of a float lam takes log(lam), as the closed forms take lam
+    log_env[rebuilt] = _each(math.log, lam[envelope][rebuilt])
+    out[:4, envelope] = _integrals_envelope(log_env, mu[envelope], T)
+    out[4, envelope] = 0.0
+    return out, envelope
 
 
 # ---------------------------------------------------------------------------
@@ -619,15 +575,12 @@ class ModeMoments:
 
 
 def mode_moments(lam, mu, T):
-    """Energy integrals of one mode; Eu2T equals int_f2 by construction."""
-    if lam > 0.0:
-        si = scaled_mode_integrals(mu, T, math.log(lam))
-        int_f2 = si.lam_if2 / lam
-        dbl_f2 = si.lam_iif2 / lam
-        return ModeMoments(int_f2, si.ifd2, dbl_f2, si.iifd2, int_f2)
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    int_f2, int_fd2, dbl_f2, dbl_fd2, _ = _closed_integrals(lam, mu, T)
+    """Energy integrals of one mode, _scaled_integrals of an array of one; Eu2T equals int_f2."""
+    lam_a = np.array([lam], dtype=float)
+    rows, _ = _scaled_integrals(lam_a, np.array([mu], dtype=float), T, _log_lam(lam_a))
+    int_f2, int_fd2, dbl_f2, dbl_fd2, _ = rows[:, 0].tolist()
+    if lam > 0.0:  # the rows carry a factor lam
+        int_f2, dbl_f2 = int_f2 / lam, dbl_f2 / lam
     return ModeMoments(int_f2, int_fd2, dbl_f2, dbl_fd2, int_f2)
 
 
@@ -689,7 +642,13 @@ class PsiValues:
 
 
 def _from_slog(s, l):
-    """s * e^l elementwise, by math.exp; 0 where l = -inf."""
+    """s * e^l elementwise, by math.exp; 0 where l = -inf.
+
+    Raises FundamentalOverflowError for the first e^l beyond the float range.
+    """
+    beyond = l[l > _LOG_FLOAT_MAX]
+    if beyond.size:
+        raise FundamentalOverflowError(float(beyond[0]))
     return np.where(l > -math.inf, s * _each(math.exp, l), 0.0)
 
 
@@ -703,27 +662,27 @@ def _psi_mode_terms(spec, params, ks):
     s_nu, l_nu = spec.nu.slog_array(ks)
     T = params.T
     nu = _from_slog(s_nu, l_nu)
+    pos = s_lam > 0.0
+    neg = ~pos
+    tau = _from_slog(s_tau[neg], l_tau[neg])
+    lam = np.ones(len(ks))  # stands for a lam > 0, which _scaled_integrals reads from l_lam
+    lam[neg] = _slog_lam(ks[neg], s_lam[neg], l_lam[neg])
+    (f2, _, iif2, iifd2, _), _ = _scaled_integrals(lam, mu, T, l_lam)  # lam-scaled where lam > 0
     out = np.empty((len(ks), 5))
 
     # no large-lam form exists for a mode with lam <= 0: its exact terms fill the _asym columns
-    neg = np.flatnonzero(s_lam <= 0.0)
-    tau = _from_slog(s_tau[neg], l_tau[neg])
-    for i, t, n in zip(neg.tolist(), tau.tolist(), nu[neg].tolist()):
-        lam = _slog_lam(int(ks[i]), float(s_lam[i]), float(l_lam[i]))
-        if2, _, iif2, iifd2, _ = _closed_integrals(lam, float(mu[i]), T)
-        exact = [t * t * iif2, n * n * iifd2, -0.5 * t * n * if2]
-        out[i] = exact + exact[:2]
+    nu_neg = nu[neg]
+    exact = [tau * tau * iif2[neg], nu_neg * nu_neg * iifd2[neg], -0.5 * tau * nu_neg * f2[neg]]
+    out[neg] = np.column_stack(exact + exact[:2])
 
-    pos = s_lam > 0.0
-    lam_if2, _, lam_iif2, iifd2, _ = _scaled_integrals(mu[pos], T, l_lam[pos])
     s_tau, l_tau, s_nu, l_nu, nu, l_lam = (a[pos] for a in (s_tau, l_tau, s_nu, l_nu, nu, l_lam))
-    has_tau, has_nu = l_tau > -math.inf, l_nu > -math.inf
-    c1 = np.where(has_tau, _each(math.exp, 2.0 * l_tau - l_lam), 0.0)
-    c12 = np.where(has_tau & has_nu, s_tau * s_nu * _each(math.exp, l_tau + l_nu - l_lam), 0.0)
+    c1 = _from_slog(1.0, 2.0 * l_tau - l_lam)
+    c12 = _from_slog(s_tau * s_nu, l_tau + l_nu - l_lam)
     m_log = m_func_log(T * mu[pos])
-    asym1 = np.where(has_tau, _each(math.exp, np.minimum(2.0 * l_tau - l_lam + m_log, _EXP_MAX)) * T ** 2, 0.0)
+    asym1 = np.where(l_tau > -math.inf,
+                     _each(math.exp, np.minimum(2.0 * l_tau - l_lam + m_log, _EXP_MAX)) * T ** 2, 0.0)
     asym2 = nu * nu * T ** 2 * _each(math.exp, np.minimum(m_log, _EXP_MAX))
-    out[pos] = np.column_stack([c1 * lam_iif2, nu * nu * iifd2, -0.5 * c12 * lam_if2, asym1, asym2])
+    out[pos] = np.column_stack([c1 * iif2[pos], nu * nu * iifd2[pos], -0.5 * c12 * f2[pos], asym1, asym2])
     return out
 
 

@@ -99,8 +99,10 @@ class BatchResult:
     identity_max_rel: float         # worst |reconstructed - direct| / RMS(direct)
 
 
-def _mode_task(spec, params, k, lam_mu, grid, seed, M, residual):
+def _mode_task(spec, k, mode, grid, seed, M, residual):
     """Everything mode k contributes, independent of all other modes.
+
+    mode is (lam, mu, P, Q, scale): the mode and its _scaled_transition.
 
     The M replicate streams are made first, and then each gives its 2n path
     normals and two more, eta, in one fill of its row of the draw buffer.
@@ -114,9 +116,8 @@ def _mode_task(spec, params, k, lam_mu, grid, seed, M, residual):
     factor of G, completes the dw sums exactly in law.  Returns the endpoint
     contributions and, with residual, the raw ones with residual increments.
     """
-    lam, mu = lam_mu
+    lam, mu, P, Q, scale = mode
     n, dt = grid.n_steps, grid.dt
-    P, Q, scale = _scaled_transition(mu, dt, lam=lam, warn=False)
     S, _ = _psd_factor(Q)
 
     # The fills run without the interpreter lock; with every stream made first,
@@ -204,12 +205,14 @@ def run_replicates(spec, params, N, grid, seed, M, workers=1):
     """
     if N < 1 or N > spec.k_max:
         raise ValueError(f"N must lie in [1, {spec.k_max}]")
-    modes = _true_modes(spec, params, N)
-    underresolved = sum(_underresolved(lam, mu, grid.dt) for lam, mu, _ in modes)
+    lam, mu, _ = _true_modes(spec, params, N)
+    P, Q, scale = _scaled_transition(lam, mu, grid.dt)
+    modes = list(zip(lam.tolist(), mu.tolist(), P, Q, scale.tolist()))
+    underresolved = int(np.count_nonzero(_underresolved(lam, mu, grid.dt)))
     resolved = underresolved == 0
 
     def task(k):
-        return _mode_task(spec, params, k, modes[k - 1][:2], grid, seed, M, resolved)
+        return _mode_task(spec, k, modes[k - 1], grid, seed, M, resolved)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor

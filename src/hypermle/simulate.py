@@ -5,7 +5,9 @@ One time step of the exact solution is a linear map of the state plus a
 Gaussian noise triple (state noise in u, state noise in v, the Brownian
 increment) whose 3x3 covariance comes from the fundamental solution.  The
 grid therefore introduces no bias in the marginal law of (u, v) at grid
-times; only time-integrated statistics see the step size.
+times; only time-integrated statistics see the step size.  The transitions
+of all the modes of a run are built in one numpy pass (_scaled_transition)
+before any path is drawn; one mode is an array of one.
 
 The path needs only the state noise, two normals per step.  The increment
 splits as dw = c^T xi + sigma eta: a part fixed by the step's two normals
@@ -40,7 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fundamental import _EXP_MAX, _closed_integrals, _slog_lam, fund_solution, scaled_mode_integrals
+from .fundamental import _EXP_MAX, _each, _log_lam, _scaled_integrals, _slog_lam, fund_solution
+from .fundamental import scaled_mode_integrals  # perfbench/tracing.py wraps this name; nothing here calls it
 from .quadrature import integrate  # perfbench/tracing.py wraps this name; nothing here calls it
 from .spectrum import lambda_mu_slog
 
@@ -134,33 +137,35 @@ class ModeTrajectory:
 
 
 def _pow2_scale(log_lam):
-    """Power-of-two close to sqrt(lam); exact to rescale by."""
-    if log_lam is None or log_lam <= 0.0:
-        return 1.0
-    e = int(round(log_lam / (2.0 * _LN2)))
-    return math.ldexp(1.0, e)
+    """Powers of two close to sqrt(lam), from log lam (1 where log lam <= 0); exact to rescale by."""
+    return np.ldexp(1.0, np.round(np.maximum(log_lam, 0.0) / (2.0 * _LN2)).astype(int))
 
 
 def _underresolved(lam, mu, dt):
-    """Whether a grid of step dt misses the oscillation of mode (lam, mu): ell*dt > pi."""
+    """Whether a grid of step dt misses the oscillation of modes (lam, mu): ell*dt > pi, elementwise."""
     b = 0.5 * mu
     disc = b * b - lam
-    return disc < 0.0 and math.sqrt(-disc) * dt > math.pi
+    return (disc < 0.0) & (np.sqrt(np.maximum(-disc, 0.0)) * dt > math.pi)
+
+
+def _warn_underresolved(lam, mu, dt):
+    """Warn UnderresolvedModeWarning for each mode of the arrays (lam, mu) that _underresolved names."""
+    miss = _underresolved(lam, mu, dt)
+    for l, m in zip(lam[miss].tolist(), mu[miss].tolist()):
+        warnings.warn(f"mode oscillation unresolved: ell*dt = {math.sqrt(l - 0.25 * m * m) * dt:.3g} > pi",
+                      UnderresolvedModeWarning, stacklevel=3)
 
 
 def _true_modes(spec, params, N):
-    """(lam, mu, scale) of each of the modes 1..N at the true parameters, from one spectrum call.
+    """Float arrays (lam, mu, scale) of the modes 1..N at the true parameters, from one spectrum call.
 
     The scale is the one _scaled_transition derives from lam, so a trajectory
     file read back with it reproduces the simulated coordinates exactly.
     """
     ks = np.arange(1, N + 1)
     (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, ks)
-    out = []
-    for k, s, l, m in zip(ks.tolist(), s_lam.tolist(), l_lam.tolist(), mu.tolist()):
-        lam = _slog_lam(k, s, l)
-        out.append((lam, m, _pow2_scale(math.log(lam) if lam > 0.0 else None)))
-    return out
+    lam = _slog_lam(ks, s_lam, l_lam)
+    return lam, mu, _pow2_scale(_log_lam(lam))
 
 
 def _psd_factor(Q):
@@ -193,58 +198,43 @@ def _psd_factor(Q):
     return S, clip
 
 
-def _scaled_transition(mu, dt, lam, warn=True):
-    """Propagator and noise covariance in (scale*u, v, w) coordinates.
+def _scaled_transition(lam, mu, dt):
+    """Propagators and noise covariances of arrays of modes in (scale*u, v, w) coordinates.
 
-    Returns (P, Q, scale).  P is 2x2 over the state, Q the 3x3 covariance of
-    (state noise in scale*u, state noise in v, Brownian increment).  lam is a
-    float; a mode known in (sign, log) form is rebuilt by _slog_lam first.
-    For lam > 0 the scale is a power of two close to sqrt(lam) (_pow2_scale
-    of log lam), otherwise 1.
+    Returns (P, Q, scale) stacked over the modes: P (n, 2, 2) over the state,
+    Q (n, 3, 3) the covariance of (state noise in scale*u, state noise in v,
+    Brownian increment), and scale (n,).  lam may take either sign; a mode
+    known in (sign, log) form is rebuilt by _slog_lam first.  For lam > 0 the
+    scale is a power of two close to sqrt(lam) (_pow2_scale of log lam),
+    otherwise 1.
     """
-    log_lam = math.log(lam) if lam > 0.0 else None
-    if log_lam is not None and log_lam > _EXP_MAX:
+    lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
+    log_lam = _log_lam(lam)
+    if (log_lam > _EXP_MAX).any():
         raise ValueError("transition needs lam within the float range (log lam <= 700)")
-
-    if warn and _underresolved(lam, mu, dt):
-        warnings.warn(
-            f"mode oscillation unresolved: ell*dt = {math.sqrt(lam - 0.25 * mu * mu) * dt:.3g} > pi",
-            UnderresolvedModeWarning,
-            stacklevel=3,
-        )
 
     f, fd = fund_solution(lam, mu, dt)
     g = fd - mu * f
-
-    if lam > 0.0:
-        scale = _pow2_scale(log_lam)
-        lam_over_s2 = math.exp(log_lam - 2.0 * math.log(scale)) if scale != 1.0 else lam
-        sf = scale * f
-        si = scaled_mode_integrals(mu, dt, log_lam=log_lam)
-        q_uu = si.lam_if2 / lam_over_s2
-        q_uv = sf * sf / (2.0 * scale)
-        q_uw = si.sqlam_if / math.sqrt(lam_over_s2)
-        P = np.array([[g, sf], [-lam_over_s2 * sf, fd]])
-        Q = np.array(
-            [
-                [q_uu, q_uv, q_uw],
-                [q_uv, si.ifd2, f],
-                [q_uw, f, dt],
-            ]
-        )
-        return P, Q, scale
-
-    if2, ifd2, _, _, intf = _closed_integrals(lam, mu, dt)  # lam <= 0: no scaling
-    P = np.array([[g, f], [-lam * f, fd]])
-    Q = np.array([[if2, f * f / 2.0, intf], [f * f / 2.0, ifd2, f], [intf, f, dt]])
-    return P, Q, 1.0
+    scale = _pow2_scale(log_lam)
+    lam_over_s2 = np.where(scale == 1.0, lam, _each(math.exp, log_lam - 2.0 * _each(math.log, scale)))
+    sf = scale * f
+    (lam_if2, ifd2, _, _, sqlam_if), _ = _scaled_integrals(lam, mu, dt, log_lam)
+    factor = np.where(lam > 0.0, lam_over_s2, 1.0)  # the integrals of lam <= 0 carry no lam factors
+    q_uu = lam_if2 / factor
+    q_uv = sf * sf / (2.0 * scale)
+    q_uw = sqlam_if / np.sqrt(factor)
+    P = np.stack([g, sf, -lam_over_s2 * sf, fd], axis=-1).reshape(-1, 2, 2)
+    Q = np.stack([q_uu, q_uv, q_uw, q_uv, ifd2, f, q_uw, f, np.full_like(f, dt)], axis=-1).reshape(-1, 3, 3)
+    return P, Q, scale
 
 
 def transition(lam, mu, dt):
     """Exact one-step propagator and joint noise covariance in plain (u, v, w) coordinates."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    P, Q, s = _scaled_transition(mu, dt, lam=lam)
+    lam, mu = np.array([lam], dtype=float), np.array([mu], dtype=float)
+    _warn_underresolved(lam, mu, dt)
+    (P,), (Q,), (s,) = _scaled_transition(lam, mu, dt)
     D = np.array([1.0 / s, 1.0, 1.0])
     P_plain = P.copy()
     P_plain[0, 1] /= s
@@ -408,14 +398,9 @@ def simulate_mode(lam, mu, grid, rng, k=1):
     more, eta, for the part of each Brownian increment that the path leaves
     free: dw = c^T xi + sigma eta.
     """
-    n = grid.n_steps
-    P, Q, scale = _scaled_transition(mu, grid.dt, lam=lam)
-    S, _ = _psd_factor(Q)
-    xi = rng.standard_normal((n, 2))[:, :, None]
-    u, v, dwp = _run_chain(_chain_operators(P, S, n), np.zeros((2, 1)), xi)
-    dw = dwp[:, 0]  # a view of the path's buffer, completed in place
-    dw += S[2, 2] * rng.standard_normal(n)
-    return ModeTrajectory(k, u[:, 0], v[:, 0], dw, scale, lam, mu, grid.dt)
+    lam, mu = np.array([lam], dtype=float), np.array([mu], dtype=float)
+    _warn_underresolved(lam, mu, grid.dt)
+    return _trajectories([k], lam, mu, grid, [rng])[0]
 
 
 def simulate_solution(spec, params, N, grid, seed, replicate=0):
@@ -426,8 +411,26 @@ def simulate_solution(spec, params, N, grid, seed, replicate=0):
     """
     if N < 1 or N > spec.k_max:
         raise ValueError(f"N must lie in [1, {spec.k_max}]")
-    return [simulate_mode(lam, mu, grid, mode_stream(seed, replicate, k), k=k)
-            for k, (lam, mu, _) in enumerate(_true_modes(spec, params, N), 1)]
+    lam, mu, _ = _true_modes(spec, params, N)
+    _warn_underresolved(lam, mu, grid.dt)
+    ks = range(1, N + 1)
+    return _trajectories(ks, lam, mu, grid, (mode_stream(seed, replicate, k) for k in ks))
+
+
+def _trajectories(ks, lam, mu, grid, rngs):
+    """The trajectory of each mode k of ks (float arrays lam, mu), drawn from its generator of rngs
+    as simulate_mode draws it; the transitions come from one _scaled_transition call."""
+    n = grid.n_steps
+    P, Q, scale = _scaled_transition(lam, mu, grid.dt)
+    out = []
+    for k, rng, P_k, Q_k, *mode in zip(ks, rngs, P, Q, scale.tolist(), lam.tolist(), mu.tolist()):
+        S, _ = _psd_factor(Q_k)
+        xi = rng.standard_normal((n, 2))[:, :, None]
+        u, v, dwp = _run_chain(_chain_operators(P_k, S, n), np.zeros((2, 1)), xi)
+        dw = dwp[:, 0]  # a view of the path's buffer, completed in place
+        dw += S[2, 2] * rng.standard_normal(n)
+        out.append(ModeTrajectory(k, u[:, 0], v[:, 0], dw, *mode, grid.dt))
+    return out
 
 
 def ito_sum(integrand, increments):

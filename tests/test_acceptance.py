@@ -95,7 +95,7 @@ def test_criterion_02_m_v_functions():
 
 
 def _endpoint_sample(lam, mu, grid, n_rep, seed):
-    P, Q, scale = _scaled_transition(mu, grid.dt, lam=lam, warn=False)
+    (P,), (Q,), (scale,) = _scaled_transition([lam], [mu], grid.dt)
     S, _ = _psd_factor(Q)
     xi = np.empty((grid.n_steps, 2, n_rep))
     for m in range(n_rep):

@@ -271,6 +271,21 @@ class TestPsi:
         assert res.returncode == 4
         assert res.stderr.startswith("runtime error:") and "Traceback" not in res.stderr
 
+    def test_overflowing_coefficient_exits_four(self, tmp_path, outdir):
+        # tau_k = k^300, lambda_k ~ k^300: tau_k^2 / lambda_k leaves the float range at k = 11
+        cfg = write_config(tmp_path / "steep.json", {
+            "spectrum": {"kappa": {"kind": "power_law", "coefficient": 1.0, "exponent": 2.0},
+                         "tau": {"kind": "power_law", "coefficient": 1.0, "exponent": 300.0},
+                         "rho": {"kind": "constant", "coefficient": 0.0},
+                         "nu": {"kind": "constant", "coefficient": 1.0}, "dimension": 1, "k_max": 100},
+            "params": {"theta1": 1.0, "theta2": -0.5, "theta1_box": [0.5, 2.0],
+                       "theta2_box": [-1.0, 1.0], "T": 1.0},
+            "experiment": {"out": str(outdir)},
+        })
+        res = run_cli("psi", "--config", cfg, "--n-list", "20")
+        assert res.returncode == 4
+        assert res.stderr.startswith("runtime error:") and len(res.stderr.splitlines()) == 1
+
 
 class TestSimulateEstimateRoundTrip:
     def test_estimate_matches_in_process(self, ex1_config, outdir):
@@ -612,6 +627,19 @@ class TestMc:
         assert 0.0 <= summary["ks1"] <= 1.0
         assert "0.01" in summary["critical"] or 0.01 in summary["critical"]
 
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path):
+        # the summaries record neither the worker count nor the time (the manifest does)
+        from hypermle import cli
+
+        common = ["--config", str(CONFIGS / "alg_ex1.json"), "--n-list", "2,4", "--replicates", "30",
+                  "--dt-steps", "256"]
+        for workers in (1, 2):
+            for verb in ("consistency", "lln"):
+                args = [*common, "--workers", str(workers), "--out", str(tmp_path / str(workers))]
+                assert cli.main(["mc", verb, *args]) == 0
+        for name in ("consistency_replicates.csv", "consistency_summary.json", "lln_summary.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
     def test_underresolved_modes_in_summaries(self, outdir):
         from hypermle import cli
         from hypermle.config import load_config
@@ -619,8 +647,7 @@ class TestMc:
 
         config = str(CONFIGS / "sec5_exponential.json")
         cfg = load_config(config)
-        counts = [sum(_underresolved(lam, mu, 1.0 / 256)
-                      for lam, mu, _ in _true_modes(cfg["spec"], cfg["params"], N))
+        counts = [int(_underresolved(*_true_modes(cfg["spec"], cfg["params"], N)[:2], 1.0 / 256).sum())
                   for N in (4, 8, 12)]
         assert counts == [0, 2, 6]  # the grid of 256 steps resolves modes 1..6 only
         common = ["--config", config, "--n-list", "4,8,12", "--dt-steps", "256",

@@ -113,6 +113,13 @@ def covariance_oracle(lam, mu, s, t, rtol):
     return quad(kernel), quad(lambda r: np.abs(kernel(r)))
 
 
+def one_mode_rows(lam, mu, T):
+    """_scaled_integrals of the one mode (lam, mu): (5,) rows, lam-scaled for lam > 0."""
+    lam = np.array([lam], dtype=float)
+    rows, _ = fundamental._scaled_integrals(lam, np.array([mu], dtype=float), T, fundamental._log_lam(lam))
+    return rows[:, 0]
+
+
 def negative_kappa_model():
     """kappa = -12, tau = 3 k^2, rho = 1/2, nu = 2 at theta = (1, -1/2): lambda_1 = -9, lambda_2 = 0."""
     spec = SpectrumSpec(Constant(-12.0), PowerLaw(3.0, 2.0), Constant(0.5), Constant(2.0))
@@ -246,11 +253,12 @@ class TestMV:
         assert v_func(x) / (4.0 * math.exp(2 * x) / (2 * x) ** 4) == pytest.approx(1.0, rel=0.05)
 
     def test_log_form_matches(self):
-        for x in (-2000.0, -31.0, -1.0, 0.0, 2.5, 31.0, 500.0):
-            if abs(x) <= 30:
-                assert m_func_log(x) == pytest.approx(math.log(m_func(x)), rel=1e-12)
-        assert m_func_log(700.0) == pytest.approx(700.0 - math.log(2 * 700.0 ** 2), rel=1e-9)
-        assert m_func_log(-1e6) == pytest.approx(math.log(1e6 - 1) - math.log(2e12), rel=1e-9)
+        x = np.array([-2000.0, -31.0, -1.0, 0.0, 2.5, 31.0, 500.0, 700.0, -1e6])
+        got = m_func_log(x)
+        mid = np.abs(x) <= 30
+        assert got[mid] == pytest.approx(np.log(m_func(x[mid])), rel=1e-12)
+        assert got[-2] == pytest.approx(700.0 - math.log(2 * 700.0 ** 2), rel=1e-9)
+        assert got[-1] == pytest.approx(math.log(1e6 - 1) - math.log(2e12), rel=1e-9)
 
 
 class TestModeMoments:
@@ -280,21 +288,18 @@ class TestModeMoments:
                 continue
             ell = math.sqrt(lam - mu * mu / 4)
             q = quadrature_oracle(lam, mu, 1.0, 1e-11)
-            c = dict(zip(_UNSCALED, _integrals_closed_complex(lam, mu, 1.0, ell)))
+            c = dict(zip(_UNSCALED, _integrals_closed_complex(*(np.array([x]) for x in (lam, mu, 1.0, ell)))))
             for fieldname in _UNSCALED[:4]:
-                assert q[fieldname] == pytest.approx(c[fieldname], rel=1e-9)
+                assert q[fieldname] == pytest.approx(c[fieldname][0], rel=1e-9)
 
     def test_envelope_matches_closed_at_high_frequency(self):
         from hypermle.fundamental import _integrals_closed_complex, _integrals_envelope
 
-        for lam in (1e15, 1e16):
-            mu = -1.3
-            ell = math.sqrt(lam - mu * mu / 4)
-            if2, ifd2, iif2, iifd2, _ = _integrals_closed_complex(lam, mu, 1.0, ell)
-            c = {"lam_if2": lam * if2, "ifd2": ifd2, "lam_iif2": lam * iif2, "iifd2": iifd2}
-            e = _integrals_envelope(math.log(lam), mu, 1.0)
-            for fieldname in ("lam_if2", "ifd2", "lam_iif2", "iifd2"):
-                assert c[fieldname] == pytest.approx(getattr(e, fieldname), rel=1e-6)
+        lam, mu = np.array([1e15, 1e16]), np.full(2, -1.3)
+        ell = np.sqrt(lam - mu * mu / 4)
+        if2, ifd2, iif2, iifd2, _ = _integrals_closed_complex(lam, mu, 1.0, ell)
+        closed = np.array([lam * if2, ifd2, lam * iif2, iifd2])
+        assert closed == pytest.approx(np.array(_integrals_envelope(np.log(lam), mu, 1.0)), rel=1e-6)
 
     def test_log_native_envelope(self):
         # lambda far beyond the float range; lam * iint f^2 ~ T^2 M(mu T)
@@ -380,7 +385,7 @@ class TestIntegralsProperty:
     @example((-1e6, -1e4, 1.0))               # lam < 0, |mu| T = 1e4
     def test_nonpositive_lambda_matches_quadrature_oracle(self, mode):
         lam, mu, T = mode
-        got = dict(zip(_UNSCALED, fundamental._closed_integrals(lam, mu, T)))
+        got = dict(zip(_UNSCALED, one_mode_rows(lam, mu, T)))
         q = quadrature_oracle(lam, mu, T, 1e-12)
         for name in _UNSCALED[:4]:
             assert got[name] == pytest.approx(q[name], rel=1e-10, abs=0.0), name
@@ -514,10 +519,12 @@ class TestPsi:
         # lambda_1 = -9 and lambda_2 = 0: tau^2 int (T-t) f^2, nu^2 int (T-t) f'^2 and
         # -tau nu int f^2 / 2 in closed form, repeated in the _asym columns
         spec, params = negative_kappa_model()
-        terms = fundamental._psi_mode_terms(spec, params, [1, 2])
-        for k, row in zip((1, 2), terms):
-            (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, k)
-            q = quadrature_oracle(fundamental._slog_lam(k, s_lam, l_lam), mu, params.T, 1e-12)
+        ks = np.array([1, 2])
+        terms = fundamental._psi_mode_terms(spec, params, ks)
+        (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, ks)
+        lam = fundamental._slog_lam(ks, s_lam, l_lam)
+        for k, row in zip(ks.tolist(), terms):
+            q = quadrature_oracle(lam[k - 1], mu[k - 1], params.T, 1e-12)
             tau, nu = spec.tau.value(k), spec.nu.value(k)
             exact = [tau * tau * q["iif2"], nu * nu * q["iifd2"], -0.5 * tau * nu * q["if2"]]
             assert row.tolist() == pytest.approx(exact + exact[:2], rel=1e-10, abs=0.0)
@@ -537,19 +544,24 @@ class TestPsi:
         assert pv.psi2 == pytest.approx(pv.psi2_asym, rel=0.01)
 
 
-def _one_mode_integrals(mu, T, log_lam):
-    si = scaled_mode_integrals(float(mu), T, float(log_lam))
-    return [si.lam_if2, si.ifd2, si.lam_iif2, si.iifd2, si.sqlam_if]
+def _assert_each_mode_alone_matches(lam, mu, T, log_lam=None):
+    """_scaled_integrals over a batch of modes equals its value for each mode alone, bit for bit.
 
-
-def _assert_array_pass_matches_one_mode(lam, mu, T, log_lam=None):
-    """_scaled_integrals over the modes equals scaled_mode_integrals of each, bit for bit."""
+    With log_lam given, it is the mode where lam > 0 (as psi_curve passes it).
+    Beyond 2000 modes an even sample of 2000 goes alone; the whole batch
+    also goes in another order.
+    """
+    lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
     if log_lam is None:
-        log_lam = np.log(np.asarray(lam, dtype=float))
-    mu = np.asarray(mu, dtype=float)
-    got = fundamental._scaled_integrals(mu, T, log_lam)
-    want = np.array([_one_mode_integrals(m, T, l) for m, l in zip(mu, log_lam)]).T
-    assert got.tobytes() == want.tobytes()
+        log_lam = fundamental._log_lam(lam)
+    rows, envelope = fundamental._scaled_integrals(lam, mu, T, log_lam)
+    for i in range(0, len(lam), max(1, len(lam) // 2000)):
+        one, one_envelope = fundamental._scaled_integrals(lam[i:i + 1], mu[i:i + 1], T, log_lam[i:i + 1])
+        assert one.tobytes() == rows[:, i:i + 1].tobytes(), (lam[i], mu[i], log_lam[i])
+        assert one_envelope[0] == envelope[i]
+    order = np.random.default_rng(len(lam)).permutation(len(lam))
+    shuffled, _ = fundamental._scaled_integrals(lam[order], mu[order], T, log_lam[order])
+    assert shuffled.tobytes() == rows[:, order].tobytes()
 
 
 def _regimes(lam, mu, T):
@@ -557,8 +569,36 @@ def _regimes(lam, mu, T):
     return set(np.select(tests, ["series", "real", "complex"], "envelope").tolist())
 
 
+def mixed_modes():
+    """(lam, mu) float arrays of a batch that takes every evaluation of the integrals at T = 1.
+
+    lam < 0, lam = 0, the series (phase below 0.5, or strong damping), real
+    and complex roots and the envelope, with the ulp neighbours of each
+    switch, and lam = e^700.
+    """
+    switches = [
+        (0.5, -1.0),                  # phase 0.5 exactly
+        (63.0, -16.0),                # real roots, 8*ell = -b
+        (65.0, -16.0),                # complex roots, 8*ell = -b
+        (1e14 + 0.25, -1.0),          # phase 1e7 exactly
+        (1.0, 0.0),                   # b = 0 (test_psi12_sign_and_value's mode)
+        (math.exp(700.0), -1.5),      # the largest lam a transition takes
+    ]
+    others = [
+        (-1.0, 0.0), (-9.0, -0.5), (-1e6, -1e4), (-1e-3, 2.0),      # lam < 0
+        (0.0, 0.0), (0.0, -3.0), (0.0, 1.5), (0.0, 40.0),           # lam = 0
+        (0.09, 0.0), (2.5e7 + 1.0, -1e4),                           # series
+        (3.0, -4.0), (3.99, -4.0), (2.5e7 - 1e6, -1e4),             # real roots
+        (4.0, 0.0), (1e4, -1.0), (22501.0, 300.0),                  # complex roots
+        (1e16, -1.3),                                               # envelope
+    ]
+    lam = [l * (1.0 + j * 2.0 ** -52) for l, _ in switches for j in range(-4, 5)] + [l for l, _ in others]
+    mu = [m for _, m in switches for _ in range(9)] + [m for _, m in others]
+    return np.array(lam), np.array(mu)
+
+
 class TestArrayIntegrals:
-    """The array pass of psi_curve and the one-mode entry points run the same formulas."""
+    """A mode's integrals do not depend on the batch it is evaluated in."""
 
     @staticmethod
     def random_modes(rng, n=200):
@@ -578,8 +618,23 @@ class TestArrayIntegrals:
         for _ in range(40):
             lam, mu, T = self.random_modes(rng)
             seen |= _regimes(lam, mu, T)
-            _assert_array_pass_matches_one_mode(lam, mu, T)
+            _assert_each_mode_alone_matches(lam, mu, T)
         assert seen == {"series", "real", "complex", "envelope"}
+
+    @pytest.mark.parametrize("T", [1.0, 1e-150])
+    def test_mixed_batch(self, T):
+        # at T = 1e-150 lam = e^700 has phase ~ 100: closed up to log lam = 700, the envelope beyond
+        lam, mu = mixed_modes()
+        if T == 1.0:
+            assert _regimes(lam, mu, T) == {"series", "real", "complex", "envelope"}
+        assert (lam < 0.0).any() and (lam == 0.0).any()
+        log_700 = np.array([np.nextafter(700.0, 0.0), 700.0, np.nextafter(700.0, 800.0), 800.0])
+        log_lam = np.concatenate([fundamental._log_lam(lam), log_700])
+        lam = np.concatenate([lam, np.ones(4)])  # 1 stands for a lam > 0 read from log_lam
+        mu = np.concatenate([mu, np.full(4, -1.5)])
+        _, envelope = fundamental._scaled_integrals(lam, mu, T, log_lam)
+        assert envelope[-4:].tolist() == [T == 1.0] * 2 + [True] * 2
+        _assert_each_mode_alone_matches(lam, mu, T, log_lam)
 
     def test_real_roots_whose_square_is_not_a_product(self):
         # Python's r ** 2 goes through the C library's pow, which is not always r * r
@@ -593,7 +648,7 @@ class TestArrayIntegrals:
         keep = ~series & real & (2.0 * r_plus < 600.0)
         squares = [r ** 2 for r in r_minus[keep].tolist()]
         assert (np.array(squares) != r_minus[keep] * r_minus[keep]).any()
-        _assert_array_pass_matches_one_mode(lam[keep], mu[keep], 1.0)
+        _assert_each_mode_alone_matches(lam[keep], mu[keep], 1.0)
 
     def test_envelope_near_its_damping_limit(self):
         # b^2/lam up to 0.45, where 1/(1 - b^2/lam) magnifies the last bits of log lam
@@ -601,60 +656,25 @@ class TestArrayIntegrals:
         lam = 10.0 ** u(15.0, 300.0, 2000)
         mu = -2.0 * np.sqrt(u(0.05, 0.45, 2000) * lam)
         assert _regimes(lam, mu, 1.0) == {"envelope"}
-        _assert_array_pass_matches_one_mode(lam, mu, 1.0)
+        _assert_each_mode_alone_matches(lam, mu, 1.0)
 
     def test_envelope_takes_the_log_of_the_rebuilt_lambda(self):
-        # like scaled_mode_integrals, log(e^log_lam), which below lam = e can differ from log_lam
+        # the envelope of a lam read from log_lam takes log(e^log_lam), which below
+        # lam = e can differ from log_lam
         rng = np.random.default_rng(20263)
         log_lam = rng.uniform(-2.3, 0.9, 400000)
         log_lam = log_lam[[math.log(math.exp(x)) != x for x in log_lam.tolist()]]
         lam = np.exp(log_lam)
         mu = -2.0 * np.sqrt(rng.uniform(0.05, 0.45, len(lam)) * lam)
         assert _regimes(lam, mu, 1e8) == {"envelope"}
-        _assert_array_pass_matches_one_mode(lam, mu, 1e8, log_lam=log_lam)
-
-    @pytest.mark.parametrize(
-        "lam, mu, T",
-        [
-            (0.5, -1.0, 1.0),             # phase 0.5 exactly
-            (63.0, -16.0, 1.0),           # real roots, 8*ell = -b
-            (65.0, -16.0, 1.0),           # complex roots, 8*ell = -b
-            (1e14 + 0.25, -1.0, 1.0),     # phase 1e7 exactly
-            (1.0, 0.0, 2 * math.pi),      # b = 0 (test_psi12_sign_and_value's mode)
-        ],
-    )
-    def test_regime_boundaries(self, lam, mu, T):
-        # the neighbours a few ulps away fall on both sides of the switch
-        lams = [lam * (1.0 + j * 2.0 ** -52) for j in range(-4, 5)]
-        if mu != 0.0:
-            assert len(_regimes(lams, [mu] * len(lams), T)) == 2
-        _assert_array_pass_matches_one_mode(lams, [mu] * len(lams), T)
-
-    def test_log_lambda_700(self):
-        log_lam = np.array([np.nextafter(700.0, 0.0), 700.0, np.nextafter(700.0, 800.0), 800.0])
-        mu, T = np.full(4, -1.5), 1e-150  # phase ~ 100: closed up to log lam = 700
-        got = fundamental._scaled_integrals(mu, T, log_lam)
-        want = np.array([_one_mode_integrals(m, T, l) for m, l in zip(mu, log_lam)]).T
-        assert got.tobytes() == want.tobytes()
-        assert [scaled_mode_integrals(-1.5, T, l).regime for l in log_lam] == ["closed"] * 2 + ["envelope"] * 2
-
-    def test_nonpositive_lambda(self):
-        # lam <= 0 takes the real-root antiderivatives outside the series regime
-        lam = np.array([0.0, -1e-3, -1.0, -9.0, -1e6, 0.0, -4.0])
-        mu = np.array([-3.0, 2.0, 0.0, -0.5, -1e4, 1.5, 40.0])
-        T = 1.0
-        ell, series, real, _ = fundamental._regime(lam, mu, T)
-        assert (~series & real).all()
-        got = np.array(fundamental._integrals_closed_real(lam, mu, T, ell))
-        want = np.array([fundamental._closed_integrals(l, m, T) for l, m in zip(lam.tolist(), mu.tolist())]).T
-        assert got.tobytes() == want.tobytes()
+        _assert_each_mode_alone_matches(np.ones(len(lam)), mu, 1e8, log_lam)
 
     def test_overflow_names_the_first_mode(self):
-        with pytest.raises(FundamentalOverflowError) as array_exc:
-            fundamental._scaled_integrals(np.array([-1.0, 710.0, 720.0]), 1.0, np.zeros(3))
+        with pytest.raises(FundamentalOverflowError) as batch_exc:
+            fundamental._scaled_integrals(np.ones(3), np.array([-1.0, 710.0, 720.0]), 1.0, np.zeros(3))
         with pytest.raises(FundamentalOverflowError) as one_exc:
             scaled_mode_integrals(710.0, 1.0, 0.0)
-        assert str(array_exc.value) == str(one_exc.value)
+        assert str(batch_exc.value) == str(one_exc.value)
 
     def test_m_func_log_array_matches_scalar_formulas(self):
         # np.log(M) differs from math.log(M) on about 1 argument in 2000
@@ -670,31 +690,7 @@ class TestArrayIntegrals:
             else:
                 want.append(math.log(-v - 1.0 + math.exp(v)) - math.log(2.0 * v * v))
         assert got.tolist() == want
-        assert [m_func_log(v) for v in x[:10].tolist()] == want[:10]
-
-
-def one_mode_psi_terms(spec, params, N):
-    """Each mode's psi terms from the one-mode integrals and math.exp: the per-mode reference."""
-    ks = np.arange(1, N + 1)
-    (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, ks)
-    columns = (ks, s_lam, l_lam, mu, *spec.tau.slog_array(ks), *spec.nu.slog_array(ks))
-    T, rows = params.T, []
-    for k, s_lam, l_lam, mu, s_tau, l_tau, s_nu, l_nu in zip(*(c.tolist() for c in columns)):
-        nu = s_nu * math.exp(l_nu) if l_nu > -math.inf else 0.0
-        if s_lam <= 0.0:
-            tau = s_tau * math.exp(l_tau) if l_tau > -math.inf else 0.0
-            if2, _, iif2, iifd2, _ = fundamental._closed_integrals(fundamental._slog_lam(k, s_lam, l_lam), mu, T)
-            exact = [tau * tau * iif2, nu * nu * iifd2, -0.5 * tau * nu * if2]
-            rows.append(exact + exact[:2])
-            continue
-        si = scaled_mode_integrals(mu, T, l_lam)
-        c1 = math.exp(2.0 * l_tau - l_lam) if l_tau > -math.inf else 0.0
-        c12 = s_tau * s_nu * math.exp(l_tau + l_nu - l_lam) if l_tau > -math.inf and l_nu > -math.inf else 0.0
-        m_log = m_func_log(T * mu)
-        asym1 = math.exp(min(2.0 * l_tau - l_lam + m_log, 700.0)) * T ** 2 if l_tau > -math.inf else 0.0
-        asym2 = nu * nu * T ** 2 * math.exp(min(m_log, 700.0))
-        rows.append([c1 * si.lam_iif2, nu * nu * si.iifd2, -0.5 * c12 * si.lam_if2, asym1, asym2])
-    return np.array(rows)
+        assert [m_func_log(x[i:i + 1])[0] for i in range(10)] == want[:10]
 
 
 def _psi_table_spectra():
@@ -706,12 +702,16 @@ def _psi_table_spectra():
 
 
 @pytest.mark.parametrize("case", range(4), ids=["alg_ex1", "alg_ex3", "sec5", "negative_kappa"])
-def test_psi_curve_is_the_cumulative_sum_of_one_mode_terms(case):
+def test_psi_mode_terms_are_those_of_each_mode_alone(case):
     (spec, params), N = _psi_table_spectra()[case]
+    terms = fundamental._psi_mode_terms(spec, params, range(1, N + 1))
     rows = psi_curve(spec, params, range(1, N + 1))
     got = np.array([[r.psi1, r.psi2, r.psi12, r.psi1_asym, r.psi2_asym] for r in rows])
-    want = np.cumsum(one_mode_psi_terms(spec, params, N), axis=0)
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == np.cumsum(terms, axis=0).tobytes()
+    ks = np.sort(np.random.default_rng(case).choice(np.arange(1, N + 1), min(N, 150), replace=False))
+    for k in ks.tolist():
+        assert fundamental._psi_mode_terms(spec, params, [k]).tobytes() == terms[k - 1].tobytes(), k
+    assert fundamental._psi_mode_terms(spec, params, ks[::-1]).tobytes() == terms[ks[::-1] - 1].tobytes()
 
 
 class TestUpsilon:

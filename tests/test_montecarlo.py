@@ -25,7 +25,7 @@ from hypermle.montecarlo import (
 )
 from hypermle.simulate import (_BLOCK, TimeGrid, _chain_operators, _psd_factor, _run_chain,
                                _scaled_transition, _true_modes, mode_stream, transition)
-from hypermle.spectrum import Constant, ModelParams, SpectrumSpec
+from hypermle.spectrum import Constant, SpectrumSpec
 
 
 class TestKsStatistic:
@@ -218,16 +218,27 @@ class TestTwoSampleKs:
         assert D > crit
 
 
-def _one_shot_task(spec, params, k, lam_mu, grid, seed, M, residual):
+def true_mode(spec, params, k, dt):
+    """(lam, mu, P, Q, scale) of mode k, as run_replicates hands it to _mode_task."""
+    lam, mu, _ = _true_modes(spec, params, k)
+    return one_mode(lam[-1].item(), mu[-1].item(), dt)
+
+
+def one_mode(lam, mu, dt):
+    """(lam, mu, P, Q, scale) of the mode (lam, mu), built alone."""
+    (P,), (Q,), (scale,) = _scaled_transition([lam], [mu], dt)
+    return lam, mu, P, Q, scale.item()
+
+
+def _one_shot_task(spec, k, mode, grid, seed, M, residual):
     """_mode_task's contributions from one _run_chain call over the whole grid.
 
     Each stream gives 2n path normals, then the two normals eta of dw's free
     part; given the path, (sum u0 eta, sum v0 eta) is L_G eta, with L_G here
     from np.linalg.cholesky of each replicate's Gram matrix of (u0, v0).
     """
-    lam, mu = lam_mu
+    lam, mu, P, Q, scale = mode
     n = grid.n_steps
-    P, Q, scale = _scaled_transition(mu, grid.dt, lam=lam, warn=False)
     S, _ = _psd_factor(Q)
     streams = [mode_stream(seed, m, k) for m in range(M)]
     xi = np.stack([stream.standard_normal((n, 2)) for stream in streams], axis=2)
@@ -267,9 +278,9 @@ class TestStreamedModeTask:
     def test_matches_one_shot(self, n, residual, preset_name, k):
         spec, params = preset(preset_name)
         grid = TimeGrid(1.0, n)
-        lam_mu = _true_modes(spec, params, k)[k - 1][:2]
-        got = _mode_task(spec, params, k, lam_mu, grid, 31, 4, residual)
-        *want, size = _one_shot_task(spec, params, k, lam_mu, grid, 31, 4, residual)
+        mode = true_mode(spec, params, k, grid.dt)
+        got = _mode_task(spec, k, mode, grid, 31, 4, residual)
+        *want, size = _one_shot_task(spec, k, mode, grid, 31, 4, residual)
         assert (got[1] is None) == (not residual)
         for g, w, raw in zip(got, want, (False, True)):
             if w is None:
@@ -285,8 +296,7 @@ class TestStreamedModeTask:
     @pytest.mark.parametrize("n", [_BLOCK - 3, 2 * _CHUNK, _CHUNK + 3 * _BLOCK + 5])
     def test_halves_chained_through_start_state(self, n):
         spec, params = preset("alg_ex1")
-        lam, mu, _ = _true_modes(spec, params, 7)[6]
-        P, Q, _ = _scaled_transition(mu, 1.0 / n, lam=lam, warn=False)
+        _, _, P, Q, _ = true_mode(spec, params, 7, 1.0 / n)
         S, _ = _psd_factor(Q)
         xi = np.random.default_rng(n).standard_normal((n, 2, 5))
         ops = _chain_operators(P, S, n)
@@ -306,12 +316,12 @@ class TestStreamedModeTask:
         spec, params = preset("alg_ex1")
         grid = TimeGrid(1.0, 4096)
         M = 48
-        lam_mu = _true_modes(spec, params, 10)[9][:2]
+        mode = true_mode(spec, params, 10, grid.dt)
         draw_bytes = M * grid.n_steps * 2 * 8
-        _mode_task(spec, params, 10, lam_mu, grid, 3, M, True)  # one-time allocations go first
+        _mode_task(spec, 10, mode, grid, 3, M, True)  # one-time allocations go first
         tracemalloc.start()
         try:
-            _mode_task(spec, params, 10, lam_mu, grid, 3, M, True)
+            _mode_task(spec, 10, mode, grid, 3, M, True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -354,10 +364,10 @@ def _two_normal_sums(lam, mu, grid, M, seed):
     with seeds seed, seed + 1, ... so that no call holds all the paths.
     """
     spec = SpectrumSpec(Constant(0), Constant(1), Constant(0), Constant(1))
-    params = ModelParams(lam, mu, (lam / 2, 2 * lam), (mu - 1, mu + 1), grid.T)
+    mode = one_mode(lam, mu, grid.dt)
     parts = []
     for call in range(M // 5000):
-        contrib, raw = _mode_task(spec, params, 1, (lam, mu), grid, seed + call, 5000, True)
+        contrib, raw = _mode_task(spec, 1, mode, grid, seed + call, 5000, True)
         parts.append((-contrib["iota1"], contrib["iota2"], -raw["iota1"], contrib["K1"], contrib["K2"]))
     return tuple(np.concatenate(col) for col in zip(*parts))
 

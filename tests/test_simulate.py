@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from hypermle.fundamental import mode_moments
+from hypermle.fundamental import fund_solution, mode_moments
 from hypermle.montecarlo import run_replicates  # batched sampler reused as a fast oracle
 from hypermle.simulate import (
     _BLOCK,
@@ -26,6 +26,7 @@ from hypermle.simulate import (
     transition,
 )
 from hypermle.spectrum import Constant, ModelParams, PowerLaw, SpectrumSpec
+from test_fundamental import mixed_modes
 
 
 def sample_endpoints(lam, mu, grid, n_rep, seed=0):
@@ -34,7 +35,7 @@ def sample_endpoints(lam, mu, grid, n_rep, seed=0):
     Each stream is laid out as simulate_mode reads it: 2n path normals, then
     the n normals of dw's free part.
     """
-    P, Q, scale = _scaled_transition(mu, grid.dt, lam=lam, warn=False)
+    (P,), (Q,), (scale,) = _scaled_transition([lam], [mu], grid.dt)
     S, _ = _psd_factor(Q)
     xi = np.empty((grid.n_steps, 2, n_rep))
     eta = np.empty((grid.n_steps, n_rep))
@@ -90,6 +91,32 @@ class TestTransition:
             warnings.simplefilter("always")
             simulate_mode(1e6, 0.0, grid, mode_stream(0, 0, 1))
         assert any(issubclass(w.category, UnderresolvedModeWarning) for w in rec)
+
+
+class TestTransitionBatch:
+    @pytest.mark.parametrize("dt", [1.0, 1.0 / 4096])
+    def test_mixed_batch_is_each_mode_alone(self, dt):
+        # a mode's (P, Q, scale) and its f(dt), f'(dt) do not depend on the batch it is built in
+        lam, mu = mixed_modes()
+        P, Q, scale = _scaled_transition(lam, mu, dt)
+        f, fd = fund_solution(lam, mu, dt)
+        assert P.shape == (len(lam), 2, 2) and Q.shape == (len(lam), 3, 3) and scale.shape == (len(lam),)
+        for i, (l, m) in enumerate(zip(lam.tolist(), mu.tolist())):
+            one = _scaled_transition([l], [m], dt)
+            assert [a.tobytes() for a in one] == [P[i:i + 1].tobytes(), Q[i:i + 1].tobytes(),
+                                                  scale[i:i + 1].tobytes()], (l, m)
+            assert np.array([fund_solution(l, m, dt)]).tobytes() == np.array([[f[i], fd[i]]]).tobytes()
+
+    def test_solution_warns_once_per_unresolved_mode(self):
+        # lam_k = k^2, mu = -1/2 on a grid of one step: ell*dt > pi for k = 4, 5, 6
+        spec = SpectrumSpec(Constant(0), PowerLaw(1, 2), Constant(0), Constant(1))
+        params = ModelParams(1.0, -0.5, (0.5, 2.0), (-1.0, 1.0), 1.0)
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            simulate_solution(spec, params, 6, TimeGrid(1.0, 1), seed=1)
+        assert [w.category for w in rec] == [UnderresolvedModeWarning] * 3
+        assert [str(w.message) for w in rec] == [
+            f"mode oscillation unresolved: ell*dt = {math.sqrt(k * k - 1 / 16):.3g} > pi" for k in (4, 5, 6)]
 
 
 class TestMarginalExactness:
@@ -261,8 +288,7 @@ CHAIN_MODES = [
 
 
 def chain_operators(lam, log_lam, mu, dt=1.0 / 4096):
-    P, Q, _ = _scaled_transition(mu, dt, lam=lam if lam is not None else math.exp(log_lam),
-                                 warn=False)
+    (P,), (Q,), _ = _scaled_transition([lam if lam is not None else math.exp(log_lam)], [mu], dt)
     S, _ = _psd_factor(Q)
     return P, S
 
@@ -305,8 +331,7 @@ class TestBlockedChain:
     def test_block_factor(self, mode):
         # S = [[S_ss, 0], [c^T, sigma]] with S S^T = Q: the state noise needs only two normals
         lam, log_lam, mu = mode
-        _, Q, _ = _scaled_transition(mu, 1.0 / 4096, lam=lam if lam is not None else math.exp(log_lam),
-                                     warn=False)
+        _, (Q,), _ = _scaled_transition([lam if lam is not None else math.exp(log_lam)], [mu], 1.0 / 4096)
         S, _ = _psd_factor(Q)
         assert np.all(S[:2, 2] == 0.0) and S[2, 2] >= 0.0
         assert np.max(np.abs(S @ S.T - Q)) <= 1e-14 * np.max(np.abs(Q))
