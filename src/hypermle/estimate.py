@@ -127,60 +127,48 @@ def _mode_sums(u_scaled, v, dw, dt, lam_over_s, mu, residual=False):
     return out
 
 
-def _coeff(*slogs):
-    """Product of slog pairs -> float, saturating on overflow."""
-    sign = 1.0
-    log = 0.0
-    for s, l in slogs:
-        if s == 0.0:
-            return 0.0
-        sign *= s
-        log += l
-    with np.errstate(over="ignore"):
-        return float(sign * np.exp(log))
+def _mode_coeffs(spec, ks, scale):
+    """Eigenvalue coefficient ratios of modes ks for the scaled sums, one (N,) array per key.
 
-
-def _mode_coeffs(spec, k, scale):
-    """Eigenvalue coefficient ratios for the scaled sums.
-
-    Direct float products where they fit (the scale is a power of two, so
-    dividing by it is exact and file/in-process paths agree bitwise); log-space
-    products as the fallback for exponential spectra.
+    One slog_array and one value_array call per sequence.  Direct float
+    products where they are finite (the scale is a power of two, so dividing
+    by it is exact and file/in-process paths agree bitwise); elsewhere the
+    signed log-space products, for exponential spectra.
     """
-    st, lt = spec.tau.slog(k)
-    sk, lk = spec.kappa.slog(k)
-    sr, lr = spec.rho.slog(k)
-    sn, ln_ = spec.nu.slog(k)
-    ls = math.log(scale)
-    inv_s = (1.0, -ls)
-    tau_p, kap_p, rho_p, nu_p = (st, lt), (sk, lk), (sr, lr), (sn, ln_)
+    gens = spec.generators().values()
+    kap, tau, rho, nu = (g.value_array(ks) for g in gens)
+    kap_p, tau_p, rho_p, nu_p = (g.slog_array(ks) for g in gens)
+    s = np.asarray(scale, dtype=float)
+    inv_s = (1.0, -np.log(s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = {
+            "tau": (tau, tau_p),
+            "nu": (nu, nu_p),
+            "tau_s": (tau / s, tau_p, inv_s),
+            "tau2_s2": ((tau / s) * (tau / s), tau_p, tau_p, inv_s, inv_s),
+            "kappa_tau_s2": ((kap * tau) / s / s, kap_p, tau_p, inv_s, inv_s),
+            "nu2": (nu * nu, nu_p, nu_p),
+            "rho_nu": (rho * nu, rho_p, nu_p),
+            "tau_nu_s": ((tau * nu) / s, tau_p, nu_p, inv_s),
+            "tau_nu_s2": ((tau * nu) / s / s, tau_p, nu_p, inv_s, inv_s),
+            "rho_tau_s": ((rho * tau) / s, rho_p, tau_p, inv_s),
+            "rho_tau_s2": ((rho * tau) / s / s, rho_p, tau_p, inv_s, inv_s),
+            "kappa_nu_s": ((kap * nu) / s, kap_p, nu_p, inv_s),
+            "kappa_nu_s2": ((kap * nu) / s / s, kap_p, nu_p, inv_s, inv_s),
+        }
+        out = {}
+        for key, (direct, (sign, log), *slogs) in table.items():
+            for s_i, l_i in slogs:  # the signed log-space product, factor by factor
+                sign = sign * s_i
+                log = log + l_i
+            out[key] = np.where(np.isfinite(direct), direct,
+                                np.where(sign == 0.0, 0.0, sign * np.exp(log)))
+    return out
 
-    tau = spec.tau.value(k)
-    kap = spec.kappa.value(k)
-    rho = spec.rho.value(k)
-    nu = spec.nu.value(k)
 
-    def entry(direct, *slogs):
-        if math.isfinite(direct):
-            return direct
-        return _coeff(*slogs)
-
-    s = scale
-    return {
-        "tau": entry(tau, tau_p),
-        "nu": entry(nu, nu_p),
-        "tau_s": entry(tau / s, tau_p, inv_s),
-        "tau2_s2": entry((tau / s) * (tau / s), tau_p, tau_p, inv_s, inv_s),
-        "kappa_tau_s2": entry((kap * tau) / s / s, kap_p, tau_p, inv_s, inv_s),
-        "nu2": entry(nu * nu, nu_p, nu_p),
-        "rho_nu": entry(rho * nu, rho_p, nu_p),
-        "tau_nu_s": entry((tau * nu) / s, tau_p, nu_p, inv_s),
-        "tau_nu_s2": entry((tau * nu) / s / s, tau_p, nu_p, inv_s, inv_s),
-        "rho_tau_s": entry((rho * tau) / s, rho_p, tau_p, inv_s),
-        "rho_tau_s2": entry((rho * tau) / s / s, rho_p, tau_p, inv_s, inv_s),
-        "kappa_nu_s": entry((kap * nu) / s, kap_p, nu_p, inv_s),
-        "kappa_nu_s2": entry((kap * nu) / s / s, kap_p, nu_p, inv_s, inv_s),
-    }
+def _coeff_rows(table):
+    """The per-mode rows of a _mode_coeffs table, as dicts of floats."""
+    return [dict(zip(table, row)) for row in zip(*(col.tolist() for col in table.values()))]
 
 
 def _mode_contrib(coeffs, sums, endpoint, residual=False):
@@ -237,13 +225,14 @@ def _accumulate(trajectories, spec, endpoint, residual=False):
     if max(t.k for t in trajectories) > spec.k_max:
         raise ValueError("trajectory mode index exceeds the spectrum's k_max")
 
+    rows = _coeff_rows(_mode_coeffs(spec, [t.k for t in trajectories], [t.scale for t in trajectories]))
+
     def contribs():
-        for traj in trajectories:
+        for traj, coeffs in zip(trajectories, rows):
             # the raw contributions read the sums against dv, which come with residual
             sums = _mode_sums(traj.u_scaled, traj.v, traj.dw, dt, traj.lam / traj.scale, traj.mu,
                               residual=residual or not endpoint)
             sums["T"] = n * dt
-            coeffs = _mode_coeffs(spec, traj.k, traj.scale)
             yield _mode_contrib(coeffs, sums, endpoint, residual)
 
     vals = _mode_order_sum(contribs())

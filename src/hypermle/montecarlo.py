@@ -34,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimate import (_ENDPOINT_KEYS, _decomposition_errors, _mode_coeffs, _mode_contrib,
-                       _mode_order_sum, _mode_sums, _nonsingular, _solve_normal)
+from .estimate import (_ENDPOINT_KEYS, _coeff_rows, _decomposition_errors, _mode_coeffs,
+                       _mode_contrib, _mode_order_sum, _mode_sums, _nonsingular, _solve_normal)
 from .fundamental import psi_curve
 from .simulate import (_CHUNK, _chain_operators, _psd_factor, _run_chain, _scaled_transition,
                        _true_modes, _underresolved, mode_stream)
@@ -50,8 +50,6 @@ __all__ = [
     "verify_lln",
     "fit_growth",
     "ks_statistic",
-    "two_sample_ks",
-    "exp_weight_lln_fixture",
 ]
 
 _SIGNIFICANCE = 0.01           # level of run_normality's KS verdicts (a key of _KS_C)
@@ -99,10 +97,11 @@ class BatchResult:
     identity_max_rel: float         # worst |reconstructed - direct| / RMS(direct)
 
 
-def _mode_task(spec, k, mode, grid, seed, M, residual):
+def _mode_task(k, mode, grid, seed, M, residual):
     """Everything mode k contributes, independent of all other modes.
 
-    mode is (lam, mu, P, Q, scale): the mode and its _scaled_transition.
+    mode is (lam, mu, P, Q, scale, coeffs): the mode, its _scaled_transition
+    and its row of the run's _mode_coeffs table.
 
     The M replicate streams are made first, and then each gives its 2n path
     normals and two more, eta, in one fill of its row of the draw buffer.
@@ -116,7 +115,7 @@ def _mode_task(spec, k, mode, grid, seed, M, residual):
     factor of G, completes the dw sums exactly in law.  Returns the endpoint
     contributions and, with residual, the raw ones with residual increments.
     """
-    lam, mu, P, Q, scale = mode
+    lam, mu, P, Q, scale, coeffs = mode
     n, dt = grid.n_steps, grid.dt
     S, _ = _psd_factor(Q)
 
@@ -153,7 +152,6 @@ def _mode_task(spec, k, mode, grid, seed, M, residual):
     sums["svdw"] += S[2, 2] * (l21 * eta[:, 0] + l22 * eta[:, 1])
 
     sums["T"] = grid.T
-    coeffs = _mode_coeffs(spec, k, scale)
     contrib = _mode_contrib(coeffs, sums, endpoint=True)
     contrib_raw = _mode_contrib(coeffs, sums, endpoint=False, residual=True) if residual else None
     return contrib, contrib_raw
@@ -207,12 +205,13 @@ def run_replicates(spec, params, N, grid, seed, M, workers=1):
         raise ValueError(f"N must lie in [1, {spec.k_max}]")
     lam, mu, _ = _true_modes(spec, params, N)
     P, Q, scale = _scaled_transition(lam, mu, grid.dt)
-    modes = list(zip(lam.tolist(), mu.tolist(), P, Q, scale.tolist()))
+    coeffs = _coeff_rows(_mode_coeffs(spec, np.arange(1, N + 1), scale))
+    modes = list(zip(lam.tolist(), mu.tolist(), P, Q, scale.tolist(), coeffs))
     underresolved = int(np.count_nonzero(_underresolved(lam, mu, grid.dt)))
     resolved = underresolved == 0
 
     def task(k):
-        return _mode_task(spec, k, modes[k - 1], grid, seed, M, resolved)
+        return _mode_task(k, modes[k - 1], grid, seed, M, resolved)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -275,18 +274,6 @@ def ks_statistic(samples):
     D = float(max(d_plus, d_minus))
     crit = {alpha: c / math.sqrt(m) for alpha, c in _KS_C.items()}
     return D, crit
-
-
-def two_sample_ks(a, b):
-    """Two-sample sup distance and the asymptotic 1% critical value."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    both = np.concatenate([a, b])
-    ca = np.searchsorted(a, both, side="right") / len(a)
-    cb = np.searchsorted(b, both, side="right") / len(b)
-    D = float(np.max(np.abs(ca - cb)))
-    ne = len(a) * len(b) / (len(a) + len(b))
-    return D, _KS_C[0.01] / math.sqrt(ne)
 
 
 # ---------------------------------------------------------------------------
@@ -451,21 +438,6 @@ def verify_lln(config):
             "D_N_median": float(np.median(batch.D_N[ok])),
             "underresolved_modes": batch.underresolved_modes,
         })
-    return out
-
-
-def exp_weight_lln_fixture(n_terms, seed=0):
-    """(sum e^k xi_k^2) / (sum e^k) for iid standard normals; has no limit.
-
-    Returned as the running sequence m -> ratio_m, computed with normalized
-    weights so no overflow occurs.
-    """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xE], dtype=np.uint64)))
-    xi2 = rng.standard_normal(n_terms) ** 2
-    out = np.empty(n_terms)
-    for m in range(1, n_terms + 1):
-        w = np.exp(np.arange(1, m + 1, dtype=float) - m)  # e^{k-m}
-        out[m - 1] = float(np.dot(w, xi2[:m]) / np.sum(w))
     return out
 
 

@@ -11,7 +11,8 @@ report carries the k-range it looked at, the constants it fitted, and a
 pass/fail/inconclusive verdict.  Sequences are evaluated internally in
 sign + log-magnitude form so that e.g. kappa_k = e^{2k} stays exact in sign
 and usable far beyond the float range.  Each generator kind implements its
-sequence once, in numpy over an array of k; a single k is that array of one.
+sequence once, in numpy over an array of k (`slog_array`, with `value_array`
+the same k as floats); a single k is an array of one.
 """
 from __future__ import annotations
 
@@ -60,8 +61,9 @@ class Generator:
 
     Each concrete kind is a frozen dataclass with a class attribute `kind`:
     the tag names it in configs, and its fields are the config fields.  A kind
-    implements its sequence once, as `slog_array` in numpy; `slog` is that
-    method at one k.
+    implements its sequence once, as `slog_array` in numpy over an array of k;
+    `value_array` gives the same k as floats, from that log form unless the
+    kind has exact direct arithmetic.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -73,17 +75,11 @@ class Generator:
         """(signs, log|values|) at an array of integers k >= 1; ValueError names the first bad k."""
         raise NotImplementedError
 
-    def slog(self, k):
-        """(sign, log|value|) at integer k >= 1."""
-        s, l = self.slog_array(k)
-        return float(s), float(l)
-
-    def value(self, k):
-        s, l = self.slog(k)
-        if s == 0.0:
-            return 0.0
+    def value_array(self, ks):
+        """Values at an array of integers k >= 1 as floats; overflow saturates to +-inf."""
+        s, l = self.slog_array(ks)
         with np.errstate(over="ignore"):
-            return float(s * np.exp(l))
+            return np.where(s == 0.0, 0.0, s * np.exp(l))
 
     def k_max(self):
         return None  # unbounded unless the generator says otherwise
@@ -107,6 +103,17 @@ def _check_ks(ks):
     if bad.size:
         raise ValueError(f"mode index must be a positive integer, got {bad[0]:g}")
     return ks
+
+
+def _each(op, xs, *args):
+    """op(x, *args) at each x of an array, in Python's float arithmetic; +inf where it overflows."""
+    out = []
+    for x in xs.ravel().tolist():
+        try:
+            out.append(op(x, *args))
+        except OverflowError:
+            out.append(math.inf)
+    return np.reshape(out, xs.shape)
 
 
 def _first_outside(gen, ks, inside):
@@ -142,12 +149,11 @@ class PowerLaw(_CoefficientLaw):
     def _log_shape(self, ks):
         return self.exponent * np.log(ks)
 
-    def value(self, k):
-        k = int(_check_ks(k))
-        try:
-            return self.coefficient * float(k) ** self.exponent
-        except OverflowError:
-            return super().value(k)
+    def value_array(self, ks):
+        ks = _check_ks(ks)
+        powers = _each(pow, ks, self.exponent)  # k^exponent alone may overflow where the product fits
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(np.isinf(powers), super().value_array(ks), self.coefficient * powers)
 
     def power_law(self):
         return self.coefficient, self.exponent
@@ -164,12 +170,12 @@ class ExpLaw(_CoefficientLaw):
     def _log_shape(self, ks):
         return self.rate * ks
 
-    def value(self, k):
-        k = int(_check_ks(k))
-        try:
-            return self.coefficient * math.exp(self.rate * k)
-        except OverflowError:
-            return math.copysign(math.inf, self.coefficient)
+    def value_array(self, ks):
+        ks = _check_ks(ks)
+        if self.coefficient == 0.0:
+            return np.full_like(ks, self.coefficient)  # zero even where e^{rate k} overflows
+        with np.errstate(over="ignore"):
+            return self.coefficient * _each(math.exp, self.rate * ks)
 
 
 @dataclass(frozen=True)
@@ -211,9 +217,8 @@ class Constant(_CoefficientLaw):
     def _log_shape(self, ks):
         return np.zeros_like(ks)
 
-    def value(self, k):
-        _check_ks(k)
-        return self.coefficient
+    def value_array(self, ks):
+        return np.full_like(_check_ks(ks), self.coefficient)
 
     def power_law(self):
         return self.coefficient, 0.0
@@ -240,8 +245,8 @@ class Explicit(Generator):
         with np.errstate(divide="ignore"):
             return np.where(v == 0.0, 0.0, np.copysign(1.0, v)), np.log(np.abs(v))
 
-    def value(self, k):
-        return self.values[self._index(k)]
+    def value_array(self, ks):
+        return np.asarray(self.values)[self._index(ks)]
 
     def k_max(self):
         return len(self.values)
@@ -321,7 +326,7 @@ def eigenvalues(spec, k):
     """(kappa_k, tau_k, rho_k, nu_k) as floats; overflow saturates to +-inf."""
     if k > spec.k_max:
         raise ValueError(f"k={k} exceeds the declared k_max={spec.k_max}")
-    return tuple(g.value(k) for g in (spec.kappa, spec.tau, spec.rho, spec.nu))
+    return tuple(float(g.value_array([k])[0]) for g in spec.generators().values())
 
 
 def lambda_mu_slog(spec, theta1, theta2, ks):
@@ -331,13 +336,10 @@ def lambda_mu_slog(spec, theta1, theta2, ks):
 
 def lambda_mu(spec, theta1, theta2, k):
     """(lambda_k, mu_k) as floats; exact direct arithmetic within the float range."""
-    kap = spec.kappa.value(k)
-    tau = spec.tau.value(k)
+    kap, tau, rho, nu = (float(g.value_array([k])[0]) for g in spec.generators().values())
     if math.isfinite(kap) and math.isfinite(tau):
         lam = kap + theta1 * tau
         if math.isfinite(lam):
-            rho = spec.rho.value(k)
-            nu = spec.nu.value(k)
             return lam, rho + theta2 * nu
     (s, l), mu = lambda_mu_slog(spec, theta1, theta2, k)
     with np.errstate(over="ignore"):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from hypermle.equations import preset
+from hypermle import estimate
+from hypermle.equations import PRESETS, preset
 from hypermle.estimate import (
     SingularSystemError,
     Stats,
+    _mode_coeffs,
     _mode_sums,
     error_decomposition,
     estimate_from_trajectories,
@@ -19,7 +21,8 @@ from hypermle.estimate import (
 from hypermle.fundamental import psi
 from hypermle.montecarlo import run_replicates
 from hypermle.simulate import TimeGrid, UnderresolvedModeWarning, simulate_solution
-from hypermle.spectrum import Constant, ModelParams, PowerLaw, SpectrumSpec
+from hypermle.spectrum import (Constant, Explicit, ExpLaw, LogLaw, LogLogLaw, ModelParams, PowerLaw,
+                               SignedAlternating, SpectrumSpec)
 
 EX1 = SpectrumSpec(Constant(0), PowerLaw(1, 2), Constant(0), Constant(1))
 EX1_PARAMS = ModelParams(1.0, -0.5, (0.5, 2.0), (-1.0, 1.0), 1.0)
@@ -214,6 +217,74 @@ class TestTrajectoryInputs:
             sufficient_statistics(trajs, EX1)
         with pytest.raises(ValueError, match="share one grid"):
             estimate_from_trajectories(trajs, EX1, EX1_PARAMS)
+
+
+# sequences at the float range's edges, where the direct products overflow or vanish
+EDGE_SPECS = {
+    "explicit": SpectrumSpec(
+        Explicit([0.0, 1e308, -1e308, 3.0, -0.0, 1e-308, 2.5, -7.0]),
+        SignedAlternating(Explicit([0.0, 1e308, -1e308, 3.0, -0.0, 1e-308, 2.5, -7.0])),
+        Explicit([1e308, 0.0, -2.0, 1e-300, 5.0, 0.0, -1e200, 1e150]),
+        Explicit([1e308, 0.0, -2.0, 1e-300, 5.0, 0.0, -1e200, 1e150])),
+    "log_laws": SpectrumSpec(SignedAlternating(LogLaw(2.0, 3.0, 1.0)), LogLogLaw(-1.5, 3.0),
+                             LogLaw(-1.0, 2.0, 1.0), SignedAlternating(ExpLaw(1.0, 1.5))),
+    "power_overflow": SpectrumSpec(PowerLaw(1e-200, 300.0), PowerLaw(-1e-200, 300.0),
+                                   PowerLaw(0.0, 300.0), PowerLaw(1e305, 2.0)),
+    "exp_overflow": SpectrumSpec(ExpLaw(1e-300, 3.0), ExpLaw(-2.0, 1.0), ExpLaw(-1e-300, 3.0),
+                                 ExpLaw(0.0, 2.0)),
+}
+
+
+def _bits(table, keys=None):
+    return b"".join(np.asarray(table[key], dtype=float).tobytes() for key in sorted(keys or table))
+
+
+class TestModeCoeffs:
+    """One coefficient table for all modes; each mode's row is that mode's table alone."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS) + sorted(EDGE_SPECS))
+    def test_table_is_each_mode_alone(self, name):
+        spec = preset(name)[0] if name in PRESETS else EDGE_SPECS[name]
+        ks = np.arange(1, min(700, spec.k_max) + 1)
+        scale = 2.0 ** ((37 * ks) % 700 - 10)  # powers of two from 2^-10 to 2^689
+        table = _mode_coeffs(spec, ks, scale)
+        assert all(col.shape == ks.shape for col in table.values())
+        for i, k in enumerate(ks.tolist()):
+            alone = _mode_coeffs(spec, [k], [scale[i]])
+            assert _bits(alone) == _bits({key: col[i:i + 1] for key, col in table.items()}), k
+        back = np.arange(len(ks))[::-7]  # any subset, in any order
+        assert _bits(_mode_coeffs(spec, ks[back], scale[back])) == _bits(
+            {key: col[back] for key, col in table.items()})
+
+    def test_exact_direct_products(self):
+        spec, _ = preset("alg_ex1")
+        assert _mode_coeffs(spec, [3], [4.0])["tau_s"][0] == 9.0 / 4.0
+
+    def test_log_space_products_past_the_float_range(self):
+        # kappa_400 = e^800 overflows; with scale 2^577 ~ e^400 its products with the
+        # scale divisions are finite, from the signed log-space sums
+        spec, _ = preset("sec5_example")
+        scale = 2.0 ** round(800 / (2 * math.log(2)))
+        table = _mode_coeffs(spec, [400], [scale])
+        assert spec.kappa.value_array([400])[0] == math.inf
+        log_nu = math.log(math.log(math.log(403.0)))
+        for key, log in (("kappa_tau_s2", 1200.0 - 2 * math.log(scale)),
+                         ("kappa_nu_s", 800.0 + log_nu - math.log(scale)),
+                         ("kappa_nu_s2", 800.0 + log_nu - 2 * math.log(scale))):
+            assert math.isfinite(table[key][0]), key
+            assert table[key][0] == pytest.approx(math.exp(log), rel=1e-12), key
+
+    def test_one_table_per_accumulate(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _mode_coeffs(*args)
+
+        monkeypatch.setattr(estimate, "_mode_coeffs", counted)
+        trajs = simulate_solution(EX1, EX1_PARAMS, 6, TimeGrid(1.0, 64), seed=3)
+        sufficient_statistics(trajs, EX1)
+        assert len(calls) == 1 and list(calls[0][1]) == [1, 2, 3, 4, 5, 6]
 
 
 class TestScaleEquivariance:

@@ -523,9 +523,10 @@ class TestPsi:
         terms = fundamental._psi_mode_terms(spec, params, ks)
         (s_lam, l_lam), mu = lambda_mu_slog(spec, params.theta1, params.theta2, ks)
         lam = fundamental._slog_lam(ks, s_lam, l_lam)
+        taus, nus = spec.tau.value_array(ks), spec.nu.value_array(ks)
         for k, row in zip(ks.tolist(), terms):
             q = quadrature_oracle(lam[k - 1], mu[k - 1], params.T, 1e-12)
-            tau, nu = spec.tau.value(k), spec.nu.value(k)
+            tau, nu = taus[k - 1], nus[k - 1]
             exact = [tau * tau * q["iif2"], nu * nu * q["iifd2"], -0.5 * tau * nu * q["if2"]]
             assert row.tolist() == pytest.approx(exact + exact[:2], rel=1e-10, abs=0.0)
 

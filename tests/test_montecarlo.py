@@ -7,20 +7,20 @@ import pytest
 from scipy.stats import kstest
 
 from hypermle.equations import preset
-from hypermle.estimate import _mode_coeffs, _mode_contrib, _mode_sums
+from hypermle import montecarlo
+from hypermle.estimate import _coeff_rows, _mode_coeffs, _mode_contrib, _mode_sums
 from hypermle.fundamental import PsiValues
 from hypermle.montecarlo import (
     _CHUNK,
+    _KS_C,
     ExperimentConfig,
     _bootstrap_slopes,
     _mode_task,
-    exp_weight_lln_fixture,
     fit_growth,
     ks_statistic,
     run_consistency,
     run_normality,
     run_replicates,
-    two_sample_ks,
     verify_lln,
 )
 from hypermle.simulate import (_BLOCK, TimeGrid, _chain_operators, _psd_factor, _run_chain,
@@ -82,6 +82,21 @@ class TestFitGrowth:
         rows = [PsiValues(n, n, n, 0.0, 0.0, 0.0) for n in (10, 20, 30)]
         with pytest.raises(ValueError):
             fit_growth(rows)
+
+
+def exp_weight_lln_fixture(n_terms, seed=0):
+    """(sum e^k xi_k^2) / (sum e^k) for iid standard normals; has no limit.
+
+    Returned as the running sequence m -> ratio_m, computed with normalized
+    weights so no overflow occurs.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xE], dtype=np.uint64)))
+    xi2 = rng.standard_normal(n_terms) ** 2
+    out = np.empty(n_terms)
+    for m in range(1, n_terms + 1):
+        w = np.exp(np.arange(1, m + 1, dtype=float) - m)  # e^{k-m}
+        out[m - 1] = float(np.dot(w, xi2[:m]) / np.sum(w))
+    return out
 
 
 class TestLlnFixture:
@@ -161,6 +176,19 @@ class TestHarness:
         assert lo <= res["slope1"] <= hi
         assert hi < 0.0  # decaying with confidence
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_coefficient_table_per_run(self, monkeypatch, workers):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _mode_coeffs(*args)
+
+        monkeypatch.setattr(montecarlo, "_mode_coeffs", counted)
+        spec, params = preset("alg_ex1", d=1)
+        run_replicates(spec, params, 12, TimeGrid(1.0, 64), seed=700, M=4, workers=workers)
+        assert len(calls) == 1 and list(calls[0][1]) == list(range(1, 13))
+
     def test_decomposition_route_for_stiff_spectra(self):
         spec, params = preset("sec5_example")
         batch = run_replicates(spec, params, 25, TimeGrid(1.0, 256), seed=7, M=40)
@@ -206,6 +234,18 @@ class TestBootstrapSlopes:
         assert _bootstrap_slopes(err_lists, N_list, 11) == _bootstrap_slopes_loop(err_lists, N_list, 11)
 
 
+def two_sample_ks(a, b):
+    """Two-sample sup distance and the asymptotic 1% critical value."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    both = np.concatenate([a, b])
+    ca = np.searchsorted(a, both, side="right") / len(a)
+    cb = np.searchsorted(b, both, side="right") / len(b)
+    D = float(np.max(np.abs(ca - cb)))
+    ne = len(a) * len(b) / (len(a) + len(b))
+    return D, _KS_C[0.01] / math.sqrt(ne)
+
+
 class TestTwoSampleKs:
     def test_identical_distributions(self):
         rng = np.random.default_rng(11)
@@ -219,25 +259,26 @@ class TestTwoSampleKs:
 
 
 def true_mode(spec, params, k, dt):
-    """(lam, mu, P, Q, scale) of mode k, as run_replicates hands it to _mode_task."""
+    """(lam, mu, P, Q, scale, coeffs) of mode k, as run_replicates hands it to _mode_task."""
     lam, mu, _ = _true_modes(spec, params, k)
-    return one_mode(lam[-1].item(), mu[-1].item(), dt)
+    return one_mode(spec, k, lam[-1].item(), mu[-1].item(), dt)
 
 
-def one_mode(lam, mu, dt):
-    """(lam, mu, P, Q, scale) of the mode (lam, mu), built alone."""
+def one_mode(spec, k, lam, mu, dt):
+    """(lam, mu, P, Q, scale, coeffs) of the mode (lam, mu) with spec's coefficients at k, built alone."""
     (P,), (Q,), (scale,) = _scaled_transition([lam], [mu], dt)
-    return lam, mu, P, Q, scale.item()
+    (coeffs,) = _coeff_rows(_mode_coeffs(spec, [k], [scale]))
+    return lam, mu, P, Q, scale.item(), coeffs
 
 
-def _one_shot_task(spec, k, mode, grid, seed, M, residual):
+def _one_shot_task(k, mode, grid, seed, M, residual):
     """_mode_task's contributions from one _run_chain call over the whole grid.
 
     Each stream gives 2n path normals, then the two normals eta of dw's free
     part; given the path, (sum u0 eta, sum v0 eta) is L_G eta, with L_G here
     from np.linalg.cholesky of each replicate's Gram matrix of (u0, v0).
     """
-    lam, mu, P, Q, scale = mode
+    lam, mu, P, Q, scale, coeffs = mode
     n = grid.n_steps
     S, _ = _psd_factor(Q)
     streams = [mode_stream(seed, m, k) for m in range(M)]
@@ -252,7 +293,6 @@ def _one_shot_task(spec, k, mode, grid, seed, M, residual):
         sums["sudws"][m] += free[0]
         sums["svdw"][m] += free[1]
     sums["T"] = grid.T
-    coeffs = _mode_coeffs(spec, k, scale)
     if not residual:
         return _mode_contrib(coeffs, sums, endpoint=True), None, {}
     raw = _mode_contrib(coeffs, sums, endpoint=False, residual=True)
@@ -279,8 +319,8 @@ class TestStreamedModeTask:
         spec, params = preset(preset_name)
         grid = TimeGrid(1.0, n)
         mode = true_mode(spec, params, k, grid.dt)
-        got = _mode_task(spec, k, mode, grid, 31, 4, residual)
-        *want, size = _one_shot_task(spec, k, mode, grid, 31, 4, residual)
+        got = _mode_task(k, mode, grid, 31, 4, residual)
+        *want, size = _one_shot_task(k, mode, grid, 31, 4, residual)
         assert (got[1] is None) == (not residual)
         for g, w, raw in zip(got, want, (False, True)):
             if w is None:
@@ -296,7 +336,7 @@ class TestStreamedModeTask:
     @pytest.mark.parametrize("n", [_BLOCK - 3, 2 * _CHUNK, _CHUNK + 3 * _BLOCK + 5])
     def test_halves_chained_through_start_state(self, n):
         spec, params = preset("alg_ex1")
-        _, _, P, Q, _ = true_mode(spec, params, 7, 1.0 / n)
+        _, _, P, Q, _, _ = true_mode(spec, params, 7, 1.0 / n)
         S, _ = _psd_factor(Q)
         xi = np.random.default_rng(n).standard_normal((n, 2, 5))
         ops = _chain_operators(P, S, n)
@@ -318,10 +358,10 @@ class TestStreamedModeTask:
         M = 48
         mode = true_mode(spec, params, 10, grid.dt)
         draw_bytes = M * grid.n_steps * 2 * 8
-        _mode_task(spec, 10, mode, grid, 3, M, True)  # one-time allocations go first
+        _mode_task(10, mode, grid, 3, M, True)  # one-time allocations go first
         tracemalloc.start()
         try:
-            _mode_task(spec, 10, mode, grid, 3, M, True)
+            _mode_task(10, mode, grid, 3, M, True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -364,10 +404,10 @@ def _two_normal_sums(lam, mu, grid, M, seed):
     with seeds seed, seed + 1, ... so that no call holds all the paths.
     """
     spec = SpectrumSpec(Constant(0), Constant(1), Constant(0), Constant(1))
-    mode = one_mode(lam, mu, grid.dt)
+    mode = one_mode(spec, 1, lam, mu, grid.dt)
     parts = []
     for call in range(M // 5000):
-        contrib, raw = _mode_task(spec, 1, mode, grid, seed + call, 5000, True)
+        contrib, raw = _mode_task(1, mode, grid, seed + call, 5000, True)
         parts.append((-contrib["iota1"], contrib["iota2"], -raw["iota1"], contrib["K1"], contrib["K2"]))
     return tuple(np.concatenate(col) for col in zip(*parts))
 

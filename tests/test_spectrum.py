@@ -52,26 +52,34 @@ class TestGenerators:
             eigenvalues(spec, 3)
 
     def test_exp_law(self):
-        assert ExpLaw(1.0, 2.0).value(4) == pytest.approx(math.exp(8.0), rel=1e-14)
+        assert ExpLaw(1.0, 2.0).value_array([4])[0] == pytest.approx(math.exp(8.0), rel=1e-14)
 
     def test_log_laws(self):
-        assert LogLaw(2.0, 3.0, 1.0).value(4) == pytest.approx(2.0 * math.log(5.0) ** 3, rel=1e-12)
-        assert LogLogLaw(1.0, 3.0).value(1) == pytest.approx(math.log(math.log(4.0)), rel=1e-12)
+        assert LogLaw(2.0, 3.0, 1.0).value_array([4])[0] == pytest.approx(2.0 * math.log(5.0) ** 3, rel=1e-12)
+        assert LogLogLaw(1.0, 3.0).value_array([1])[0] == pytest.approx(math.log(math.log(4.0)), rel=1e-12)
 
     def test_signed_alternating(self):
         gen = SignedAlternating(PowerLaw(1.0, -1.0))
-        assert gen.value(1) == pytest.approx(-1.0)
-        assert gen.value(2) == pytest.approx(0.5)
+        assert gen.value_array([1, 2]).tolist() == pytest.approx([-1.0, 0.5])
 
     def test_sign_exact_beyond_float_range(self):
         gen = ExpLaw(-1.0, 2.0)
-        s, logmag = gen.slog(500)
-        assert s == -1.0 and logmag == pytest.approx(1000.0)
-        assert gen.value(500) == -math.inf  # saturates, sign preserved
+        s, logmag = gen.slog_array([500])
+        assert s[0] == -1.0 and logmag[0] == pytest.approx(1000.0)
+        assert gen.value_array([500])[0] == -math.inf  # saturates, sign preserved
+
+    def test_zero_exp_law_stays_zero_past_the_float_range(self):
+        # e^{2k} overflows from k = 355 on; zero times it is still zero
+        gen = ExpLaw(0.0, 2.0)
+        assert gen.value_array([1, 354, 355, 500]).tolist() == [0.0] * 4
+        assert gen.slog_array([500])[0][0] == 0.0
+        spec = SpectrumSpec(gen, PowerLaw(1, 2), Constant(0), Constant(1))
+        assert eigenvalues(spec, 500)[0] == 0.0
+        assert lambda_mu(spec, 1.0, 0.0, 500) == (250000.0, 0.0)
 
     def test_generator_determinism(self):
         gen = LogLaw(1.5, 2.0, 1.0)
-        assert gen.slog(17) == gen.slog(17)
+        assert _bits(*gen.slog_array([17])) == _bits(*gen.slog_array([17]))
 
 
 class TestLambdaMu:
@@ -326,6 +334,15 @@ EVERY_KIND = [
     SignedAlternating(Explicit([3.0, 0.0, -1.0, 2.0, -5.0])),
 ]
 
+# at the float range's edges: k^300 overflows from k = 11 though 1e-200 k^300 does not, e^{3k}
+# from k = 237, 1e305 k^2 from k = 14
+EXTREME_KIND = [
+    PowerLaw(1e-200, 300.0), PowerLaw(-1e-200, 300.0), PowerLaw(0.0, 300.0), PowerLaw(1e305, 2.0),
+    ExpLaw(1e-300, 3.0), ExpLaw(-2.0, 1.0), ExpLaw(0.0, 2.0), Constant(1e308),
+    Explicit([0.0, 1e308, -1e308, 0.0, 1e-308, -0.0]), SignedAlternating(ExpLaw(1.0, 1.5)),
+    SignedAlternating(LogLaw(2.0, 3.0, 1.0)),
+]
+
 
 def _bits(*xs):
     return np.array(xs, dtype=float).tobytes()  # bit for bit, signed zeros included
@@ -339,14 +356,35 @@ def _defined_ks(gen, n=50):
 
 
 class TestOneImplementation:
-    """Each kind's sequence is its slog_array; slog and the one-k calls are that array at one k."""
+    """Each kind's sequence is its slog_array and value_array; an array of k is each k alone."""
 
-    @pytest.mark.parametrize("gen", EVERY_KIND, ids=repr)
-    def test_slog_is_slog_array_at_one_k(self, gen):
-        ks = _defined_ks(gen)
+    @pytest.mark.parametrize("gen", EVERY_KIND + EXTREME_KIND, ids=repr)
+    def test_arrays_are_each_k_alone(self, gen):
+        ks = _defined_ks(gen, 700)
         signs, logs = gen.slog_array(ks)
-        for k, s, l in zip(ks.tolist(), signs.tolist(), logs.tolist()):
-            assert _bits(*gen.slog(k)) == _bits(s, l), k
+        values = gen.value_array(ks)
+        for k, s, l, v in zip(ks.tolist(), signs.tolist(), logs.tolist(), values.tolist()):
+            one = gen.slog_array([k])
+            assert _bits(one[0][0], one[1][0], gen.value_array([k])[0]) == _bits(s, l, v), k
+        back = ks[::-3]  # any subset, in any order
+        assert _bits(*gen.value_array(back)) == _bits(*values[back - ks[0]])
+
+    @pytest.mark.parametrize("gen, k, want", [
+        (PowerLaw(1e-200, 300.0), 10, 1e-200 * 10.0 ** 300),
+        (PowerLaw(1e305, 2.0), 1000, math.inf),
+        (ExpLaw(-2.0, 1.0), 710, -math.inf),
+        (Constant(-3.0), 7, -3.0),
+        (Explicit([0.0, -0.0, 1e308]), 2, -0.0),
+    ], ids=repr)
+    def test_direct_arithmetic(self, gen, k, want):
+        # the kinds with a closed form evaluate it directly in floats, saturating on overflow
+        assert _bits(gen.value_array([k])[0]) == _bits(want)
+
+    def test_power_law_past_the_power_range(self):
+        # 11^300 overflows on its own; the product with 1e-200 is finite, from the log form
+        got = PowerLaw(1e-200, 300.0).value_array([11, 12])
+        assert got.tolist() == pytest.approx([1e-200 * 11.0 ** 100 * 11.0 ** 200,
+                                              1e-200 * 12.0 ** 100 * 12.0 ** 200], rel=1e-12)
 
     @pytest.mark.parametrize("name", ["alg_ex1", "alg_ex5", "sec5_example"])
     def test_lambda_mu_slog_over_ks_matches_one_k_calls(self, name):
@@ -367,13 +405,13 @@ class TestOneImplementation:
         with pytest.raises(ValueError, match=rf"k={bad}\b"):
             gen.slog_array(np.array(ks))
         with pytest.raises(ValueError, match=rf"k={bad}\b"):
-            gen.slog(bad)
+            gen.value_array(np.array(ks))
 
     @pytest.mark.parametrize("k", [0, 2.5])
     @pytest.mark.parametrize("gen", EVERY_KIND, ids=repr)
     def test_index_not_a_positive_integer(self, gen, k):
         with pytest.raises(ValueError, match=f"positive integer, got {k}$"):
-            gen.slog(k)
+            gen.value_array([k, 3])
         with pytest.raises(ValueError, match=f"positive integer, got {k}$"):
             gen.slog_array([3, k])
 
@@ -386,7 +424,7 @@ class TestSerialization:
         cfg = spec.to_config()
         assert cfg["tau"] == {"kind": "exp_law", "coefficient": 1.0, "rate": 1.0}
         back = spectrum_from_config(cfg)
-        assert back.nu.value(5) == spec.nu.value(5)
+        assert back.nu.value_array([5]) == spec.nu.value_array([5])
         capped = SpectrumSpec(*spec.generators().values(), k_max=500)
         assert spectrum_from_config(capped.to_config()).k_max == 500
 
@@ -395,18 +433,15 @@ class TestSerialization:
 
         gen = SignedAlternating(PowerLaw(2.0, -1.0))
         back = generator_from_config(gen.to_config())
-        assert back.value(3) == gen.value(3)
+        assert back.value_array([3]) == gen.value_array([3])
 
     @pytest.mark.parametrize("gen", EVERY_KIND, ids=repr)
     def test_every_kind_round_trips(self, gen):
         back = config.generator_from_config(gen.to_config())
         assert back == gen
         ks = np.array([3, 4, 5])
-        for a, b in zip(back.slog_array(ks), gen.slog_array(ks)):
-            assert np.array_equal(a, b)
-        for k in ks:
-            assert back.slog(int(k)) == gen.slog(int(k))
-            assert back.value(int(k)) == gen.value(int(k))
+        assert _bits(*back.slog_array(ks), back.value_array(ks)) == _bits(*gen.slog_array(ks),
+                                                                          gen.value_array(ks))
 
     def test_omitted_defaults(self):
         parse = config.generator_from_config
