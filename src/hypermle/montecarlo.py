@@ -100,8 +100,10 @@ class BatchResult:
 def _mode_task(k, mode, grid, seed, M, residual):
     """Everything mode k contributes, independent of all other modes.
 
-    mode is (lam, mu, P, Q, scale, coeffs): the mode, its _scaled_transition
-    and its row of the run's _mode_coeffs table.
+    mode is (lam, mu, P, S, scale, coeffs): the mode, its propagator and
+    scale from _scaled_transition, its noise factor from _psd_factor and its
+    row of the run's _mode_coeffs table, all made in the run's array pass, so
+    the task only draws, scans and reduces.
 
     The M replicate streams are made first, and then each gives its 2n path
     normals and two more, eta, in one fill of its row of the draw buffer.
@@ -115,9 +117,8 @@ def _mode_task(k, mode, grid, seed, M, residual):
     factor of G, completes the dw sums exactly in law.  Returns the endpoint
     contributions and, with residual, the raw ones with residual increments.
     """
-    lam, mu, P, Q, scale, coeffs = mode
+    lam, mu, P, S, scale, coeffs = mode
     n, dt = grid.n_steps, grid.dt
-    S, _ = _psd_factor(Q)
 
     # The fills run without the interpreter lock; with every stream made first,
     # they come in one long stretch that other worker threads can overlap.
@@ -205,8 +206,9 @@ def run_replicates(spec, params, N, grid, seed, M, workers=1):
         raise ValueError(f"N must lie in [1, {spec.k_max}]")
     lam, mu, _ = _true_modes(spec, params, N)
     P, Q, scale = _scaled_transition(lam, mu, grid.dt)
+    S, _ = _psd_factor(Q)
     coeffs = _coeff_rows(_mode_coeffs(spec, np.arange(1, N + 1), scale))
-    modes = list(zip(lam.tolist(), mu.tolist(), P, Q, scale.tolist(), coeffs))
+    modes = list(zip(lam.tolist(), mu.tolist(), P, S, scale.tolist(), coeffs))
     underresolved = int(np.count_nonzero(_underresolved(lam, mu, grid.dt)))
     resolved = underresolved == 0
 

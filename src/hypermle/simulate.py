@@ -6,8 +6,9 @@ Gaussian noise triple (state noise in u, state noise in v, the Brownian
 increment) whose 3x3 covariance comes from the fundamental solution.  The
 grid therefore introduces no bias in the marginal law of (u, v) at grid
 times; only time-integrated statistics see the step size.  The transitions
-of all the modes of a run are built in one numpy pass (_scaled_transition)
-before any path is drawn; one mode is an array of one.
+of all the modes of a run and their noise factors are built in one numpy
+pass (_scaled_transition, _psd_factor) before any path is drawn; one mode
+is an array of one.
 
 The path needs only the state noise, two normals per step.  The increment
 splits as dw = c^T xi + sigma eta: a part fixed by the step's two normals
@@ -64,7 +65,10 @@ __all__ = [
 # replicate, mode) stream gives and what each one drives.  Version 2: each
 # step draws two normals for the state noise, and dw's remaining part is
 # sampled after them (n more normals for one path, two per replicate for
-# the Monte Carlo's dw sums); version 1 drew three normals per step.
+# the Monte Carlo's dw sums); version 1 drew three normals per step.  The
+# paths also depend on the last bit of each lam: where ell*dt is near 1e15 and
+# beyond (sec5 from k = 43 at n = 4096) one ulp of lam moves P by over 10%, so
+# evaluating lam another way changes those paths as a new layout would.
 STREAM_VERSION = 2
 
 _LN2 = math.log(2.0)
@@ -169,32 +173,38 @@ def _true_modes(spec, params, N):
 
 
 def _psd_factor(Q):
-    """Block lower-triangular factor S = [[S_ss, 0], [c^T, sigma]] with S S^T = Q.
+    """Block lower-triangular factors S = [[S_ss, 0], [c^T, sigma]] with S S^T = Q, over a stack.
 
-    Q is the 3x3 covariance of (state noise, Brownian increment dw).  S_ss
-    S_ss^T = Q_ss comes from eigh with negative eigenvalues clipped to 0,
-    c = S_ss^+ q_sw is zero on clipped directions, and sigma^2 =
-    max(Q_ww - |c|^2, 0).  With xi two normals and eta a third, independent
-    of them, the state noise is S_ss xi and dw = c^T xi + sigma eta: the path
-    needs only xi.  S is a block Cholesky factor with the 2x2 block first;
-    Q_ss, whose condition number reaches about 1e8 for resolved low modes,
-    is factored and never inverted.  Returns (S, clip), clip being the
-    largest negative part removed (an eigenvalue of Q_ss, or sigma^2);
-    raises TransitionError when it exceeds 1e-8 of the larger of Q_ss's
+    Q (..., 3, 3) stacks the covariances of (state noise, Brownian increment
+    dw), one block or every mode of a run: the factors are part of the run's
+    array pass, made once next to the transitions.  S_ss S_ss^T = Q_ss comes
+    from eigh with negative eigenvalues clipped to 0, c = S_ss^+ q_sw is zero
+    on clipped directions, and sigma^2 = max(Q_ww - |c|^2, 0).  With xi two
+    normals and eta a third, independent of them, the state noise is S_ss xi
+    and dw = c^T xi + sigma eta: the path needs only xi.  S is a block
+    Cholesky factor with the 2x2 block first; Q_ss, whose condition number
+    reaches about 1e8 for resolved low modes, is factored and never inverted.
+    Each block gives the bits of its own call.  Returns (S, clip) of shapes
+    (..., 3, 3) and (...), clip being the largest negative part removed (an
+    eigenvalue of Q_ss, or sigma^2); raises TransitionError, for the first
+    block where it does, when the clip exceeds 1e-8 of the larger of Q_ss's
     largest eigenvalue and Q_ww.
     """
-    w, V = np.linalg.eigh(Q[:2, :2])
+    w, V = np.linalg.eigh(Q[..., :2, :2])
     root = np.sqrt(np.clip(w, 0.0, None))
-    c = np.divide(V.T @ Q[:2, 2], root, out=np.zeros(2), where=root > 0.0)
-    s2 = Q[2, 2] - c @ c
-    clip = max(0.0, -float(w[0]), -s2)
-    rel = clip / max(float(w[1]), Q[2, 2], 1e-300)
-    if rel > 1e-8:
-        raise TransitionError(f"noise covariance clip {rel:.3e} exceeds 1e-8 of the spectrum")
-    S = np.zeros((3, 3))
-    S[:2, :2] = V * root
-    S[2, :2] = c
-    S[2, 2] = math.sqrt(max(s2, 0.0))
+    c = np.divide((np.swapaxes(V, -1, -2) @ Q[..., :2, 2:])[..., 0], root, out=np.zeros_like(root),
+                  where=root > 0.0)
+    s2 = Q[..., 2, 2] - (c[..., None, :] @ c[..., :, None])[..., 0, 0]
+    worst = np.maximum(-w[..., 0], -s2)
+    clip = np.where(worst > 0.0, worst, 0.0)
+    rel = np.ravel(clip / np.maximum(np.maximum(w[..., 1], Q[..., 2, 2]), 1e-300))
+    bad = rel[rel > 1e-8]
+    if bad.size:
+        raise TransitionError(f"noise covariance clip {bad[0]:.3e} exceeds 1e-8 of the spectrum")
+    S = np.zeros(Q.shape)
+    S[..., :2, :2] = V * root[..., None, :]
+    S[..., 2, :2] = c
+    S[..., 2, 2] = np.sqrt(np.maximum(s2, 0.0))
     return S, clip
 
 
@@ -419,16 +429,17 @@ def simulate_solution(spec, params, N, grid, seed, replicate=0):
 
 def _trajectories(ks, lam, mu, grid, rngs):
     """The trajectory of each mode k of ks (float arrays lam, mu), drawn from its generator of rngs
-    as simulate_mode draws it; the transitions come from one _scaled_transition call."""
+    as simulate_mode draws it; the transitions and their noise factors come from one
+    _scaled_transition call and one _psd_factor call."""
     n = grid.n_steps
     P, Q, scale = _scaled_transition(lam, mu, grid.dt)
+    S, _ = _psd_factor(Q)
     out = []
-    for k, rng, P_k, Q_k, *mode in zip(ks, rngs, P, Q, scale.tolist(), lam.tolist(), mu.tolist()):
-        S, _ = _psd_factor(Q_k)
+    for k, rng, P_k, S_k, *mode in zip(ks, rngs, P, S, scale.tolist(), lam.tolist(), mu.tolist()):
         xi = rng.standard_normal((n, 2))[:, :, None]
-        u, v, dwp = _run_chain(_chain_operators(P_k, S, n), np.zeros((2, 1)), xi)
+        u, v, dwp = _run_chain(_chain_operators(P_k, S_k, n), np.zeros((2, 1)), xi)
         dw = dwp[:, 0]  # a view of the path's buffer, completed in place
-        dw += S[2, 2] * rng.standard_normal(n)
+        dw += S_k[2, 2] * rng.standard_normal(n)
         out.append(ModeTrajectory(k, u[:, 0], v[:, 0], dw, *mode, grid.dt))
     return out
 

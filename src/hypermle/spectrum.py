@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .fundamental import _EXP_MAX, m_func_log
-from .slog import slog_add, slog_scale
 
 __all__ = [
     "GENERATORS",
@@ -137,6 +136,11 @@ class _CoefficientLaw(Generator):
         s = np.full_like(ks, math.copysign(1.0, self.coefficient))
         return s, math.log(abs(self.coefficient)) + shape
 
+    def _product(self, ks, factors):
+        """coefficient * factors where the factors are finite floats, the log form where they overflowed."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(np.isinf(factors), super().value_array(ks), self.coefficient * factors)
+
 
 @dataclass(frozen=True)
 class PowerLaw(_CoefficientLaw):
@@ -151,9 +155,7 @@ class PowerLaw(_CoefficientLaw):
 
     def value_array(self, ks):
         ks = _check_ks(ks)
-        powers = _each(pow, ks, self.exponent)  # k^exponent alone may overflow where the product fits
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.where(np.isinf(powers), super().value_array(ks), self.coefficient * powers)
+        return self._product(ks, _each(pow, ks, self.exponent))  # k^exponent alone may overflow
 
     def power_law(self):
         return self.coefficient, self.exponent
@@ -172,10 +174,7 @@ class ExpLaw(_CoefficientLaw):
 
     def value_array(self, ks):
         ks = _check_ks(ks)
-        if self.coefficient == 0.0:
-            return np.full_like(ks, self.coefficient)  # zero even where e^{rate k} overflows
-        with np.errstate(over="ignore"):
-            return self.coefficient * _each(math.exp, self.rate * ks)
+        return self._product(ks, _each(math.exp, self.rate * ks))  # e^{rate k} alone may overflow
 
 
 @dataclass(frozen=True)
@@ -347,11 +346,46 @@ def lambda_mu(spec, theta1, theta2, k):
     return float(lam), float(mu)
 
 
+def _slog_scale(sign, log_abs, c):
+    """Multiply the values that (sign, log|value|) arrays represent by the float c."""
+    with np.errstate(divide="ignore"):
+        return sign * np.sign(c), log_abs + np.log(np.abs(c))
+
+
+def _slog_add(sign_a, log_a, sign_b, log_b):
+    """Signed addition a + b of (sign, log|value|) arrays without leaving log space.
+
+    Factors out the larger magnitude (log|x + y| = log|x| + log|1 +- |y|/|x||
+    with |x| >= |y|), so the sign of a cancellation is exact up to float
+    rounding of the log magnitudes.
+    """
+    swap = log_b > log_a
+    big_s = np.where(swap, sign_b, sign_a)
+    big_l = np.where(swap, log_b, log_a)
+    small_s = np.where(swap, sign_a, sign_b)
+    small_l = np.where(swap, log_a, log_b)
+
+    # ratio = small/big in (0, 1]; same sign -> 1+r, opposite -> 1-r
+    with np.errstate(invalid="ignore"):
+        r = np.exp(small_l - big_l)
+    r = np.where(np.isnan(r), 0.0, r)  # both -inf: 0 + 0
+    same = big_s * small_s
+    mag = 1.0 + same * r * (small_s != 0.0)
+
+    out_sign = np.where(mag > 0.0, big_s, -big_s)
+    with np.errstate(divide="ignore"):
+        out_log = big_l + np.log(np.abs(np.where(mag == 0.0, 1.0, mag)))
+    out_log = np.where(mag == 0.0, _NEG_INF, out_log)
+    out_sign = np.where(mag == 0.0, 0.0, out_sign)
+    out_sign = np.where(small_s == 0.0, big_s, out_sign)
+    out_log = np.where(small_s == 0.0, big_l, out_log)
+    return out_sign, out_log
+
+
 def _lambda_slog_arrays(spec, theta, ks):
     sk, lk = spec.kappa.slog_array(ks)
     st, lt = spec.tau.slog_array(ks)
-    st, lt = slog_scale(st, lt, theta)
-    return slog_add(sk, lk, st, lt)
+    return _slog_add(sk, lk, *_slog_scale(st, lt, theta))
 
 
 def _mu_arrays(spec, theta, ks):

@@ -23,8 +23,8 @@ from hypermle.montecarlo import (
     run_replicates,
     verify_lln,
 )
-from hypermle.simulate import (_BLOCK, TimeGrid, _chain_operators, _psd_factor, _run_chain,
-                               _scaled_transition, _true_modes, mode_stream, transition)
+from hypermle.simulate import (_BLOCK, TimeGrid, TransitionError, _chain_operators, _psd_factor,
+                               _run_chain, _scaled_transition, _true_modes, mode_stream, transition)
 from hypermle.spectrum import Constant, SpectrumSpec
 
 
@@ -189,6 +189,33 @@ class TestHarness:
         run_replicates(spec, params, 12, TimeGrid(1.0, 64), seed=700, M=4, workers=workers)
         assert len(calls) == 1 and list(calls[0][1]) == list(range(1, 13))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_noise_factor_per_run(self, monkeypatch, workers):
+        calls = []
+
+        def counted(Q):
+            calls.append(Q.shape)
+            return _psd_factor(Q)
+
+        monkeypatch.setattr(montecarlo, "_psd_factor", counted)
+        spec, params = preset("alg_ex1", d=1)
+        run_replicates(spec, params, 12, TimeGrid(1.0, 64), seed=700, M=4, workers=workers)
+        assert calls == [(12, 3, 3)]
+
+    def test_clip_raises_before_any_path_is_drawn(self, monkeypatch):
+        def second_mode_bad(lam, mu, dt):
+            P, Q, scale = _scaled_transition(lam, mu, dt)
+            Q[1, 1, 1] = -1.0  # mode 2's state noise leaves the PSD cone
+            return P, Q, scale
+
+        streams = []
+        monkeypatch.setattr(montecarlo, "_scaled_transition", second_mode_bad)
+        monkeypatch.setattr(montecarlo, "mode_stream", lambda *key: streams.append(key))
+        spec, params = preset("alg_ex1", d=1)
+        with pytest.raises(TransitionError):
+            run_replicates(spec, params, 4, TimeGrid(1.0, 64), seed=700, M=2)
+        assert streams == []
+
     def test_decomposition_route_for_stiff_spectra(self):
         spec, params = preset("sec5_example")
         batch = run_replicates(spec, params, 25, TimeGrid(1.0, 256), seed=7, M=40)
@@ -259,16 +286,17 @@ class TestTwoSampleKs:
 
 
 def true_mode(spec, params, k, dt):
-    """(lam, mu, P, Q, scale, coeffs) of mode k, as run_replicates hands it to _mode_task."""
+    """(lam, mu, P, S, scale, coeffs) of mode k, as run_replicates hands it to _mode_task."""
     lam, mu, _ = _true_modes(spec, params, k)
     return one_mode(spec, k, lam[-1].item(), mu[-1].item(), dt)
 
 
 def one_mode(spec, k, lam, mu, dt):
-    """(lam, mu, P, Q, scale, coeffs) of the mode (lam, mu) with spec's coefficients at k, built alone."""
-    (P,), (Q,), (scale,) = _scaled_transition([lam], [mu], dt)
+    """(lam, mu, P, S, scale, coeffs) of the mode (lam, mu) with spec's coefficients at k, built alone."""
+    (P,), Q, (scale,) = _scaled_transition([lam], [mu], dt)
+    (S,), _ = _psd_factor(Q)
     (coeffs,) = _coeff_rows(_mode_coeffs(spec, [k], [scale]))
-    return lam, mu, P, Q, scale.item(), coeffs
+    return lam, mu, P, S, scale.item(), coeffs
 
 
 def _one_shot_task(k, mode, grid, seed, M, residual):
@@ -278,9 +306,8 @@ def _one_shot_task(k, mode, grid, seed, M, residual):
     part; given the path, (sum u0 eta, sum v0 eta) is L_G eta, with L_G here
     from np.linalg.cholesky of each replicate's Gram matrix of (u0, v0).
     """
-    lam, mu, P, Q, scale, coeffs = mode
+    lam, mu, P, S, scale, coeffs = mode
     n = grid.n_steps
-    S, _ = _psd_factor(Q)
     streams = [mode_stream(seed, m, k) for m in range(M)]
     xi = np.stack([stream.standard_normal((n, 2)) for stream in streams], axis=2)
     eta = [stream.standard_normal(2) for stream in streams]
@@ -336,8 +363,7 @@ class TestStreamedModeTask:
     @pytest.mark.parametrize("n", [_BLOCK - 3, 2 * _CHUNK, _CHUNK + 3 * _BLOCK + 5])
     def test_halves_chained_through_start_state(self, n):
         spec, params = preset("alg_ex1")
-        _, _, P, Q, _, _ = true_mode(spec, params, 7, 1.0 / n)
-        S, _ = _psd_factor(Q)
+        _, _, P, S, _, _ = true_mode(spec, params, 7, 1.0 / n)
         xi = np.random.default_rng(n).standard_normal((n, 2, 5))
         ops = _chain_operators(P, S, n)
         u, v, dw = _run_chain(ops, np.zeros((2, 5)), xi)

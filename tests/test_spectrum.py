@@ -386,6 +386,16 @@ class TestOneImplementation:
         assert got.tolist() == pytest.approx([1e-200 * 11.0 ** 100 * 11.0 ** 200,
                                               1e-200 * 12.0 ** 100 * 12.0 ** 200], rel=1e-12)
 
+    def test_exp_law_past_the_exp_range(self):
+        # e^{3k} overflows from k = 237 on; the product with 1e-300 is finite, from the log form
+        gen = ExpLaw(1e-300, 3.0)
+        assert gen.value_array([236]).tobytes() == np.array([1e-300 * math.exp(708.0)]).tobytes()
+        got = gen.value_array([237, 300])
+        assert got.tolist() == pytest.approx([math.exp(math.log(1e-300) + 711.0),
+                                              math.exp(math.log(1e-300) + 900.0)], rel=1e-12)
+        spec = SpectrumSpec(gen, Constant(0.0), Constant(0.0), Constant(0.0))
+        assert eigenvalues(spec, 237)[0] == pytest.approx(6.0726e8, rel=1e-4)
+
     @pytest.mark.parametrize("name", ["alg_ex1", "alg_ex5", "sec5_example"])
     def test_lambda_mu_slog_over_ks_matches_one_k_calls(self, name):
         spec, params = preset(name)
