@@ -10,9 +10,9 @@ Subcommands:
     mc lln               law-of-large-numbers / isometry ratios
     mc tables            theoretical growth-exponent matrix for the examples
 
-Exit codes: 0 success (check: pass), 1 configuration error, 2 check fail,
-3 check inconclusive, 4 runtime failure.  Every run appends one manifest
-line to <out>/manifest.jsonl listing its outputs.
+Exit codes: 0 success (check: pass), 1 configuration error (a usage error
+too), 2 check fail, 3 check inconclusive, 4 runtime failure.  Every run
+appends one manifest line to <out>/manifest.jsonl listing its outputs.
 """
 from __future__ import annotations
 
@@ -31,14 +31,7 @@ from .config import ConfigError, _checked, _n_list, _positive_int, _seed, load_c
 from .equations import preset as make_preset
 from .estimate import _STAT_KEYS, SingularSystemError, estimate_from_trajectories
 from .fundamental import FundamentalOverflowError, psi_curve
-from .montecarlo import (
-    ExperimentConfig,
-    run_consistency,
-    run_normality,
-    verify_lln,
-    write_replicate_csv,
-    write_summary_json,
-)
+from .montecarlo import ExperimentConfig, run_consistency, run_normality, verify_lln
 from .simulate import STREAM_VERSION, ModeTrajectory, TimeGrid, _true_modes, simulate_solution
 from .spectrum import check_hyperbolic, classify_algebraic, consistency_conditions, NonAlgebraicSpectrumError
 
@@ -51,9 +44,18 @@ EXIT_RUNTIME = 4
 _TABLE_DIMS = (1, 2, 4, 8)  # the dimensions d that growth_tables tabulates
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a usage error raised as a ConfigError (exit 1) in place of exit 2,
+    which is `check`'s verdict code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _parser():
-    p = argparse.ArgumentParser(prog="hypermle", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="hypermle", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--version", action="version", version=f"hypermle {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -104,16 +106,16 @@ def _n_list_within_spectrum(cfg, args):
     return ns
 
 
-def _manifest(out, command, args, cfg, outputs, started):
+def _manifest(out, args, cfg, outputs, started):
     entry = {
-        "command": command,
+        "command": f"mc {args.subverb}" if args.command == "mc" else args.command,
         "config_path": str(args.config),
         "config_echo": cfg["raw"],
         "seed": cfg["experiment"]["seed"],
         "version": __version__,
         "stream_version": STREAM_VERSION,
         "started": started,
-        "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "finished": _now(),
         "outputs": [str(o) for o in outputs],
     }
     with (out / "manifest.jsonl").open("a") as fh:
@@ -124,9 +126,7 @@ def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def cmd_check(args):
-    cfg, out = _resolve(args)
-    started = _now()
+def cmd_check(args, cfg, out):
     (k_lo, k_hi), k_max = cfg["check"]["k_range"], cfg["spec"].k_max
     if k_lo > k_max:
         raise ConfigError(f"check.k_range: k_lo={k_lo} exceeds the spectrum's k_max={k_max}")
@@ -147,13 +147,11 @@ def cmd_check(args):
     path = out / "check_report.json"
     path.write_text(json.dumps(doc, indent=2, default=float) + "\n")
     print(json.dumps(doc, indent=2, default=float))
-    _manifest(out, "check", args, cfg, [path], started)
-    return {"pass": EXIT_OK, "fail": EXIT_CHECK_FAIL, "inconclusive": EXIT_CHECK_INCONCLUSIVE}[rep.hyperbolic]
+    verdict = {"pass": EXIT_OK, "fail": EXIT_CHECK_FAIL, "inconclusive": EXIT_CHECK_INCONCLUSIVE}
+    return verdict[rep.hyperbolic], [path]
 
 
-def cmd_psi(args):
-    cfg, out = _resolve(args)
-    started = _now()
+def cmd_psi(args, cfg, out):
     rows = psi_curve(cfg["spec"], cfg["params"], _n_list_within_spectrum(cfg, args))
     path = out / "psi.csv"
     with path.open("w") as fh:
@@ -162,13 +160,10 @@ def cmd_psi(args):
             fh.write(f"{r.N},{r.psi1:.17g},{r.psi2:.17g},{r.psi12:.17g},"
                      f"{r.psi1_asym:.17g},{r.psi2_asym:.17g}\n")
     print(path.read_text(), end="")
-    _manifest(out, "psi", args, cfg, [path], started)
-    return EXIT_OK
+    return EXIT_OK, [path]
 
 
-def cmd_simulate(args):
-    cfg, out = _resolve(args)
-    started = _now()
+def cmd_simulate(args, cfg, out):
     N = max(_n_list_within_spectrum(cfg, args))
     trajs = simulate_solution(cfg["spec"], cfg["params"], N, cfg["grid"],
                               cfg["experiment"]["seed"])
@@ -183,8 +178,7 @@ def cmd_simulate(args):
             vals[0::3], vals[1::3], vals[2::3] = t.u, t.v, t.dw
             fh.write((f"{t.k}," + f"\n{t.k},".join(rows) + "\n") % tuple(vals.tolist()))
     print(f"wrote {path} ({N} modes, {n} steps)")
-    _manifest(out, "simulate", args, cfg, [path], started)
-    return EXIT_OK
+    return EXIT_OK, [path]
 
 
 def _read_trajectories(path, spec, params, grid):
@@ -278,9 +272,7 @@ def _first_bad_line(path):
     return None
 
 
-def cmd_estimate(args):
-    cfg, out = _resolve(args)
-    started = _now()
+def cmd_estimate(args, cfg, out):
     trajs = _read_trajectories(args.trajectories, cfg["spec"], cfg["params"], cfg["grid"])
     N = len(trajs)
     pv = psi_curve(cfg["spec"], cfg["params"], [N])[0]
@@ -300,8 +292,7 @@ def cmd_estimate(args):
     path = out / "estimate.json"
     path.write_text(json.dumps(doc, indent=2, default=float) + "\n")
     print(json.dumps(doc, indent=2, default=float))
-    _manifest(out, "estimate", args, cfg, [path], started)
-    return EXIT_OK
+    return EXIT_OK, [path]
 
 
 def _mc_config(cfg, args):
@@ -317,65 +308,84 @@ def _mc_config(cfg, args):
     )
 
 
-def cmd_mc(args):
-    cfg, out = _resolve(args)
-    started = _now()
-    mc_cfg = None if args.subverb == "tables" else _mc_config(cfg, args)
-    outputs = []
-    if args.subverb == "consistency":
-        res = run_consistency(mc_cfg)
-        outputs.append(write_replicate_csv(out / "consistency_replicates.csv", res["rows"]))
-        summary = {
-            "rows": [{k: v for k, v in r.items() if k != "batch"} for r in res["rows"]],
-            "slope1": res["slope1"], "slope1_stderr": res["slope1_stderr"],
-            "slope2": res["slope2"], "slope2_stderr": res["slope2_stderr"],
-            "slope1_ci": list(res["slope1_ci"]), "slope2_ci": list(res["slope2_ci"]),
-            "seed": mc_cfg.seed, "version": __version__, "stream_version": STREAM_VERSION,
-            "config": cfg["raw"],
-        }
-        outputs.append(write_summary_json(out / "consistency_summary.json", summary))
-        print(f"slope1 {res['slope1']:+.3f} (se {res['slope1_stderr']:.3f}); "
-              f"slope2 {res['slope2']:+.3f} (se {res['slope2_stderr']:.3f})")
-    elif args.subverb == "normality":
-        rep = run_normality(mc_cfg)
-        summary = {
-            "N": rep.N, "ks1": rep.ks1, "ks2": rep.ks2, "critical": rep.critical,
-            "corr12": rep.corr12, "corr_ci": list(rep.corr_ci),
-            "verdict1": rep.verdict1, "verdict2": rep.verdict2,
-            "independent": rep.independent, "n_excluded": rep.n_excluded,
-            "route": rep.route, "underresolved_modes": rep.underresolved_modes,
-            "seed": mc_cfg.seed, "version": __version__, "stream_version": STREAM_VERSION,
-            "config": cfg["raw"],
-        }
-        outputs.append(write_summary_json(out / "normality_summary.json", summary))
-        path = out / "normality_errors.csv"
-        with path.open("w") as fh:
-            fh.write("norm_err1,norm_err2\n")
-            for a, b in zip(rep.norm_err1, rep.norm_err2):
-                fh.write(f"{a:.17g},{b:.17g}\n")
-        outputs.append(path)
-        print(f"N={rep.N}: ks1={rep.ks1:.4f} ks2={rep.ks2:.4f} "
-              f"(1% crit {rep.critical[0.01]:.4f}); corr12={rep.corr12:+.3f}; "
-              f"verdicts: {rep.verdict1}, {rep.verdict2}")
-    elif args.subverb == "lln":
-        rows = verify_lln(mc_cfg)
-        summary = {"rows": rows, "seed": mc_cfg.seed, "version": __version__,
-                   "stream_version": STREAM_VERSION, "config": cfg["raw"]}
-        outputs.append(write_summary_json(out / "lln_summary.json", summary))
-        for r in rows:
-            print(f"N={r['N']}: K1/psi1 median {r['K1_over_psi1'][0]:.3f}, "
-                  f"iota1 isometry {r['iota1_isometry']:.3f}")
-    else:  # tables
+def cmd_mc(args, cfg, out):
+    if args.subverb == "tables":
         rows, text = growth_tables()
         path = out / "growth_tables.csv"
         with path.open("w") as fh:
             fh.write("example,d,gamma1,gamma2,psi1_growth,psi2_growth\n")
             for r in rows:
                 fh.write(",".join(str(x) for x in r) + "\n")
-        outputs.append(path)
         print(text)
-    _manifest(out, "mc " + args.subverb, args, cfg, outputs, started)
-    return EXIT_OK
+        return EXIT_OK, [path]
+    mc_cfg = _mc_config(cfg, args)
+    if args.subverb == "consistency":
+        res = run_consistency(mc_cfg)
+        outputs = [write_replicate_csv(out / "consistency_replicates.csv", res["rows"]),
+                   write_summary_json(out / "consistency_summary.json", cfg, {
+                       "rows": [{k: v for k, v in r.items() if k != "batch"} for r in res["rows"]],
+                       "slope1": res["slope1"], "slope1_stderr": res["slope1_stderr"],
+                       "slope2": res["slope2"], "slope2_stderr": res["slope2_stderr"],
+                       "slope1_ci": list(res["slope1_ci"]), "slope2_ci": list(res["slope2_ci"]),
+                   })]
+        print(f"slope1 {res['slope1']:+.3f} (se {res['slope1_stderr']:.3f}); "
+              f"slope2 {res['slope2']:+.3f} (se {res['slope2_stderr']:.3f})")
+    elif args.subverb == "normality":
+        rep = run_normality(mc_cfg)
+        path = out / "normality_errors.csv"
+        with path.open("w") as fh:
+            fh.write("norm_err1,norm_err2\n")
+            for a, b in zip(rep.norm_err1, rep.norm_err2):
+                fh.write(f"{a:.17g},{b:.17g}\n")
+        outputs = [write_summary_json(out / "normality_summary.json", cfg, {
+            "N": rep.N, "ks1": rep.ks1, "ks2": rep.ks2, "critical": rep.critical,
+            "corr12": rep.corr12, "corr_ci": list(rep.corr_ci),
+            "verdict1": rep.verdict1, "verdict2": rep.verdict2,
+            "independent": rep.independent, "n_excluded": rep.n_excluded,
+            "route": rep.route, "underresolved_modes": rep.underresolved_modes,
+        }), path]
+        print(f"N={rep.N}: ks1={rep.ks1:.4f} ks2={rep.ks2:.4f} "
+              f"(1% crit {rep.critical[0.01]:.4f}); corr12={rep.corr12:+.3f}; "
+              f"verdicts: {rep.verdict1}, {rep.verdict2}")
+    else:  # lln
+        rows = verify_lln(mc_cfg)
+        outputs = [write_summary_json(out / "lln_summary.json", cfg, {"rows": rows})]
+        for r in rows:
+            print(f"N={r['N']}: K1/psi1 median {r['K1_over_psi1'][0]:.3f}, "
+                  f"iota1 isometry {r['iota1_isometry']:.3f}")
+    return EXIT_OK, outputs
+
+
+def write_replicate_csv(path, rows):
+    """One line per (N, replicate): estimates and normalized errors."""
+    with path.open("w") as fh:
+        fh.write("N,replicate,theta1_hat,theta2_hat,err1,err2,excluded\n")
+        for r in rows:
+            b = r["batch"]
+            for m in range(len(b.theta1_hat)):
+                fh.write(
+                    f"{b.N},{m},{b.theta1_hat[m]:.17g},{b.theta2_hat[m]:.17g},"
+                    f"{b.err1[m]:.17g},{b.err2[m]:.17g},{int(b.excluded[m])}\n"
+                )
+    return path
+
+
+def write_summary_json(path, cfg, summary):
+    """An mc summary as JSON, its keys followed by the run's seed, versions and config."""
+    summary.update(seed=cfg["experiment"]["seed"], version=__version__,
+                   stream_version=STREAM_VERSION, config=cfg["raw"])
+    with path.open("w") as fh:
+        json.dump(summary, fh, indent=2, default=_json_default)
+        fh.write("\n")
+    return path
+
+
+def _json_default(obj):
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 def _growth_str(gamma):
@@ -406,17 +416,16 @@ def growth_tables():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "psi":
-            return cmd_psi(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "estimate":
-            return cmd_estimate(args)
-        return cmd_mc(args)
+        args = _parser().parse_args(argv)
+        cfg, out = _resolve(args)
+        started = _now()
+        # built at each call, so a command rebound on this module (a tracer's wrapper) is the one run
+        command = {"check": cmd_check, "psi": cmd_psi, "simulate": cmd_simulate,
+                   "estimate": cmd_estimate, "mc": cmd_mc}[args.command]
+        code, outputs = command(args, cfg, out)
+        _manifest(out, args, cfg, outputs, started)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,10 +27,8 @@ and records that it did.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +37,7 @@ from .estimate import (_ENDPOINT_KEYS, _coeff_rows, _decomposition_errors, _mode
 from .fundamental import psi_curve
 from .simulate import (_CHUNK, _chain_operators, _psd_factor, _run_chain, _scaled_transition,
                        _true_modes, _underresolved, mode_stream)
-from .spectrum import lambda_mu_slog  # perfbench/tracing.py wraps this name; nothing here calls it
+from .spectrum import _line_fit, lambda_mu_slog  # perfbench/tracing.py wraps lambda_mu_slog; nothing here calls it
 
 __all__ = [
     "ExperimentConfig",
@@ -74,6 +72,8 @@ class ExperimentConfig:
             raise ValueError("N_list must be strictly increasing positive integers")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.grid.T != self.params.T:  # the paths run to grid.T, psi to params.T
+            raise ValueError(f"grid.T={self.grid.T!r} is not params.T={self.params.T!r}")
 
 
 @dataclass
@@ -303,16 +303,12 @@ def _bootstrap_slopes(err_lists, N_list, seed):
         for errs, rows in zip(err_lists, idx):
             rows[b] = rng.integers(0, len(errs), size=len(errs))
     log_means = np.log([np.mean(errs[rows], axis=1) for errs, rows in zip(err_lists, idx)])
-    logN = np.log(np.asarray(N_list, dtype=float))
-    A = np.vstack([logN, np.ones_like(logN)]).T
-    slopes = np.linalg.lstsq(A, log_means, rcond=None)[0][0]
+    slopes = _line_fit(np.log(np.asarray(N_list, dtype=float)), log_means)[0][0]
     return tuple(float(p) for p in np.percentile(slopes, _CI_PERCENTILES))
 
 
 def _fit_slope(logx, logy):
-    A = np.vstack([logx, np.ones_like(logx)]).T
-    coef, res, *_ = np.linalg.lstsq(A, logy, rcond=None)
-    yhat = A @ coef
+    coef, yhat = _line_fit(logx, logy)
     dof = max(len(logx) - 2, 1)
     s2 = float(np.sum((logy - yhat) ** 2)) / dof
     sxx = float(np.sum((logx - logx.mean()) ** 2))
@@ -464,39 +460,3 @@ def fit_growth(psi_table, columns=("psi1", "psi2")):
         out[name] = {"slope": slope, "stderr": stderr, "log_flag": log_flag,
                      "loglog_slope": llslope}
     return out
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-
-def write_replicate_csv(path, rows):
-    """One line per (N, replicate): estimates and normalized errors."""
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write("N,replicate,theta1_hat,theta2_hat,err1,err2,excluded\n")
-        for r in rows:
-            b = r["batch"]
-            for m in range(len(b.theta1_hat)):
-                fh.write(
-                    f"{b.N},{m},{b.theta1_hat[m]:.17g},{b.theta2_hat[m]:.17g},"
-                    f"{b.err1[m]:.17g},{b.err2[m]:.17g},{int(b.excluded[m])}\n"
-                )
-    return path
-
-
-def write_summary_json(path, summary):
-    path = Path(path)
-    with path.open("w") as fh:
-        json.dump(summary, fh, indent=2, default=_json_default)
-        fh.write("\n")
-    return path
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")

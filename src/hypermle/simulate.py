@@ -115,9 +115,6 @@ class TimeGrid:
     def dt(self):
         return self.T / self.n_steps
 
-    def times(self):
-        return np.linspace(0.0, self.T, self.n_steps + 1)
-
 
 @dataclass
 class ModeTrajectory:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .fundamental import _EXP_MAX, m_func_log
+from .fundamental import _EXP_MAX, _each, m_func_log
 
 __all__ = [
     "GENERATORS",
@@ -102,17 +102,6 @@ def _check_ks(ks):
     if bad.size:
         raise ValueError(f"mode index must be a positive integer, got {bad[0]:g}")
     return ks
-
-
-def _each(op, xs, *args):
-    """op(x, *args) at each x of an array, in Python's float arithmetic; +inf where it overflows."""
-    out = []
-    for x in xs.ravel().tolist():
-        try:
-            out.append(op(x, *args))
-        except OverflowError:
-            out.append(math.inf)
-    return np.reshape(out, xs.shape)
 
 
 def _first_outside(gen, ks, inside):
@@ -440,8 +429,6 @@ def check_hyperbolic(spec, params, k_range=(1, 1000)):
     if k_lo < 1 or k_hi < k_lo:
         raise ValueError("k_range must satisfy 1 <= k_lo <= k_hi")
     k_hi = min(k_hi, spec.k_max)
-    if params.theta1_box[0] > params.theta1_box[1] or params.theta2_box[0] > params.theta2_box[1]:
-        raise ValueError("degenerate theta box (lo > hi)")
     ks = np.arange(k_lo, k_hi + 1)
     corners = params.theta1_box
 
@@ -603,13 +590,18 @@ class AlgebraicClass:
     fit_quality: float
 
 
+def _line_fit(x, y):
+    """Least-squares (slope, intercept) of y against x, and the fitted values; y may hold
+    one column per fit."""
+    A = np.vstack([x, np.ones_like(x)]).T
+    coef = np.linalg.lstsq(A, y, rcond=None)[0]
+    return coef, A @ coef
+
+
 def _fit_log_slope(ks, logs):
     """Least squares slope of log|value| against log k; returns (slope, max residual)."""
-    x = np.log(ks)
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
-    resid = logs - A @ coef
-    return float(coef[0]), float(np.max(np.abs(resid)))
+    coef, fitted = _line_fit(np.log(ks), logs)
+    return float(coef[0]), float(np.max(np.abs(logs - fitted)))
 
 
 def _magnitude_exponent(gen, ks, what):
@@ -787,9 +779,7 @@ def _slowly_increasing_log(log_vals):
     log_a = np.asarray(log_vals, dtype=float)
     r = np.exp(np.logaddexp.accumulate(2.0 * log_a) - 2.0 * np.logaddexp.accumulate(log_a))
     decile = max(4, len(ks) // 10)
-    x = np.log(ks[-decile:].astype(float))
-    A = np.vstack([x, np.ones_like(x)]).T
-    slope = float(np.linalg.lstsq(A, np.log(r[-decile:]), rcond=None)[0][0])
+    slope = float(_line_fit(np.log(ks[-decile:].astype(float)), np.log(r[-decile:]))[0][0])
     verdict = INCONCLUSIVE
     if r[-1] < _SLOW_PASS_THRESHOLD and slope <= _SLOW_SLOPE_TOL:
         verdict = PASS

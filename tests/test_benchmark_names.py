@@ -2,7 +2,10 @@
 import ast
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -76,3 +79,60 @@ def test_traced_counts_follow_the_draw_layout():
     assert batch["simulate.normals"] == N * M * (2 * n + 2)
     assert total["simulate.path_steps"] - batch["simulate.path_steps"] == N * n
     assert total["simulate.normals"] - batch["simulate.normals"] == N * 3 * n
+
+
+BENCHMARK = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def workload_module():
+    """perfbench/workload.py, imported with perfbench/ on the path for its own imports."""
+    own = [name for name in ("oracle", "tracing") if name not in sys.modules]
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workload", WORKLOAD)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for name in own:  # imported by their bare names, which belong to perfbench
+            sys.modules.pop(name, None)
+    return module
+
+
+class _Stubs:
+    """A module stand-in whose every attribute is a function doing nothing."""
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in BENCHMARK["workloads"]])
+def test_benchmark_argv_reaches_its_command(workload_module, tmp_path, monkeypatch, name):
+    """Each argv a workload's body passes to cli.main parses and runs the command it names,
+    which the manifest records once."""
+    from hypermle import cli
+    from hypermle.config import load_config
+
+    argvs = []
+    program = SimpleNamespace(cli=_Stubs(), montecarlo=_Stubs(), simulate=_Stubs())
+    program.cli.main = lambda argv: argvs.append(argv) or 0
+    program.cli.load_config = load_config
+    wl = workload_module.WORKLOADS[name](program, tmp_path, seed=1, quick=True)
+    wl.setup()
+    wl.body()
+    assert argvs and wl.failed == 0, wl.errors
+
+    ran = []
+    for command in ("check", "psi", "simulate", "estimate", "mc"):
+        def handler(args, cfg, out, command=command):
+            ran.append(f"{command} {args.subverb}" if command == "mc" else command)
+            return cli.EXIT_OK, []
+        monkeypatch.setattr(cli, f"cmd_{command}", handler)
+    for argv in argvs:
+        assert cli.main(argv) == cli.EXIT_OK, argv
+    want = [" ".join(argv[:2]) if argv[0] == "mc" else argv[0] for argv in argvs]
+    assert ran == want
+    manifests = [json.loads(line)["command"] for path in sorted(tmp_path.rglob("manifest.jsonl"))
+                 for line in path.read_text().splitlines()]
+    assert sorted(manifests) == sorted(want)

@@ -66,6 +66,24 @@ class TestCheck:
         res = run_cli("check", "--config", cfg)
         assert res.returncode == 2, res.stdout + res.stderr
 
+    def test_inconclusive_check_exits_three(self, tmp_path, outdir):
+        # lambda_k(theta) ratios over the theta1 box drift only in the last decile of k,
+        # where the tiny exponential tau overtakes kappa = k^2
+        from hypermle import cli
+
+        cfg = write_config(tmp_path / "c.json", {
+            "spectrum": {"kappa": {"kind": "power_law", "coefficient": 1.0, "exponent": 2.0},
+                         "tau": {"kind": "exp_law", "coefficient": 3.7e-37, "rate": 0.1},
+                         "rho": {"kind": "constant", "coefficient": 0.0},
+                         "nu": {"kind": "constant", "coefficient": 1.0}},
+            "params": {"theta1": 1.0, "theta2": 0.0, "theta1_box": [0.1, 10.0],
+                       "theta2_box": [-1.0, 1.0]},
+            "experiment": {"out": str(outdir)},
+        })
+        assert cli.main(["check", "--config", cfg]) == 3
+        report = json.loads((outdir / "check_report.json").read_text())
+        assert report["hyperbolicity"]["hyperbolic"] == "inconclusive"
+
     def test_malformed_config_exits_one(self, tmp_path, outdir, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"spectrum": ')
@@ -212,6 +230,32 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "check.k_range: " in err and "one mode" in err, err
         assert not (outdir / "check_report.json").exists()
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv, says", [
+        (["check", "--config", str(CONFIGS / "alg_ex1.json"), "--bogus", "1"],
+         "unrecognized arguments: --bogus 1"),
+        (["psi", "--n-list", "5"], "the following arguments are required: --config"),
+        (["mc", "bogus", "--config", str(CONFIGS / "alg_ex1.json")], "invalid choice: 'bogus'"),
+    ], ids=["unknown_flag", "no_config", "bad_mc_verb"])
+    def test_usage_error_exits_one(self, capsys, argv, says):
+        # exit 2 is check's "not hyperbolic"; a usage error is a configuration error
+        from hypermle import cli
+
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error: " in err and says in err, err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["mc", "--help"]],
+                             ids=["help", "version", "mc_help"])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        from hypermle import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "hypermle" in capsys.readouterr().out
 
 
 class TestConfigDocs:

@@ -143,6 +143,14 @@ class TestHarness:
         assert -1.0 <= rep.corr12 <= 1.0
         assert rep.route == "stats"
 
+    def test_grid_must_span_the_model_horizon(self):
+        # psi is taken over params.T and the paths over grid.T; on T = 4 against 1 the
+        # normality verdicts came out False/False with no error
+        spec, params = preset("alg_ex1", d=1)
+        with pytest.raises(ValueError, match=r"grid\.T=4\.0 .*params\.T=1\.0"):
+            ExperimentConfig(spec=spec, params=params, N_list=[20], replicates=60,
+                             grid=TimeGrid(4.0, 512), seed=3)
+
     def test_verify_lln_ratios(self):
         rows = verify_lln(self.cfg)
         last = rows[-1]
