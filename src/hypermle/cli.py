@@ -321,13 +321,19 @@ def cmd_mc(args, cfg, out):
     mc_cfg = _mc_config(cfg, args)
     if args.subverb == "consistency":
         res = run_consistency(mc_cfg)
-        outputs = [write_replicate_csv(out / "consistency_replicates.csv", res["rows"]),
-                   write_summary_json(out / "consistency_summary.json", cfg, {
-                       "rows": [{k: v for k, v in r.items() if k != "batch"} for r in res["rows"]],
-                       "slope1": res["slope1"], "slope1_stderr": res["slope1_stderr"],
-                       "slope2": res["slope2"], "slope2_stderr": res["slope2_stderr"],
-                       "slope1_ci": list(res["slope1_ci"]), "slope2_ci": list(res["slope2_ci"]),
-                   })]
+        path = out / "consistency_replicates.csv"
+        with path.open("w") as fh:  # one line per (N, replicate)
+            fh.write("N,replicate,theta1_hat,theta2_hat,err1,err2,excluded\n")
+            for b in (r["batch"] for r in res["rows"]):
+                for m in range(len(b.theta1_hat)):
+                    fh.write(f"{b.N},{m},{b.theta1_hat[m]:.17g},{b.theta2_hat[m]:.17g},"
+                             f"{b.err1[m]:.17g},{b.err2[m]:.17g},{int(b.excluded[m])}\n")
+        outputs = [path, _write_summary_json(out / "consistency_summary.json", cfg, {
+            "rows": [{k: v for k, v in r.items() if k != "batch"} for r in res["rows"]],
+            "slope1": res["slope1"], "slope1_stderr": res["slope1_stderr"],
+            "slope2": res["slope2"], "slope2_stderr": res["slope2_stderr"],
+            "slope1_ci": list(res["slope1_ci"]), "slope2_ci": list(res["slope2_ci"]),
+        })]
         print(f"slope1 {res['slope1']:+.3f} (se {res['slope1_stderr']:.3f}); "
               f"slope2 {res['slope2']:+.3f} (se {res['slope2_stderr']:.3f})")
     elif args.subverb == "normality":
@@ -337,7 +343,7 @@ def cmd_mc(args, cfg, out):
             fh.write("norm_err1,norm_err2\n")
             for a, b in zip(rep.norm_err1, rep.norm_err2):
                 fh.write(f"{a:.17g},{b:.17g}\n")
-        outputs = [write_summary_json(out / "normality_summary.json", cfg, {
+        outputs = [_write_summary_json(out / "normality_summary.json", cfg, {
             "N": rep.N, "ks1": rep.ks1, "ks2": rep.ks2, "critical": rep.critical,
             "corr12": rep.corr12, "corr_ci": list(rep.corr_ci),
             "verdict1": rep.verdict1, "verdict2": rep.verdict2,
@@ -349,28 +355,14 @@ def cmd_mc(args, cfg, out):
               f"verdicts: {rep.verdict1}, {rep.verdict2}")
     else:  # lln
         rows = verify_lln(mc_cfg)
-        outputs = [write_summary_json(out / "lln_summary.json", cfg, {"rows": rows})]
+        outputs = [_write_summary_json(out / "lln_summary.json", cfg, {"rows": rows})]
         for r in rows:
             print(f"N={r['N']}: K1/psi1 median {r['K1_over_psi1'][0]:.3f}, "
                   f"iota1 isometry {r['iota1_isometry']:.3f}")
     return EXIT_OK, outputs
 
 
-def write_replicate_csv(path, rows):
-    """One line per (N, replicate): estimates and normalized errors."""
-    with path.open("w") as fh:
-        fh.write("N,replicate,theta1_hat,theta2_hat,err1,err2,excluded\n")
-        for r in rows:
-            b = r["batch"]
-            for m in range(len(b.theta1_hat)):
-                fh.write(
-                    f"{b.N},{m},{b.theta1_hat[m]:.17g},{b.theta2_hat[m]:.17g},"
-                    f"{b.err1[m]:.17g},{b.err2[m]:.17g},{int(b.excluded[m])}\n"
-                )
-    return path
-
-
-def write_summary_json(path, cfg, summary):
+def _write_summary_json(path, cfg, summary):
     """An mc summary as JSON, its keys followed by the run's seed, versions and config."""
     summary.update(seed=cfg["experiment"]["seed"], version=__version__,
                    stream_version=STREAM_VERSION, config=cfg["raw"])

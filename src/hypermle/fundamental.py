@@ -248,18 +248,9 @@ def m_func_log(x):
 
 def _each(fn, x, *more):
     """fn(x, *more) element by element over the array x (more: arrays like x, or numbers),
-    in Python's float arithmetic; +inf where fn overflows."""
-    args = [x.ravel().tolist(), *(np.broadcast_to(m, x.shape).ravel().tolist() for m in more)]
-    try:
-        out = np.fromiter(map(fn, *args), dtype=float, count=x.size)
-    except OverflowError:  # then again, one element at a time
-        def inf_on_overflow(*a):
-            try:
-                return fn(*a)
-            except OverflowError:
-                return math.inf
-        out = np.fromiter(map(inf_on_overflow, *args), dtype=float, count=x.size)
-    return out.reshape(x.shape)
+    in Python's float arithmetic."""
+    more = (np.broadcast_to(m, x.shape).ravel().tolist() for m in more)
+    return np.fromiter(map(fn, x.ravel().tolist(), *more), dtype=float, count=x.size).reshape(x.shape)
 
 
 def _complex(re, im):

@@ -104,6 +104,16 @@ def _check_ks(ks):
     return ks
 
 
+def _or_inf(fn):
+    """fn, but +inf where it overflows (Python's float functions raise there)."""
+    def safe(*args):
+        try:
+            return fn(*args)
+        except OverflowError:
+            return math.inf
+    return safe
+
+
 def _first_outside(gen, ks, inside):
     """Raise naming the first k of ks where `inside` is False."""
     bad = ks[~inside]
@@ -144,7 +154,7 @@ class PowerLaw(_CoefficientLaw):
 
     def value_array(self, ks):
         ks = _check_ks(ks)
-        return self._product(ks, _each(pow, ks, self.exponent))  # k^exponent alone may overflow
+        return self._product(ks, _each(_or_inf(pow), ks, self.exponent))  # k^exponent alone may overflow
 
     def power_law(self):
         return self.coefficient, self.exponent
@@ -163,7 +173,7 @@ class ExpLaw(_CoefficientLaw):
 
     def value_array(self, ks):
         ks = _check_ks(ks)
-        return self._product(ks, _each(math.exp, self.rate * ks))  # e^{rate k} alone may overflow
+        return self._product(ks, _each(_or_inf(math.exp), self.rate * ks))  # e^{rate k} alone may overflow
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ def wrapped_names():
 def captured_names():
     """(module, attr) of every `<...>.capture.install(self.hm.<module>, "<attr>")` in workload.py.
 
-    Read from the syntax tree, so the workloads (which import the oracle's
-    dependencies) are never imported here.
+    Read from the syntax tree: the call sites sit inside the workload bodies, and
+    parametrizing on them at collection must not import the workloads and their oracle.
     """
     out = set()
     for node in ast.walk(ast.parse(WORKLOAD.read_text())):
