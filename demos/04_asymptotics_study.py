@@ -10,16 +10,14 @@ import numpy as np
 
 from hypermle.equations import preset
 from hypermle.montecarlo import ExperimentConfig, ks_statistic, run_consistency, run_normality
-from hypermle.simulate import TimeGrid
 
 spec, params = preset("alg_ex1", d=1)
-grid = TimeGrid(1.0, 2048)
 
 print("=" * 72)
 print("1. Consistency: mean |error| vs number of modes (true rates -3/2, -1/2)")
 print("=" * 72)
 cfg = ExperimentConfig(spec=spec, params=params, N_list=[25, 50, 100, 200],
-                       replicates=80, grid=grid, seed=42)
+                       replicates=80, n_steps=2048, seed=42)
 res = run_consistency(cfg)
 for row in res["rows"]:
     print(f"  N={row['N']:4d}: |err1| {row['mean_abs_err1']:.5f} "
@@ -33,7 +31,7 @@ print("=" * 72)
 print("2. Normality and independence of the normalized errors")
 print("=" * 72)
 cfg = ExperimentConfig(spec=spec, params=params, N_list=[150], replicates=150,
-                       grid=grid, seed=43)
+                       n_steps=2048, seed=43)
 rep = run_normality(cfg)
 print(f"  KS distances vs standard normal: {rep.ks1:.4f}, {rep.ks2:.4f} "
       f"(1% critical {rep.critical[0.01]:.4f})")
@@ -45,9 +43,8 @@ print("=" * 72)
 print("3. Negative control: lower-order unknown buried under a strong operator")
 print("=" * 72)
 spec5, params5 = preset("alg_ex5", d=1)
-grid5 = TimeGrid(1.0, 1024)
 cfg = ExperimentConfig(spec=spec5, params=params5, N_list=[25, 100, 400],
-                       replicates=60, grid=grid5, seed=44)
+                       replicates=60, n_steps=1024, seed=44)
 res = run_consistency(cfg)
 for row in res["rows"]:
     print(f"  N={row['N']:4d}: |err1| {row['mean_abs_err1']:8.3f}   "

@@ -145,8 +145,7 @@ def cmd_check(args, cfg, out):
     except NonAlgebraicSpectrumError as exc:
         doc["algebraic_class"] = {"refused": str(exc)}
     path = out / "check_report.json"
-    path.write_text(json.dumps(doc, indent=2, default=float) + "\n")
-    print(json.dumps(doc, indent=2, default=float))
+    print(_write_json(path, doc), end="")
     verdict = {"pass": EXIT_OK, "fail": EXIT_CHECK_FAIL, "inconclusive": EXIT_CHECK_INCONCLUSIVE}
     return verdict[rep.hyperbolic], [path]
 
@@ -290,8 +289,7 @@ def cmd_estimate(args, cfg, out):
         "seed": cfg["experiment"]["seed"],
     }
     path = out / "estimate.json"
-    path.write_text(json.dumps(doc, indent=2, default=float) + "\n")
-    print(json.dumps(doc, indent=2, default=float))
+    print(_write_json(path, doc), end="")
     return EXIT_OK, [path]
 
 
@@ -303,7 +301,7 @@ def _mc_config(cfg, args):
         spec=cfg["spec"], params=cfg["params"],
         N_list=_n_list_within_spectrum(cfg, args),
         replicates=cfg["experiment"]["replicates"],
-        grid=cfg["grid"], seed=cfg["experiment"]["seed"],
+        n_steps=cfg["grid"].n_steps, seed=cfg["experiment"]["seed"],
         workers=workers,
     )
 
@@ -366,10 +364,15 @@ def _write_summary_json(path, cfg, summary):
     """An mc summary as JSON, its keys followed by the run's seed, versions and config."""
     summary.update(seed=cfg["experiment"]["seed"], version=__version__,
                    stream_version=STREAM_VERSION, config=cfg["raw"])
-    with path.open("w") as fh:
-        json.dump(summary, fh, indent=2, default=_json_default)
-        fh.write("\n")
+    _write_json(path, summary)
     return path
+
+
+def _write_json(path, doc):
+    """Write doc to path as indented JSON and return the text written."""
+    text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+    path.write_text(text)
+    return text
 
 
 def _json_default(obj):

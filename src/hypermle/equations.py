@@ -13,59 +13,56 @@ from .spectrum import Constant, PowerLaw, ExpLaw, LogLogLaw, ModelParams, Spectr
 __all__ = ["PRESETS", "preset"]
 
 
-def _spec(kappa, tau, rho, nu, d):
-    return SpectrumSpec(kappa, tau, rho, nu, dimension=d)
-
-
-def _params(theta1, theta2, box1, box2, T):
-    return ModelParams(theta1, theta2, box1, box2, T)
-
-
 def alg_ex1(d=1, T=1.0, theta1=1.0, theta2=-0.5):
     """u_tt = theta1 * Lap u + theta2 * u_t + noise."""
-    spec = _spec(Constant(0.0), PowerLaw(1.0, 2.0 / d), Constant(0.0), Constant(1.0), d)
-    return spec, _params(theta1, theta2, (0.5, 2.0), (-1.0, 1.0), T)
+    spec = SpectrumSpec(Constant(0.0), PowerLaw(1.0, 2.0 / d), Constant(0.0), Constant(1.0), dimension=d)
+    return spec, ModelParams(theta1, theta2, (0.5, 2.0), (-1.0, 1.0), T)
 
 
 def alg_ex2(d=1, T=1.0, theta1=1.0, theta2=0.5):
     """u_tt = Lap(theta1 u + theta2 u_t) + noise; both parameters positive."""
-    spec = _spec(Constant(0.0), PowerLaw(1.0, 2.0 / d), Constant(0.0), PowerLaw(-1.0, 2.0 / d), d)
-    return spec, _params(theta1, theta2, (0.5, 2.0), (0.25, 1.0), T)
+    spec = SpectrumSpec(Constant(0.0), PowerLaw(1.0, 2.0 / d), Constant(0.0),
+                        PowerLaw(-1.0, 2.0 / d), dimension=d)
+    return spec, ModelParams(theta1, theta2, (0.5, 2.0), (0.25, 1.0), T)
 
 
 def alg_ex3(d=1, T=1.0, theta1=1.0, theta2=0.5):
     """u_tt = theta1 * Lap u - theta2 * Lap^2 u_t + noise."""
-    spec = _spec(Constant(0.0), PowerLaw(1.0, 2.0 / d), Constant(0.0), PowerLaw(-1.0, 4.0 / d), d)
-    return spec, _params(theta1, theta2, (0.5, 2.0), (0.25, 1.0), T)
+    spec = SpectrumSpec(Constant(0.0), PowerLaw(1.0, 2.0 / d), Constant(0.0),
+                        PowerLaw(-1.0, 4.0 / d), dimension=d)
+    return spec, ModelParams(theta1, theta2, (0.5, 2.0), (0.25, 1.0), T)
 
 
 def alg_ex4(d=1, T=1.0, theta1=0.8, theta2=0.8):
     """u_tt = (Lap u + theta1 u) + (Lap u_t + theta2 u_t) + noise; lower-order unknowns."""
-    spec = _spec(PowerLaw(1.0, 2.0 / d), Constant(-1.0), PowerLaw(-1.0, 2.0 / d), Constant(1.0), d)
-    return spec, _params(theta1, theta2, (0.5, 0.9), (0.5, 0.9), T)
+    spec = SpectrumSpec(PowerLaw(1.0, 2.0 / d), Constant(-1.0), PowerLaw(-1.0, 2.0 / d),
+                        Constant(1.0), dimension=d)
+    return spec, ModelParams(theta1, theta2, (0.5, 0.9), (0.5, 0.9), T)
 
 
 def alg_ex5(d=1, T=1.0, theta1=1.0, theta2=1.0):
     """u_tt + (Lap^2 u + theta1 u) = (theta2 Lap u_t - Lap^2 u_t) + noise."""
-    spec = _spec(PowerLaw(1.0, 4.0 / d), Constant(1.0), PowerLaw(-1.0, 4.0 / d), PowerLaw(-1.0, 2.0 / d), d)
-    return spec, _params(theta1, theta2, (0.5, 2.0), (0.5, 2.0), T)
+    spec = SpectrumSpec(PowerLaw(1.0, 4.0 / d), Constant(1.0), PowerLaw(-1.0, 4.0 / d),
+                        PowerLaw(-1.0, 2.0 / d), dimension=d)
+    return spec, ModelParams(theta1, theta2, (0.5, 2.0), (0.5, 2.0), T)
 
 
 def alg_ex6(d=1, T=1.0, theta1=0.8, theta2=0.8):
     """u_tt + (Lap^2 u + theta1 Lap u) = (theta2 u_t - Lap^2 u_t) + noise."""
-    spec = _spec(PowerLaw(1.0, 4.0 / d), PowerLaw(-1.0, 2.0 / d), PowerLaw(-1.0, 4.0 / d), Constant(1.0), d)
-    return spec, _params(theta1, theta2, (0.5, 0.9), (0.5, 0.9), T)
+    spec = SpectrumSpec(PowerLaw(1.0, 4.0 / d), PowerLaw(-1.0, 2.0 / d), PowerLaw(-1.0, 4.0 / d),
+                        Constant(1.0), dimension=d)
+    return spec, ModelParams(theta1, theta2, (0.5, 0.9), (0.5, 0.9), T)
 
 
 def sec5_example(d=1, T=1.0, theta1=1.0, theta2=1.0):
     """Exponential evolution spectrum with iterated-log amplification."""
-    spec = _spec(ExpLaw(1.0, 2.0), ExpLaw(1.0, 1.0), Constant(0.0), LogLogLaw(1.0, 3.0), d)
-    return spec, _params(theta1, theta2, (0.5, 2.0), (0.5, 2.0), T)
+    spec = SpectrumSpec(ExpLaw(1.0, 2.0), ExpLaw(1.0, 1.0), Constant(0.0), LogLogLaw(1.0, 3.0), dimension=d)
+    return spec, ModelParams(theta1, theta2, (0.5, 2.0), (0.5, 2.0), T)
 
 
 def _fixed_equation(kappa, rho, d, T):
-    spec = _spec(kappa, Constant(0.0), rho, Constant(0.0), d)
-    return spec, _params(1.0, 1.0, (1.0, 1.0), (1.0, 1.0), T)
+    spec = SpectrumSpec(kappa, Constant(0.0), rho, Constant(0.0), dimension=d)
+    return spec, ModelParams(1.0, 1.0, (1.0, 1.0), (1.0, 1.0), T)
 
 
 def wave_damped(d=1, T=1.0, **_):

@@ -698,6 +698,10 @@ def psi_curve(spec, params, N_list):
     if not N_list or sorted(N_list) != N_list or N_list[0] < 1 or N_list[-1] > spec.k_max:
         raise ValueError(f"N_list must be increasing integers in [1, {spec.k_max}]")
     terms = _psi_mode_terms(spec, params, range(1, max(N_list) + 1))
+    bad = (~np.isfinite(terms[:, :2]) | np.signbit(terms[:, :2])).any(axis=1)  # NaN, inf, -0 or below
+    if bad.any():
+        k = int(np.argmax(bad)) + 1
+        raise ValueError(f"mode {k}: psi1, psi2 terms {terms[k - 1, :2].tolist()} must be finite and >= +0")
     csums = np.cumsum(terms, axis=0)
     return [
         PsiValues(n, csums[n - 1, 0], csums[n - 1, 1], csums[n - 1, 2], csums[n - 1, 3], csums[n - 1, 4])

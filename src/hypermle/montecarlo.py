@@ -28,15 +28,15 @@ and records that it did.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimate import (_ENDPOINT_KEYS, _coeff_rows, _decomposition_errors, _mode_coeffs,
                        _mode_contrib, _mode_order_sum, _mode_sums, _nonsingular, _solve_normal)
 from .fundamental import psi_curve
-from .simulate import (_CHUNK, _chain_operators, _psd_factor, _run_chain, _scaled_transition,
-                       _true_modes, _underresolved, mode_stream)
+from .simulate import (_CHUNK, TimeGrid, _chain_operators, _psd_factor, _run_chain,
+                       _scaled_transition, _true_modes, _underresolved, mode_stream)
 from .spectrum import _line_fit, lambda_mu_slog  # perfbench/tracing.py wraps lambda_mu_slog; nothing here calls it
 
 __all__ = [
@@ -62,9 +62,10 @@ class ExperimentConfig:
     params: object
     N_list: list
     replicates: int
-    grid: object
+    n_steps: int
     seed: int
     workers: int = 1
+    grid: TimeGrid = field(init=False)  # over params.T, the horizon psi is taken to as well
 
     def __post_init__(self):
         ns = list(self.N_list)
@@ -72,8 +73,7 @@ class ExperimentConfig:
             raise ValueError("N_list must be strictly increasing positive integers")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.grid.T != self.params.T:  # the paths run to grid.T, psi to params.T
-            raise ValueError(f"grid.T={self.grid.T!r} is not params.T={self.params.T!r}")
+        self.grid = TimeGrid(self.params.T, self.n_steps)
 
 
 @dataclass
@@ -195,9 +195,9 @@ def _identity_defect(raw, params):
 def run_replicates(spec, params, N, grid, seed, M, workers=1):
     """Simulate M replicates of modes 1..N and reduce them to estimator outcomes.
 
-    Modes are independent work items; with workers > 1 they are computed on a
-    thread pool and always reduced in increasing-k order, so the result is
-    byte-identical for any worker count.
+    Modes are independent work items, computed on a pool of `workers` threads
+    and always reduced in increasing-k order, so the result is byte-identical
+    for any worker count.
 
     When the grid resolves every mode (route "stats") the identity check runs:
     identity_max_rel is the worst defect over the RMS error, else NaN.
@@ -215,13 +215,10 @@ def run_replicates(spec, params, N, grid, seed, M, workers=1):
     def task(k):
         return _mode_task(k, modes[k - 1], grid, seed, M, resolved)
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor  # at module level it slows every CLI start
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, range(1, N + 1)))
-    else:
-        results = [task(k) for k in range(1, N + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(task, range(1, N + 1)))
 
     def summed(part):  # part 0: endpoint contributions, 1: raw ones
         return {key: np.atleast_1d(total)
@@ -316,6 +313,16 @@ def _fit_slope(logx, logy):
     return float(coef[0]), stderr
 
 
+def _batches(config, N_list):
+    """(N, psi values, batch, kept mask) for each N of N_list: one psi_curve call for the
+    list, then one run_replicates call per N."""
+    psis = psi_curve(config.spec, config.params, N_list)
+    for N, pv in zip(N_list, psis):
+        batch = run_replicates(config.spec, config.params, N, config.grid, config.seed,
+                               config.replicates, workers=config.workers)
+        yield N, pv, batch, ~batch.excluded
+
+
 def run_consistency(config):
     """Mean absolute errors per N, with 95% bands from 1000 bootstrap resamples, and decay slopes.
 
@@ -323,11 +330,7 @@ def run_consistency(config):
     """
     rows = []
     err1_lists, err2_lists = [], []
-    psis = psi_curve(config.spec, config.params, config.N_list)
-    for N, pv in zip(config.N_list, psis):
-        batch = run_replicates(config.spec, config.params, N, config.grid, config.seed,
-                               config.replicates, workers=config.workers)
-        ok = ~batch.excluded
+    for N, pv, batch, ok in _batches(config, config.N_list):
         ae1 = np.abs(batch.err1[ok])
         ae2 = np.abs(batch.err2[ok])
         err1_lists.append(ae1)
@@ -384,13 +387,9 @@ def run_normality(config):
 
     KS verdicts at the 1% level; the identity check runs if modes 1..N are resolved.
     """
-    N = max(config.N_list)
     if config.replicates < 30:
         raise ValueError("normality verdicts need at least 30 replicates")
-    pv = psi_curve(config.spec, config.params, [N])[0]
-    batch = run_replicates(config.spec, config.params, N, config.grid, config.seed,
-                           config.replicates, workers=config.workers)
-    ok = ~batch.excluded
+    ((N, pv, batch, ok),) = _batches(config, [max(config.N_list)])
     z1 = math.sqrt(pv.psi1) * batch.err1[ok]
     z2 = math.sqrt(pv.psi2) * batch.err2[ok]
     ks1, crit = ks_statistic(z1)
@@ -417,12 +416,8 @@ def run_normality(config):
 
 def verify_lln(config):
     """Empirical K/Psi ratios and the Ito isometry ratio across N_list."""
-    psis = psi_curve(config.spec, config.params, config.N_list)
     out = []
-    for N, pv in zip(config.N_list, psis):
-        batch = run_replicates(config.spec, config.params, N, config.grid, config.seed,
-                               config.replicates, workers=config.workers)
-        ok = ~batch.excluded
+    for N, pv, batch, ok in _batches(config, config.N_list):
         r1 = batch.K1[ok] / pv.psi1
         r2 = batch.K2[ok] / pv.psi2
         r12 = batch.K12[ok] / pv.psi12 if pv.psi12 != 0.0 else np.full(np.count_nonzero(ok), np.nan)

@@ -234,7 +234,7 @@ def test_criterion_06b_overdamped_normalizer_accuracy():
 def test_criterion_07_consistency_rates():
     spec, params = preset("alg_ex1", d=1)  # theta = (1, -0.5)
     cfg = ExperimentConfig(spec=spec, params=params, N_list=[25, 50, 100, 200, 400],
-                           replicates=200, grid=TimeGrid(1.0, 4096), seed=70, workers=WORKERS)
+                           replicates=200, n_steps=4096, seed=70, workers=WORKERS)
     res = run_consistency(cfg)
     decays = all(res["rows"][i]["mean_abs_err1"] > res["rows"][-1]["mean_abs_err1"]
                  for i in range(2))
@@ -252,7 +252,7 @@ def test_criterion_07_consistency_rates():
 def test_criterion_08_normality_independence():
     spec, params = preset("alg_ex1", d=1)
     cfg = ExperimentConfig(spec=spec, params=params, N_list=[200], replicates=300,
-                           grid=TimeGrid(1.0, 4096), seed=80, workers=WORKERS)
+                           n_steps=4096, seed=80, workers=WORKERS)
     rep = run_normality(cfg)
     crit = rep.critical[0.01]
     ok = rep.ks1 < crit and rep.ks2 < crit and abs(rep.corr12) < 0.15
@@ -267,10 +267,9 @@ def test_criterion_08_normality_independence():
 
 def test_criterion_09_negative_control():
     spec, params = preset("alg_ex5", d=1)
-    grid = TimeGrid(1.0, 1024)  # normality-experiment grid (documented bias check)
-
+    # normality-experiment grid (documented bias check)
     cfg = ExperimentConfig(spec=spec, params=params, N_list=[25, 50, 100, 200, 400],
-                           replicates=50, grid=grid, seed=90, workers=WORKERS)
+                           replicates=50, n_steps=1024, seed=90, workers=WORKERS)
     res = run_consistency(cfg)
     first, last = res["rows"][0]["mean_abs_err1"], res["rows"][-1]["mean_abs_err1"]
     nonvanishing = last > 0.5 * first
@@ -279,7 +278,7 @@ def test_criterion_09_negative_control():
     fails = 0
     ks_vals = []
     for meta in range(20):
-        batch = run_replicates(spec, params, 400, grid, seed=9000 + meta, M=150, workers=WORKERS)
+        batch = run_replicates(spec, params, 400, cfg.grid, seed=9000 + meta, M=150, workers=WORKERS)
         z1 = math.sqrt(pv.psi1) * batch.err1[~batch.excluded]
         D, crit = ks_statistic(z1)
         ks_vals.append(D)
@@ -302,7 +301,7 @@ def test_criterion_10_general_case():
     conds_ok = cond["cond1"] == "pass" and cond["cond2"] == "pass"
 
     cfg = ExperimentConfig(spec=spec, params=params, N_list=[200], replicates=300,
-                           grid=TimeGrid(1.0, 4096), seed=100, workers=WORKERS)
+                           n_steps=4096, seed=100, workers=WORKERS)
     rep = run_normality(cfg)
     crit = rep.critical[0.01]
     ks_ok = rep.ks1 < crit and rep.ks2 < crit

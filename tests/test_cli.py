@@ -330,6 +330,28 @@ class TestPsi:
         assert res.returncode == 4
         assert res.stderr.startswith("runtime error:") and len(res.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("rho", [-1e155, -1e154, -1e150])
+    def test_strong_damping_never_writes_nan_or_negative_zero(self, tmp_path, outdir, rho):
+        # `check` passes all three; psi used to write NaN at -1e155 and psi2 = -0 at
+        # -1e154, exiting 0, while -1e150 gives psi2 = 1.5e-150 at N = 3
+        cfg = write_config(tmp_path / "damped.json", {
+            "spectrum": {"kappa": {"kind": "power_law", "coefficient": 1.0, "exponent": 2.0},
+                         "tau": {"kind": "constant", "coefficient": 1.0},
+                         "rho": {"kind": "constant", "coefficient": rho},
+                         "nu": {"kind": "constant", "coefficient": 1.0}, "dimension": 1},
+            "params": {"theta1": 1.0, "theta2": 0.0, "theta1_box": [0.5, 2.0],
+                       "theta2_box": [-1.0, 1.0], "T": 1.0},
+            "experiment": {"out": str(outdir)},
+        })
+        res = run_cli("psi", "--config", cfg, "--n-list", "3")
+        if rho < -1e150:
+            assert res.returncode == 4
+            assert "runtime error: mode 1:" in res.stderr and "Traceback" not in res.stderr
+        else:
+            assert res.returncode == 0, res.stderr
+            row = (outdir / "psi.csv").read_text().splitlines()[-1].split(",")
+            assert float(row[2]) == pytest.approx(1.5e-150, rel=1e-9)
+
 
 class TestSimulateEstimateRoundTrip:
     def test_estimate_matches_in_process(self, ex1_config, outdir):

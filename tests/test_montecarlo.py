@@ -117,7 +117,7 @@ class TestHarness:
         spec, params = preset("alg_ex1", d=1)
         self.cfg = ExperimentConfig(
             spec=spec, params=params, N_list=[10, 20, 40], replicates=40,
-            grid=TimeGrid(1.0, 512), seed=101,
+            n_steps=512, seed=101,
         )
 
     def test_consistency_errors_decay(self):
@@ -143,13 +143,14 @@ class TestHarness:
         assert -1.0 <= rep.corr12 <= 1.0
         assert rep.route == "stats"
 
-    def test_grid_must_span_the_model_horizon(self):
-        # psi is taken over params.T and the paths over grid.T; on T = 4 against 1 the
-        # normality verdicts came out False/False with no error
-        spec, params = preset("alg_ex1", d=1)
-        with pytest.raises(ValueError, match=r"grid\.T=4\.0 .*params\.T=1\.0"):
-            ExperimentConfig(spec=spec, params=params, N_list=[20], replicates=60,
-                             grid=TimeGrid(4.0, 512), seed=3)
+    def test_grid_spans_the_model_horizon(self):
+        # psi is taken over params.T, so the paths must run to it too; a grid over
+        # T = 4 against params T = 1 gave KS 0.302/0.317 where 0.210 is right
+        spec, params = preset("alg_ex1", d=1, T=4.0)
+        config = ExperimentConfig(spec=spec, params=params, N_list=[20], replicates=60,
+                                  n_steps=512, seed=3)
+        assert config.grid.T == 4.0
+        assert config.grid.dt == 4.0 / 512
 
     def test_verify_lln_ratios(self):
         rows = verify_lln(self.cfg)
