@@ -314,8 +314,7 @@ def _fit_slope(logx, logy):
 
 
 def _batches(config, N_list):
-    """(N, psi values, batch, kept mask) for each N of N_list: one psi_curve call for the
-    list, then one run_replicates call per N."""
+    """(N, psi values, batch, kept mask) per N of N_list, from one psi_curve call for them all."""
     psis = psi_curve(config.spec, config.params, N_list)
     for N, pv in zip(N_list, psis):
         batch = run_replicates(config.spec, config.params, N, config.grid, config.seed,
