@@ -49,8 +49,22 @@ res = run_consistency(cfg)
 for row in res["rows"]:
     print(f"  N={row['N']:4d}: |err1| {row['mean_abs_err1']:8.3f}   "
           f"|err2| {row['mean_abs_err2']:.4f}")
-print("theta1's normalizer stays bounded, so its error never vanishes,")
-print("while theta2 keeps improving.")
+Ns = [row["N"] for row in res["rows"]]
+e1 = [row["mean_abs_err1"] for row in res["rows"]]
+e2 = [row["mean_abs_err2"] for row in res["rows"]]
+print(f"theta1's normalizer stays bounded, so its error never vanishes: mean |err1| "
+      f"{e1[0]:.3g} at N = {Ns[0]}, {e1[-1]:.3g} at N = {Ns[-1]}.")
+if e2[-1] < e2[0]:
+    print(f"theta2 improves: mean |err2| falls from {e2[0]:.3g} to {e2[-1]:.3g}.")
+else:
+    # mu_k = rho_k + theta2 nu_k; a step longer than 1/|mu_k| misses the mode's damping
+    gens = spec5.generators()
+    ks = np.arange(1, Ns[-1] + 1)
+    mu = gens["rho"].value_array(ks) + params5.theta2 * gens["nu"].value_array(ks)
+    missed = int(np.count_nonzero(np.abs(mu) * cfg.grid.dt > 1.0))
+    print(f"theta2 does not improve here: mean |err2| grows from {e2[0]:.3g} to {e2[-1]:.3g}.")
+    print(f"Likely cause: the grid misses these modes' damping (|mu_k| dt > 1 on {missed} of "
+          f"modes 1..{Ns[-1]}), which no check flags yet (ROADMAP item 11).")
 
 from hypermle.fundamental import psi
 

@@ -293,10 +293,18 @@ def cmd_estimate(args, cfg, out):
     return EXIT_OK, [path]
 
 
-def _mc_config(cfg, args):
+def _default_workers():
+    """The CPUs this process may run on: its affinity mask, which os.cpu_count() ignores."""
     import os
 
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _mc_config(cfg, args):
+    workers = args.workers if args.workers is not None else _default_workers()
     return ExperimentConfig(
         spec=cfg["spec"], params=cfg["params"],
         N_list=_n_list_within_spectrum(cfg, args),

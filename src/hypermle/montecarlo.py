@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .estimate import (_ENDPOINT_KEYS, _coeff_rows, _decomposition_errors, _mode_coeffs,
                        _mode_contrib, _mode_order_sum, _mode_sums, _nonsingular, _solve_normal)
 from .fundamental import psi_curve
-from .simulate import (_CHUNK, TimeGrid, _chain_operators, _psd_factor, _run_chain,
+from .simulate import (_CHUNK, TimeGrid, _chain_buffers, _chain_operators, _psd_factor, _run_chain,
                        _scaled_transition, _true_modes, _underresolved, mode_stream)
 from .spectrum import _line_fit, lambda_mu_slog  # perfbench/tracing.py wraps lambda_mu_slog; nothing here calls it
 
@@ -97,16 +98,34 @@ class BatchResult:
     identity_max_rel: float         # worst |reconstructed - direct| / RMS(direct)
 
 
-def _mode_task(k, mode, grid, seed, M, residual):
+class _Workspace(NamedTuple):
+    """What a mode task of M replicates over n steps writes into, reused from task to task."""
+
+    gens: list             # M generators, re-keyed in place for each mode (mode_stream)
+    draws: np.ndarray      # (M, 2n + 2): each replicate's normals, contiguous
+    chain: tuple           # _run_chain's buffers for one chunk (_chain_buffers)
+
+
+def _workspace(M, n):
+    """A _Workspace for mode tasks of M replicates over n steps."""
+    # Philox(0) seeds through SeedSequence(0), not OS entropy; mode_stream re-keys it before any draw
+    return _Workspace(gens=[np.random.Generator(np.random.Philox(0)) for _ in range(M)],
+                      draws=np.empty((M, 2 * n + 2)), chain=_chain_buffers(M, n))
+
+
+def _mode_task(k, mode, grid, seed, M, residual, work=None):
     """Everything mode k contributes, independent of all other modes.
 
     mode is (lam, mu, P, S, scale, coeffs): the mode, its propagator and
     scale from _scaled_transition, its noise factor from _psd_factor and its
     row of the run's _mode_coeffs table, all made in the run's array pass, so
-    the task only draws, scans and reduces.
+    the task only draws, scans and reduces.  work is the _Workspace it
+    draws and scans in (made here when None); the results share no memory
+    with it, so it can serve the next task at once.
 
-    The M replicate streams are made first, and then each gives its 2n path
-    normals and two more, eta, in one fill of its row of the draw buffer.
+    The M replicate streams are keyed first, each re-keying one generator of
+    the workspace, and then each gives its 2n path normals and two more, eta,
+    in one fill of its row of the draw buffer.
     The chain runs through the buffer _CHUNK steps at a time, each chunk
     starting from the state the previous one ended in, and _mode_sums
     reduces each chunk's paths while they are in cache.  The running sums
@@ -119,30 +138,31 @@ def _mode_task(k, mode, grid, seed, M, residual):
     """
     lam, mu, P, S, scale, coeffs = mode
     n, dt = grid.n_steps, grid.dt
+    if work is None:
+        work = _workspace(M, n)
 
-    # The fills run without the interpreter lock; with every stream made first,
+    # The fills run without the interpreter lock; with every stream keyed first,
     # they come in one long stretch that other worker threads can overlap.
-    streams = [mode_stream(seed, m, k) for m in range(M)]
-    draws = np.empty((M, 2 * n + 2))  # each replicate's normals are contiguous
+    streams = [mode_stream(seed, m, k, gen) for m, gen in enumerate(work.gens)]
+    draws = work.draws
     for stream, row in zip(streams, draws):
         stream.standard_normal(out=row)
     xi = draws[:, :2 * n].reshape(M, n, 2).transpose(1, 2, 0)
     eta = draws[:, 2 * n:]
 
-    # Made after the draw buffer, not before it: the other order left the heap
-    # 0.7 MiB larger at the peak of a 48-replicate consistency run.
+    # Every chunk's paths go into the workspace: a task allocates only these
+    # operators (under 0.1 MiB) and one chunk's reductions at a time.
     ops = _chain_operators(P, S, n)
     x = np.zeros((2, M))
     sums = None
     for t0 in range(0, n, _CHUNK):
-        u, v, dwp = _run_chain(ops, x, xi[t0:t0 + _CHUNK])
+        u, v, dwp = _run_chain(ops, x, xi[t0:t0 + _CHUNK], work.chain)
         part = _mode_sums(u, v, dwp, dt, lam / scale, mu, residual=residual)
         if sums is not None:
             for key in part.keys() - _ENDPOINT_KEYS:
                 part[key] += sums[key]
         sums = part
-        x = np.stack((u[-1], v[-1]))
-        del u, v, dwp  # this chunk's paths go before the next chunk's are made
+        x = np.stack((u[-1], v[-1]))  # a copy: the next chunk overwrites the buffer
 
     # L_G = [[l11, 0], [l21, l22]]; G11 = 0 (a path still at rest) gives l11 = l21 = 0
     g11, g12, g22 = sums["su2s"] / dt, sums["suvs"] / dt, sums["sv2"] / dt
@@ -212,10 +232,21 @@ def run_replicates(spec, params, N, grid, seed, M, workers=1):
     underresolved = int(np.count_nonzero(_underresolved(lam, mu, grid.dt)))
     resolved = underresolved == 0
 
-    def task(k):
-        return _mode_task(k, modes[k - 1], grid, seed, M, resolved)
-
     from concurrent.futures import ThreadPoolExecutor  # at module level it slows every CLI start
+    from queue import SimpleQueue
+
+    # One workspace per task that can run at once, made on this thread: a task
+    # takes one and puts it back, so no worker allocates a draw or path buffer.
+    free = SimpleQueue()
+    for _ in range(min(workers, N)):
+        free.put(_workspace(M, grid.n_steps))
+
+    def task(k):
+        work = free.get()
+        try:
+            return _mode_task(k, modes[k - 1], grid, seed, M, resolved, work)
+        finally:
+            free.put(work)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(task, range(1, N + 1)))
@@ -290,16 +321,18 @@ def _bootstrap_mean_ci(x, seed):
 def _bootstrap_slopes(err_lists, N_list, seed):
     """Resample replicates within each N, refit the decay slope each time.
 
-    The resamples are drawn one after another, each drawing its indices for
-    every N in turn; then each N's means are one fancy-index mean, and the
-    slopes one least-squares fit with a right-hand side per resample.
+    Every resample index comes from one draw, row b holding resample b's
+    indices for each N in turn, each below its own list's length: the
+    stream and order of drawing one resample and one N at a time.  Then
+    each N's means are one fancy-index mean, and the slopes one
+    least-squares fit with a right-hand side per resample.  A list emptied
+    by exclusions gives NaN means, and so NaN bounds.
     """
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x510], dtype=np.uint64)))
-    idx = [np.empty((_N_BOOT, len(errs)), dtype=np.int64) for errs in err_lists]
-    for b in range(_N_BOOT):
-        for errs, rows in zip(err_lists, idx):
-            rows[b] = rng.integers(0, len(errs), size=len(errs))
-    log_means = np.log([np.mean(errs[rows], axis=1) for errs, rows in zip(err_lists, idx)])
+    lens = [len(errs) for errs in err_lists]
+    idx = rng.integers(0, np.repeat(lens, lens), size=(_N_BOOT, sum(lens)))
+    cols = np.split(idx, np.cumsum(lens)[:-1], axis=1)
+    log_means = np.log([np.mean(errs[rows], axis=1) for errs, rows in zip(err_lists, cols)])
     slopes = _line_fit(np.log(np.asarray(N_list, dtype=float)), log_means)[0][0]
     return tuple(float(p) for p in np.percentile(slopes, _CI_PERCENTILES))
 

@@ -250,18 +250,30 @@ def transition(lam, mu, dt):
     return P_plain, Q_plain
 
 
-def mode_stream(seed, replicate, k):
+def mode_stream(seed, replicate, k, gen=None):
     """Counter-based generator keyed by (seed, replicate, mode); order-independent.
 
     Philox is a keyed bijection of a counter, so streams with different keys
     are independent by construction (Salmon et al., SC'11).  SFC64 draws
     normals faster, but its streams would be independent only through the
     hashing of SeedSequence.  What a stream's values mean is STREAM_VERSION.
+
+    Given gen, a Generator over a Philox, re-keys it in place and returns it:
+    key set, counter zero, buffer empty and no pending 32-bit half, so it
+    gives the values of a fresh stream whatever it drew before.  That costs
+    about a third of a fresh Philox, whose constructor also draws OS entropy
+    that the key then replaces.  Without gen, returns a fresh generator.
     """
     if not (0 <= replicate < 2 ** 32 and 0 <= k < 2 ** 32):
         raise ValueError("replicate and k must fit in 32 bits")
     key = np.array([seed % (2 ** 64), (replicate << 32) | k], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if gen is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    gen.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+                               "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                               "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 class _ChainOperators(NamedTuple):
@@ -320,7 +332,18 @@ def _chain_operators(P, S, n):
                            steps=steps)
 
 
-def _run_chain(ops, x0, xi):
+def _chain_buffers(m, n):
+    """The buffers `_run_chain(..., out=)` fills for m replicates over at most one chunk of paths of n steps.
+
+    A (3, m, steps + 1) block for u, v and the path part of dw, and an
+    (m, 2 steps) block for the product c^T xi and then the scan's scratch,
+    steps being the chunk length of _chain_operators.
+    """
+    steps = min(n, _CHUNK)
+    return np.empty((3, m, steps + 1)), np.empty((m, 2 * steps))
+
+
+def _run_chain(ops, x0, xi, out=None):
     """Iterate the exact transition as a blocked scan from the state x0.
 
     ops: _chain_operators of the mode's P and S; x0: (2, M) start state (u,
@@ -347,6 +370,11 @@ def _run_chain(ops, x0, xi):
     next, and the pieces give the values of one call.  Each replicate's path
     is contiguous (the arrays are transposed views), and the values do not
     depend on the memory layout of xi.
+
+    out, from _chain_buffers, gives the buffers for a call of at most one
+    chunk: the results are views of its leading columns, valid until the
+    next call with it, and the call allocates nothing of the paths' size.
+    Without out, the call allocates its own buffers.
     """
     n, _, m = xi.shape
     # Replicate-major throughout: z is a view of draws filled replicate by
@@ -354,10 +382,11 @@ def _run_chain(ops, x0, xi):
     # of xi, to the same values), and the results are transposed views in
     # which each replicate's path is contiguous.
     z = xi.transpose(2, 0, 1).reshape(m, 2 * n)
-    uv = np.empty((3, m, n + 1))                      # u, v, and c^T xi in its first n columns
+    # u, v, and c^T xi in the first n columns of uv
+    uv, cz = (np.empty((3, m, n + 1)), None) if out is None else (out[0][:, :, :n + 1], out[1][:, :2 * n])
     # c^T xi elementwise, one contiguous pass and one add: a matmul would round
     # differently for another layout of xi
-    cz = np.multiply(z, np.tile(ops.c, n))
+    cz = np.multiply(z, np.tile(ops.c, n), out=cz)
     dwp = np.add(cz[:, 0::2], cz[:, 1::2], out=uv[2, :, :n])
     uv[:2, :, 0] = x0
     for t0 in range(0, n, ops.steps):                 # cz is free again: scratch space

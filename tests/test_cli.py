@@ -706,6 +706,21 @@ class TestMc:
         for name in ("consistency_replicates.csv", "consistency_summary.json", "lln_summary.json"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
+    @pytest.mark.parametrize("affinity, cpus, want", [({0}, 8, 1), ({0, 2, 5}, 8, 3), (None, 5, 5)])
+    def test_default_workers_follow_the_affinity_mask(self, ex1_config, monkeypatch, affinity, cpus, want):
+        # os.cpu_count() counts every CPU of the machine, also those the process may not run on;
+        # without affinity masks (None) it is the fallback
+        from hypermle import cli
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        args = cli._parser().parse_args(["mc", "lln", "--config", ex1_config])
+        cfg, _ = cli._resolve(args)
+        assert cli._mc_config(cfg, args).workers == want
+
     def test_underresolved_modes_in_summaries(self, outdir):
         from hypermle import cli
         from hypermle.config import load_config

@@ -1,6 +1,8 @@
 """Harness-level tests: KS oracle, growth fits, LLN ratios, determinism, the streamed engine."""
 import math
+import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypermle.montecarlo import (
     ExperimentConfig,
     _bootstrap_slopes,
     _mode_task,
+    _workspace,
     fit_growth,
     ks_statistic,
     run_consistency,
@@ -174,6 +177,24 @@ class TestHarness:
         assert np.array_equal(a.theta2_hat, b.theta2_hat)
         assert np.array_equal(a.K12, b.K12)
 
+    @pytest.mark.parametrize("N, workers", [(3, 8), (12, 4)])
+    def test_shared_workspaces_byte_identical(self, N, workers):
+        # more workers than modes (idle workspaces) and than cores (tasks contend for the
+        # free list), with thread switches forced often: a workspace two tasks wrote at
+        # once would change some replicate's values
+        spec, params = preset("alg_ex1", d=1)
+        grid = TimeGrid(1.0, _CHUNK + 40)  # two chunks per mode, the second short
+        a = run_replicates(spec, params, N, grid, seed=701, M=6, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            b = run_replicates(spec, params, N, grid, seed=701, M=6, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        for f in fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), f.name
+
     def test_consistency_monotone_with_bootstrap_confidence(self):
         # errors at the largest N are below those at the smallest N, with the
         # bootstrap intervals separated (99%-style confidence statement)
@@ -262,12 +283,21 @@ def _bootstrap_slopes_loop(err_lists, N_list, seed):
 
 class TestBootstrapSlopes:
     # the same stream of resample indices, drawn in the same order: the same bands, bit for bit
-    @pytest.mark.parametrize("counts", [[48] * 4, [200] * 4, [48, 47, 48, 45]])
+    @pytest.mark.parametrize("counts", [[48] * 4, [200] * 4, [48, 47, 48, 45], [1, 600, 7], [3, 1]])
     def test_matches_loop(self, counts):
         rng = np.random.default_rng(len(counts) + counts[-1])
         err_lists = [np.abs(rng.standard_normal(c)) * 2.0 ** -j for j, c in enumerate(counts)]
         N_list = [5 * 2 ** j for j in range(len(counts))]
         assert _bootstrap_slopes(err_lists, N_list, 11) == _bootstrap_slopes_loop(err_lists, N_list, 11)
+
+    def test_list_emptied_by_exclusions(self):
+        # every replicate of one N excluded: its means are NaN, and so are the bounds
+        rng = np.random.default_rng(4)
+        err_lists = [np.abs(rng.standard_normal(30)), np.empty(0), np.abs(rng.standard_normal(25))]
+        with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning):
+            got = _bootstrap_slopes(err_lists, [5, 10, 20], 11)
+            want = _bootstrap_slopes_loop(err_lists, [5, 10, 20], 11)
+        assert np.isnan(got).all() and np.isnan(want).all()
 
 
 def two_sample_ks(a, b):
@@ -401,6 +431,42 @@ class TestStreamedModeTask:
         finally:
             tracemalloc.stop()
         assert peak < 2.0 * draw_bytes, peak / draw_bytes
+
+
+    def test_peak_memory_with_a_workspace(self):
+        # draws and paths go into the workspace; what a task allocates is one chunk's sums
+        spec, params = preset("alg_ex1")
+        grid = TimeGrid(1.0, 4096)
+        M = 48
+        mode = true_mode(spec, params, 10, grid.dt)
+        draw_bytes = M * (2 * grid.n_steps + 2) * 8
+        work = _workspace(M, grid.n_steps)
+        _mode_task(10, mode, grid, 3, M, True, work)  # one-time allocations go first
+        tracemalloc.start()
+        try:
+            _mode_task(10, mode, grid, 3, M, True, work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * draw_bytes, peak / draw_bytes
+
+    @pytest.mark.parametrize("n", [_BLOCK - 3, _CHUNK + 3 * _BLOCK + 5])
+    def test_reused_workspace_gives_a_fresh_task(self, n):
+        # a workspace left by another mode's task gives the values of a task that makes its
+        # own, and nothing returned shares memory with it
+        spec, params = preset("alg_ex1")
+        grid = TimeGrid(1.0, n)
+        work = _workspace(5, n)
+        _mode_task(7, true_mode(spec, params, 7, grid.dt), grid, 41, 5, True, work)
+        mode = true_mode(spec, params, 3, grid.dt)
+        got = _mode_task(3, mode, grid, 41, 5, True, work)
+        want = _mode_task(3, mode, grid, 41, 5, True)
+        buffers = (work.draws, *work.chain)
+        for g, w in zip(got, want):
+            assert g.keys() == w.keys()
+            for key in w:
+                assert np.array_equal(g[key], w[key]), key
+                assert not any(np.shares_memory(g[key], b) for b in buffers), key
 
 
 def _three_normal_sums(lam, mu, grid, M, seed):

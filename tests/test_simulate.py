@@ -18,6 +18,7 @@ from hypermle.simulate import (
     TimeGrid,
     TransitionError,
     UnderresolvedModeWarning,
+    _chain_buffers,
     _chain_operators,
     _psd_factor,
     _run_chain,
@@ -309,6 +310,26 @@ class TestDeterminism:
             assert np.array_equal(row[:200].reshape(100, 2), shaped.standard_normal((100, 2)))
             assert np.array_equal(row[200:], shaped.standard_normal(2))
 
+    @pytest.mark.parametrize("seed, replicate, k", [(0, 0, 0), (2 ** 64 - 1, 2 ** 32 - 1, 2 ** 32 - 1),
+                                                    (2 ** 64 - 1, 0, 2 ** 32 - 1), (5, 2 ** 32 - 1, 0)])
+    @pytest.mark.parametrize("left", ["unused", "mid_buffer", "pending_uint32"])
+    def test_rekeyed_stream_matches_fresh(self, seed, replicate, k, left):
+        # the Monte Carlo re-keys one generator per replicate for every mode: whatever
+        # it drew before, it then gives the values of a fresh (seed, replicate, mode) stream
+        gen = mode_stream(3, 1, 2)
+        if left == "mid_buffer":
+            gen.standard_normal(1)
+            assert gen.bit_generator.state["buffer_pos"] < 4
+        elif left == "pending_uint32":
+            gen.integers(0, 10, dtype=np.uint32)
+            assert gen.bit_generator.state["has_uint32"] == 1
+        assert mode_stream(seed, replicate, k, gen) is gen
+        fresh = mode_stream(seed, replicate, k)
+        # full-range draws are the raw 32-bit halves: no rejection step can hide a stale one
+        assert np.array_equal(gen.integers(0, 2 ** 32, size=3, dtype=np.uint32),
+                              fresh.integers(0, 2 ** 32, size=3, dtype=np.uint32))
+        assert np.array_equal(gen.standard_normal(1001), fresh.standard_normal(1001))
+
     def test_mode_independence(self):
         spec = SpectrumSpec(Constant(0), PowerLaw(1, 2), Constant(0), Constant(1))
         params = ModelParams(1.0, -0.5, (0.5, 2.0), (-1.0, 1.0), 1.0)
@@ -388,6 +409,23 @@ class TestBlockedChain:
             assert np.array_equal(uc, u[t0:t1 + 1]) and np.array_equal(vc, v[t0:t1 + 1])
             assert np.array_equal(dc, dwp[t0:t1])
             x = np.stack((uc[-1], vc[-1]))
+
+    @pytest.mark.parametrize("n", [_BLOCK - 3, _CHUNK, 2 * _CHUNK + 3 * _BLOCK + 5])
+    def test_chunk_buffers_give_the_same_values(self, n):
+        # the Monte Carlo's workspace: one chunk's buffers, written by every chunk in turn
+        # (the last one short) and holding the last chunk's values when a call starts
+        P, S = chain_operators(*CHAIN_MODES[0])
+        xi = np.random.default_rng(5).standard_normal((n, 2, 4))
+        ops = _chain_operators(P, S, n)
+        out = _chain_buffers(4, n)
+        for buf in out:
+            buf.fill(np.nan)
+        x = np.zeros((2, 4))
+        for t0 in range(0, n, _CHUNK):
+            got = _run_chain(ops, x, xi[t0:t0 + _CHUNK], out)
+            for g, w in zip(got, _run_chain(ops, x, xi[t0:t0 + _CHUNK])):
+                assert np.array_equal(g, w) and np.shares_memory(g, out[0])
+            x = np.stack((got[0][-1], got[1][-1]))
 
     @pytest.mark.parametrize("mode", CHAIN_MODES)
     def test_block_factor(self, mode):
