@@ -20,6 +20,7 @@ import argparse
 import datetime
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -42,6 +43,9 @@ EXIT_CHECK_INCONCLUSIVE = 3
 EXIT_RUNTIME = 4
 
 _TABLE_DIMS = (1, 2, 4, 8)  # the dimensions d that growth_tables tabulates
+_ROW_DTYPE = [("k", np.int64), ("t_index", np.int64), ("u", float), ("v", float), ("dw", float)]
+_READ_ROWS = 8192  # rows of a trajectory file that one np.loadtxt call parses
+_COUNT_BYTES = 1 << 16  # bytes of a trajectory file read at a time to count its lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,13 +156,12 @@ def cmd_check(args, cfg, out):
 
 def cmd_psi(args, cfg, out):
     rows = psi_curve(cfg["spec"], cfg["params"], _n_list_within_spectrum(cfg, args))
+    text = "N,psi1_exact,psi2_exact,psi12_exact,psi1_asym,psi2_asym\n" + "".join(
+        f"{r.N},{r.psi1:.17g},{r.psi2:.17g},{r.psi12:.17g},{r.psi1_asym:.17g},{r.psi2_asym:.17g}\n"
+        for r in rows)
     path = out / "psi.csv"
-    with path.open("w") as fh:
-        fh.write("N,psi1_exact,psi2_exact,psi12_exact,psi1_asym,psi2_asym\n")
-        for r in rows:
-            fh.write(f"{r.N},{r.psi1:.17g},{r.psi2:.17g},{r.psi12:.17g},"
-                     f"{r.psi1_asym:.17g},{r.psi2_asym:.17g}\n")
-    print(path.read_text(), end="")
+    path.write_text(text)
+    print(text, end="")
     return EXIT_OK, [path]
 
 
@@ -183,26 +186,40 @@ def cmd_simulate(args, cfg, out):
 def _read_trajectories(path, spec, params, grid):
     """Mode trajectories from a `simulate` CSV, with each mode's lam, mu and scale restored.
 
-    The rows may come in any order.  One np.loadtxt call parses them; when it
-    fails, or a check of the rows fails, one scan over the lines names the
-    first bad line (_first_bad_line), or else the check names the mode.
+    The rows may come in any order.  One pass counts the file's lines, which
+    bounds the modes it can hold and so sizes the u, v and dw blocks; then
+    np.loadtxt parses _READ_ROWS rows at a time, each batch placed at its
+    rows' (k, t_index) and dropped, so the reader holds the trajectories and
+    one batch, never the whole table.  The counting pass seeks back to the
+    start: a pipe cannot, and is refused as a file that cannot be read.  When
+    a batch fails to parse, or a check of the rows fails, one scan over the
+    lines names the first bad line (_first_bad_line), or else the check names
+    the mode.
     """
     try:
         with open(path) as fh:
+            table = _RowTable(_line_count(fh.buffer) - 1, grid.n_steps)  # no row on the header's line
+            fh.seek(0)
             header = fh.readline().strip().split(",")
             if header != ["k", "t_index", "u", "v", "dw"]:
                 raise ConfigError(f"{path}: unexpected trajectory header {header}")
-            try:
-                with warnings.catch_warnings():  # a file without rows is named below
-                    warnings.simplefilter("ignore", UserWarning)
-                    rows = np.loadtxt(fh, [("k", np.int64), ("t_index", np.int64), ("u", float),
-                                           ("v", float), ("dw", float)],
-                                      delimiter=",", comments=None, ndmin=1,
-                                      converters={4: lambda cell: cell or "nan"})  # no dw: NaN
-            except ValueError as exc:  # a UnicodeDecodeError too, which the scan meets again
-                raise _first_bad_line(path) or ConfigError(f"{path}: {exc}") from None
+            with warnings.catch_warnings():  # an empty last batch, or a file without rows (named below)
+                warnings.simplefilter("ignore", UserWarning)
+                while True:
+                    try:
+                        rows = np.loadtxt(fh, _ROW_DTYPE, delimiter=",", comments=None, ndmin=1,
+                                          max_rows=_READ_ROWS,
+                                          converters={4: lambda cell: cell or "nan"})  # no dw: NaN
+                    except ValueError as exc:  # a UnicodeDecodeError too, which the scan meets again
+                        # numpy counts the rows of its message from the start of the batch
+                        message = re.sub(r"at row (\d+)", lambda m: f"at row {table.rows + int(m[1])}",
+                                         str(exc), count=1)
+                        raise _first_bad_line(path) or ConfigError(f"{path}: {message}") from None
+                    table.add(rows)
+                    if len(rows) < _READ_ROWS:
+                        break
         try:
-            return _mode_trajectories(path, rows, spec, params, grid)
+            return _mode_trajectories(path, table, spec, params, grid)
         except ConfigError as exc:
             raise _first_bad_line(path) or exc from None
     except OSError as exc:
@@ -211,38 +228,89 @@ def _read_trajectories(path, spec, params, grid):
         raise ConfigError(f"{path}: not a text file: {exc}") from exc
 
 
-def _mode_trajectories(path, rows, spec, params, grid):
-    """The ModeTrajectory of each mode in the parsed rows of a trajectory file.
+def _line_count(raw):
+    """The lines of a binary file read from where it is to its end, as text mode splits them
+    at each "\n", "\r\n" and lone "\r", with a last line after the last line end."""
+    lines, last = 1, b""
+    while block := raw.read(_COUNT_BYTES):
+        lines += block.count(b"\n") - (last == b"\r" and block[:1] == b"\n")  # "\r\n" across reads
+        if b"\r" in block:
+            lines += block.count(b"\r") - block.count(b"\r\n")
+        last = block[-1:]
+    return lines
+
+
+class _RowTable:
+    """The rows of a trajectory file, each placed at its (k, t_index) as its batch is read.
+
+    The file's lines bound its rows (most_rows), and so the modes of n+1 rows
+    it can hold: u, v and dw are (modes, n+1) blocks, exactly N modes for a
+    valid file, and `filled` marks the cells that a row has set.  `counts[k]`
+    is the number of rows with each k from 1 to most_rows, sized by the
+    largest such k seen; the k values outside that range, which no mode of
+    a valid file has, are kept apart in `stray`.  No array is sized by a k
+    read from a row.
+    """
+
+    def __init__(self, most_rows, n):
+        self.most_rows, self.n, self.rows = most_rows, n, 0
+        self.u, self.v, self.dw = (np.empty((most_rows // (n + 1), n + 1)) for _ in range(3))
+        self.filled = np.zeros(self.u.shape, bool)
+        self.counts = np.zeros(1, np.int64)
+        self.stray = np.empty(0, np.int64)
+
+    def add(self, rows):
+        self.rows += len(rows)
+        k, t = rows["k"], rows["t_index"]
+        stray, counted = (k < 1) | (k > self.most_rows), k
+        if stray.any():
+            self.stray = np.union1d(self.stray, k[stray])
+            counted = k[~stray]
+        counts = np.bincount(counted, minlength=len(self.counts))
+        counts[:len(self.counts)] += self.counts
+        self.counts = counts
+        placed = ~stray & (k <= len(self.u)) & (t >= 0) & (t <= self.n)
+        if not placed.all():  # a file with other modes or another grid: only its error is left to find
+            rows = rows[placed]
+        at = (rows["k"] - 1) * (self.n + 1) + rows["t_index"]  # one flat index for every block
+        for name in ("u", "v", "dw"):
+            getattr(self, name).reshape(-1)[at] = rows[name]
+        self.filled.reshape(-1)[at] = True
+
+
+def _mode_trajectories(path, table, spec, params, grid):
+    """The ModeTrajectory of each mode in a _RowTable, viewing rows of its u, v and dw blocks.
 
     Raises ConfigError unless the rows hold modes 1..N, N within the
     spectrum's k_max, each with t_index 0..n, dw on every row but the last
-    (NaN there) and finite values.
+    (NaN there) and finite values.  A mode with n+1 rows but a cell of its
+    block left unfilled has a repeated or out-of-range t_index.
     """
-    if not len(rows):
+    if not table.rows:
         raise ConfigError(f"{path}: holds no trajectory rows")
-    ks, counts = np.unique(rows["k"], return_counts=True)
-    N, n = len(ks), grid.n_steps
-    if not np.array_equal(ks, np.arange(1, N + 1)):
+    ks = np.flatnonzero(table.counts)
+    N, n = len(ks) + len(table.stray), grid.n_steps
+    if len(table.stray) or ks[-1] != N:
         raise ConfigError(f"{path}: holds {N} modes, not the modes 1..{N}")
     if N > spec.k_max:
         raise ConfigError(f"{path}: holds {N} modes; the spectrum declares k_max={spec.k_max}")
-    order = np.lexsort((rows["t_index"], rows["k"]))
-    t_col, u_col, v_col, dw_col = (rows[name][order] for name in ("t_index", "u", "v", "dw"))
+    counts = table.counts[1:N + 1]
     bad = counts != n + 1
-    if not bad.any():
-        bad = (t_col.reshape(N, n + 1) != np.arange(n + 1)).any(axis=1)
+    if not bad.any():  # then the N modes' (N, n+1) rows fit the blocks
+        bad = ~table.filled[:N].all(axis=1)
     if bad.any():
         k = int(np.argmax(bad)) + 1
         raise ConfigError(
             f"{path}: mode {k} has {counts[k - 1]} rows, not t_index 0..{n} "
             f"of the configured grid (simulated with another --dt-steps?)")
-    has_dw = ~np.isnan(dw_col.reshape(N, n + 1))
+    u, v, dw = table.u[:N], table.v[:N], table.dw[:N]
+    has_dw = ~np.isnan(dw)
     bad = ~has_dw[:, :-1].all(axis=1) | has_dw[:, -1]
     if bad.any():
         raise ConfigError(f"{path}: mode {int(np.argmax(bad)) + 1} needs dw on t_index "
                           f"0..{n - 1} and none on t_index {n}")
     lam, mu, scale = _true_modes(spec, params, N)
-    u, v, dw = u_col.reshape(N, n + 1), v_col.reshape(N, n + 1), dw_col.reshape(N, n + 1)[:, :-1]
+    dw = dw[:, :-1]
     u *= scale[:, None]
     if not (np.isfinite(u).all() and np.isfinite(v).all() and np.isfinite(dw).all()):
         # named here only when every cell is finite: then a u overflowed at its mode's scale

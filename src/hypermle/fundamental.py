@@ -194,6 +194,15 @@ _V_COEF = np.array(
 )
 
 
+def _horner(x, coef):
+    """sum coef[i] x^i over an array x, by Horner's rule in numpy.polynomial.polynomial.polyval's
+    order of operations (so its bits), without importing numpy.polynomial."""
+    out = coef[-1] + x * 0
+    for c in coef[-2::-1]:
+        out = c + out * x
+    return out
+
+
 def m_func(x):
     """M(x) = (e^x - x - 1)/(2 x^2), continuous with M(0) = 1/4."""
     x = np.asarray(x, dtype=float)
@@ -201,7 +210,7 @@ def m_func(x):
     x = np.atleast_1d(x)
     out = np.empty_like(x)
     small = np.abs(x) < _M_SWITCH
-    out[small] = np.polynomial.polynomial.polyval(x[small], _M_COEF)
+    out[small] = _horner(x[small], _M_COEF)
     xs = x[~small]
     with np.errstate(over="ignore"):
         out[~small] = (np.expm1(xs) - xs) / (2.0 * xs * xs)
@@ -215,7 +224,7 @@ def v_func(x):
     x = np.atleast_1d(x)
     out = np.empty_like(x)
     small = np.abs(x) < _V_SWITCH
-    out[small] = np.polynomial.polynomial.polyval(x[small], _V_COEF)
+    out[small] = _horner(x[small], _V_COEF)
     xs = x[~small]
     with np.errstate(over="ignore"):
         em1 = np.expm1(xs)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,14 +16,16 @@ CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*argv, cwd=None):
-    """Run `python -m hypermle` with this checkout's src/ first on the child's PYTHONPATH."""
+def run_python(*argv, cwd=None):
+    """Run `python *argv` with this checkout's src/ first on the child's PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "hypermle", *argv],
-        capture_output=True, text=True, cwd=cwd, env=env,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def run_cli(*argv, cwd=None):
+    """Run `python -m hypermle` with this checkout's src/ first on the child's PYTHONPATH."""
+    return run_python("-m", "hypermle", *argv, cwd=cwd)
 
 
 def write_config(path, doc):
@@ -288,6 +291,17 @@ class TestPsi:
         assert len(lines) == 4
         first = lines[1].split(",")
         assert int(first[0]) == 5 and float(first[1]) > 0.0
+
+    def test_echoes_the_csv_without_numpy_polynomial(self, ex1_config, outdir):
+        # m_func and v_func sum their series by Horner's rule: importing numpy.polynomial
+        # for it took milliseconds in every process that evaluates psi
+        code = ("import sys; from hypermle import cli; code = cli.main(sys.argv[1:]); "
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')), "
+                "file=sys.stderr); sys.exit(code)")
+        res = run_python("-c", code, "psi", "--config", ex1_config, "--n-list", "1,5,10")
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == "[]\n"
+        assert res.stdout == (outdir / "psi.csv").read_text()
 
     def test_single_mode_row(self, ex1_config, outdir):
         res = run_cli("psi", "--config", ex1_config, "--n-list", "1")
@@ -648,6 +662,162 @@ class TestSimulateEstimateRoundTrip:
                    (outdir / "manifest.jsonl").read_text().strip().splitlines()]
         assert len(entries) == 4
         assert all(e["stream_version"] == STREAM_VERSION for e in entries)
+
+
+class TestStreamedReader:
+    """The trajectory reader parses a file a batch of rows at a time, each row placed at its
+    (k, t_index): batches of 1 row and of 7 (which does not divide a mode's 65 rows) find
+    what one whole-file parse finds."""
+
+    common = ["--config", str(CONFIGS / "alg_ex1.json"), "--dt-steps", "64", "--seed", "3"]
+
+    @pytest.fixture(params=[1, 7])
+    def batch(self, request, monkeypatch):
+        from hypermle import cli
+
+        monkeypatch.setattr(cli, "_READ_ROWS", request.param)
+        return request.param
+
+    def simulate(self, outdir, n_modes):
+        from hypermle import cli
+
+        argv = [*self.common, "--n-list", str(n_modes), "--out", str(outdir)]
+        assert cli.main(["simulate", *argv]) == 0
+        return argv, outdir / "trajectories.csv"
+
+    def test_rows_in_any_order(self, outdir, batch):
+        from hypermle import cli
+
+        argv, path = self.simulate(outdir, 3)
+        assert cli.main(["estimate", *argv, "--trajectories", str(path)]) == 0
+        want = (outdir / "estimate.json").read_text()
+        header, *rows = path.read_text().splitlines()
+        np.random.default_rng(4).shuffle(rows)
+        shuffled = outdir / "shuffled.csv"
+        shuffled.write_text("\n".join([header] + rows))
+        assert cli.main(["estimate", *argv, "--trajectories", str(shuffled)]) == 0
+        assert (outdir / "estimate.json").read_text() == want
+
+    @pytest.mark.parametrize("twin", [4, 60], ids=["same_batch_of_7", "another_batch"])
+    def test_repeated_t_index(self, outdir, capsys, batch, twin):
+        # mode 1's row at t_index 3 (line 5) given the t_index of the row `twin` rows down
+        from hypermle import cli
+
+        argv, path = self.simulate(outdir, 2)
+        lines = path.read_text().splitlines()
+        assert lines[4].startswith("1,3,") and lines[1 + twin].startswith(f"1,{twin},")
+        lines[4] = lines[4].replace("1,3,", f"1,{twin},", 1)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["estimate", *argv, "--trajectories", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {path}: mode 1 has 65 rows, not t_index 0..64" in err, err
+
+    def test_huge_k_allocates_nothing(self, outdir, capsys, batch):
+        from hypermle import cli
+        from hypermle.config import load_config
+
+        argv, path = self.simulate(outdir, 2)
+        lines = path.read_text().splitlines()
+        lines.insert(40, "1000000000000000,3,0.5,0.25,0.125")
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["estimate", *argv, "--trajectories", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {path}: holds 3 modes, not the modes 1..3" in err, err
+        cfg = load_config(CONFIGS / "alg_ex1.json")
+        tracemalloc.start()
+        try:
+            with pytest.raises(cli.ConfigError, match="holds 3 modes"):
+                cli._read_trajectories(path, cfg["spec"], cfg["params"], cli.TimeGrid(1.0, 64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 9 kB file, one 64 kB read of its line count and small batches: a block of
+        # 10^15 modes would be 8 PB
+        assert peak < 1 << 17, peak
+
+    def test_numpy_message_counts_rows_from_the_file_start(self, outdir, capsys, batch):
+        # a k that Python's int() reads and numpy's int64 does not: numpy's message names the row
+        from hypermle import cli
+
+        argv, path = self.simulate(outdir, 2)
+        lines = path.read_text().splitlines()
+        assert lines[61].startswith("1,60,")
+        lines[61] = "100000000000000000000" + lines[61][1:]
+        path.write_text("\n\n".join(lines) + "\n")  # an empty line after each row
+        capsys.readouterr()
+        assert cli.main(["estimate", *argv, "--trajectories", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert (f"config error: {path}: could not convert string '100000000000000000000' "
+                f"to int64 at row 60, column 1.") in err, err
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends_of_any_kind(self, outdir, batch, end):
+        # text mode reads "\r\n" and a lone "\r" as line ends, which the line count must too
+        from hypermle import cli
+
+        argv, path = self.simulate(outdir, 3)
+        assert cli.main(["estimate", *argv, "--trajectories", str(path)]) == 0
+        want = (outdir / "estimate.json").read_text()
+        other = outdir / "other.csv"
+        other.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+        assert cli.main(["estimate", *argv, "--trajectories", str(other)]) == 0
+        assert (outdir / "estimate.json").read_text() == want
+
+    @pytest.mark.parametrize("data, lines", [
+        (b"", 1), (b"a", 1), (b"a\n", 2), (b"a\r", 2), (b"a\r\n", 2), (b"\n\r\r\n\r", 5),
+        (b"ab\r\ncd\r\n\r\n", 4),
+    ], ids=["empty", "one", "lf", "cr", "crlf", "mixed", "crlf_rows"])
+    def test_line_count(self, monkeypatch, data, lines):
+        # reads of 1 and 2 bytes put "\r\n" pairs across two reads of the count
+        import io
+
+        from hypermle import cli
+
+        assert len(io.TextIOWrapper(io.BytesIO(data), newline=None).read().split("\n")) == lines
+        for size in (1, 2, cli._COUNT_BYTES):
+            monkeypatch.setattr(cli, "_COUNT_BYTES", size)
+            assert cli._line_count(io.BytesIO(data)) == lines, size
+
+    def test_a_pipe_cannot_be_read(self, outdir, capsys):
+        # the line count reads the file once before it parses it: a pipe is refused, not hung on
+        from hypermle import cli
+
+        if not os.path.isdir("/dev/fd"):
+            pytest.skip("no /dev/fd to name a pipe by")
+        argv, path = self.simulate(outdir, 2)
+        r, w = os.pipe()
+        try:
+            os.write(w, path.read_bytes())  # 9 kB: within a pipe's buffer
+            os.close(w)
+            capsys.readouterr()
+            assert cli.main(["estimate", *argv, "--trajectories", f"/dev/fd/{r}"]) == 1
+        finally:
+            os.close(r)
+        err = capsys.readouterr().err
+        assert f"config error: cannot read /dev/fd/{r}" in err, err
+
+    def test_peak_memory_below_twice_the_trajectories(self, outdir):
+        # the 13-mode, 4096-step file of test_bad_line_named_deep_in_a_large_file: the reader
+        # holds the blocks it returns and one batch (a whole-file parse peaked at 3.4 times them)
+        from hypermle import cli
+        from hypermle.config import load_config
+
+        common = ["--config", str(CONFIGS / "alg_ex1.json"), "--n-list", "13",
+                  "--seed", "3", "--out", str(outdir)]
+        assert cli.main(["simulate", *common]) == 0
+        cfg = load_config(CONFIGS / "alg_ex1.json")
+        tracemalloc.start()
+        try:
+            trajs = cli._read_trajectories(outdir / "trajectories.csv", cfg["spec"], cfg["params"],
+                                           cfg["grid"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(t.u_scaled.nbytes + t.v.nbytes + t.dw.nbytes for t in trajs)
+        assert len(trajs) == 13 and len(trajs[0].u_scaled) == 4097
+        assert peak <= 2.0 * kept, peak / kept
 
 
 class TestNonpositiveEigenvalues:

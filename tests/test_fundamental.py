@@ -237,6 +237,15 @@ class TestMV:
             v_direct = num / (4 * x0 ** 4)
             assert v_taylor == pytest.approx(v_direct, rel=1e-10)
 
+    def test_horner_matches_polyval_bit_for_bit(self):
+        from hypermle.fundamental import _M_COEF, _V_COEF, _horner
+
+        x = np.concatenate([np.linspace(-0.2, 0.2, 100_001), [0.0, -0.0, 1e-300, -1e-300]])
+        for coef in (_M_COEF, _V_COEF):
+            want = np.polynomial.polynomial.polyval(x, coef)
+            assert _horner(x, coef).tobytes() == want.tobytes()
+            assert _horner(x[:0], coef).shape == (0,)
+
     def test_positive(self):
         x = np.linspace(-1000.0, 700.0, 4001)
         assert np.all(m_func(x) > 0.0)

@@ -5,7 +5,9 @@
 Runs `python -m hypermle` from this checkout's `src` in a temporary
 directory, with OPENBLAS_NUM_THREADS=1: `psi` on three configs, `mc
 consistency`, `lln` and `normality` at one and two workers, `simulate` then
-`estimate` on three configs, `check` on four and `mc tables`.  Prints one
+`estimate` on three configs, `estimate` once more on alg_ex1's trajectory
+file with its rows reversed (its estimate.json must hash as the in-order
+one's), `check` on four and `mc tables`.  Prints one
 `sha256  path` line per output file, manifests aside (they hold times and
 paths), with paths relative to the temporary directory.  A command that
 exits with another code than expected stops the script.  Outputs that must
@@ -31,8 +33,12 @@ def _every_n(hi):
     return ["--n-list", ",".join(str(n) for n in range(1, hi + 1))]
 
 
-def _runs():
-    """(output directory, expected exit code, CLI arguments before --out) of each gate."""
+def _runs(tmp):
+    """(output directory, expected exit code, CLI arguments before --out) of each gate, in order.
+
+    The last gate reads the rows of paths_alg_ex1's trajectory file in reverse,
+    a file (under tmp, not hashed) written once that file's gate has run.
+    """
     ex1, wave, sec5 = (str(CONFIGS / f"{name}.json") for name in ("alg_ex1", "custom_wave", "sec5_exponential"))
     runs = [
         ("psi_alg_ex1", 0, ["psi", "--config", ex1, *_every_n(600)]),
@@ -58,7 +64,11 @@ def _runs():
         common = ["--config", config, "--seed", "3", *extra]
         runs += [(f"paths_{name}", 0, ["simulate", *common]),
                  (f"paths_{name}", 0, ["estimate", *common, "--trajectories", f"paths_{name}/trajectories.csv"])]
-    return runs
+    yield from runs
+    header, *rows = (tmp / "paths_alg_ex1" / "trajectories.csv").read_text().splitlines(keepends=True)
+    (tmp / "reversed_alg_ex1.csv").write_text(header + "".join(reversed(rows)))
+    yield ("paths_alg_ex1_reversed", 0, ["estimate", "--config", ex1, "--seed", "3", "--n-list", "20",
+                                         "--trajectories", "reversed_alg_ex1.csv"])
 
 
 def main():
@@ -68,7 +78,7 @@ def main():
         tmp = Path(tmp)
         (tmp / "alg_ex3.json").write_text(json.dumps({"preset": "alg_ex3", "params": {"theta1": 1.0, "theta2": 0.5}}))
         (tmp / "antidissipative.json").write_text(json.dumps({"preset": "wave_strong_antidissipative"}))
-        for out, code, args in _runs():
+        for out, code, args in _runs(tmp):
             res = subprocess.run([sys.executable, "-m", "hypermle", *args, "--out", out], cwd=tmp, env=env,
                                  capture_output=True, text=True)
             if res.returncode != code:
