@@ -423,6 +423,7 @@ def cmd_mc(args, cfg, out):
             "verdict1": rep.verdict1, "verdict2": rep.verdict2,
             "independent": rep.independent, "n_excluded": rep.n_excluded,
             "route": rep.route, "underresolved_modes": rep.underresolved_modes,
+            "identity_max_rel": rep.identity_max_rel,
         }), path]
         print(f"N={rep.N}: ks1={rep.ks1:.4f} ks2={rep.ks2:.4f} "
               f"(1% crit {rep.critical[0.01]:.4f}); corr12={rep.corr12:+.3f}; "

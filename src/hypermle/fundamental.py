@@ -53,7 +53,7 @@ DOUBLE_ROOT_BAND = 1e-8
 _SERIES_X = 0.25
 # largest exponent taken through exp(); e^700 is within the float range
 _EXP_MAX = 700.0
-# largest x whose math.exp(x) is a float
+# largest x whose e^x is a float
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # regime thresholds of the energy integrals, in units of total phase l*T
@@ -78,6 +78,13 @@ def _slog_lam(ks, s_lam, l_lam):
     if beyond.size:
         raise ValueError(f"mode {beyond[0]}: lambda exceeds the float range; simulation unsupported")
     return _from_slog(s_lam, l_lam)
+
+
+def _check_exponent(x):
+    """Raise FundamentalOverflowError for the first exponent of the array x beyond _EXP_MAX."""
+    beyond = x[x > _EXP_MAX]
+    if beyond.size:
+        raise FundamentalOverflowError(float(beyond[0]))
 
 
 @dataclass(frozen=True)
@@ -194,15 +201,6 @@ _V_COEF = np.array(
 )
 
 
-def _horner(x, coef):
-    """sum coef[i] x^i over an array x, by Horner's rule in numpy.polynomial.polynomial.polyval's
-    order of operations (so its bits), without importing numpy.polynomial."""
-    out = coef[-1] + x * 0
-    for c in coef[-2::-1]:
-        out = c + out * x
-    return out
-
-
 def m_func(x):
     """M(x) = (e^x - x - 1)/(2 x^2), continuous with M(0) = 1/4."""
     x = np.asarray(x, dtype=float)
@@ -210,7 +208,7 @@ def m_func(x):
     x = np.atleast_1d(x)
     out = np.empty_like(x)
     small = np.abs(x) < _M_SWITCH
-    out[small] = _horner(x[small], _M_COEF)
+    out[small] = np.polyval(_M_COEF[::-1], x[small])
     xs = x[~small]
     with np.errstate(over="ignore"):
         out[~small] = (np.expm1(xs) - xs) / (2.0 * xs * xs)
@@ -224,7 +222,7 @@ def v_func(x):
     x = np.atleast_1d(x)
     out = np.empty_like(x)
     small = np.abs(x) < _V_SWITCH
-    out[small] = _horner(x[small], _V_COEF)
+    out[small] = np.polyval(_V_COEF[::-1], x[small])
     xs = x[~small]
     with np.errstate(over="ignore"):
         em1 = np.expm1(xs)
@@ -239,27 +237,16 @@ def m_func_log(x):
     out = np.empty(x.shape)
     mid, high = np.abs(x) <= 30.0, x > 30.0
     low = ~(mid | high)
-    out[mid] = _each(math.log, m_func(x[mid]))
+    out[mid] = np.log(m_func(x[mid]))
     xh, xl = x[high], x[low]
-    out[high] = xh - _each(math.log, 2.0 * xh * xh) + _each(math.log1p, -(xh + 1.0) * _each(math.exp, -xh))
-    out[low] = _each(math.log, -xl - 1.0 + _each(math.exp, xl)) - _each(math.log, 2.0 * xl * xl)
+    out[high] = xh - np.log(2.0 * xh * xh) + np.log1p(-(xh + 1.0) * np.exp(-xh))
+    out[low] = np.log(-xl - 1.0 + np.exp(xl)) - np.log(2.0 * xl * xl)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Rounding of the array formulas
+# Exact antiderivative building blocks
 # ---------------------------------------------------------------------------
-# The formulas below run over float arrays of modes.  Where the math module's
-# exp, log and pow, or Python's complex product, round differently from
-# numpy's in the last bit, they take the former, element by element, as the
-# one-mode code they replaced did, so the outputs keep their bits.
-
-
-def _each(fn, x, *more):
-    """fn(x, *more) element by element over the array x (more: arrays like x, or numbers),
-    in Python's float arithmetic."""
-    more = (np.broadcast_to(m, x.shape).ravel().tolist() for m in more)
-    return np.fromiter(map(fn, x.ravel().tolist(), *more), dtype=float, count=x.size).reshape(x.shape)
 
 
 def _complex(re, im):
@@ -267,24 +254,6 @@ def _complex(re, im):
     z.real, z.imag = re, im
     return z
 
-
-def _square(z):
-    """z*z; a complex array's rounded as Python rounds a complex product (numpy's may fuse a multiply-add)."""
-    if z.dtype.kind == "c":
-        return _complex(z.real * z.real - z.imag * z.imag, 2.0 * (z.real * z.imag))
-    return z * z
-
-
-def _check_exponent(x):
-    """Raise FundamentalOverflowError for the first exponent of the array x beyond _EXP_MAX."""
-    beyond = x[x > _EXP_MAX]
-    if beyond.size:
-        raise FundamentalOverflowError(float(beyond[0]))
-
-
-# ---------------------------------------------------------------------------
-# Exact antiderivative building blocks
-# ---------------------------------------------------------------------------
 
 # terms of the series of _p0 (t_0 = 1, t_j = t_{j-1} * zT / d_j) and _w0 (t_0 = 1/2, t_j = t_{j-1} * zT * a_j / d_j)
 _P0_STEPS = tuple(j + 1.0 for j in range(1, 22))
@@ -312,7 +281,7 @@ def _p0_quotient(z, zT):
 
 
 def _w0_quotient(z, zT):
-    return (np.exp(zT) - zT - 1.0) / _square(z)
+    return (np.exp(zT) - zT - 1.0) / (z * z)
 
 
 def _split(z, T, scale, series, quotient):
@@ -452,8 +421,7 @@ def _integrals_closed_real(lam, mu, T, ell):
     four_ell2 = 4.0 * ell * ell
     p0p, p0m, p0c = _p0(2.0 * r_plus, T), _p0(2.0 * r_minus, T), _p0(mu, T)
     w0p, w0m, w0c = _w0(2.0 * r_plus, T), _w0(2.0 * r_minus, T), _w0(mu, T)
-    # r ** 2 by the C library's pow, as Python takes it: numpy's r ** 2 is r * r, not always the same
-    r2_plus, r2_minus = _each(pow, r_plus, 2), _each(pow, r_minus, 2)
+    r2_plus, r2_minus = r_plus * r_plus, r_minus * r_minus
 
     if2 = (p0p - 2.0 * p0c + p0m) / four_ell2
     iif2 = (w0p - 2.0 * w0c + w0m) / four_ell2
@@ -464,13 +432,6 @@ def _integrals_closed_real(lam, mu, T, ell):
     return if2, ifd2, iif2, iifd2, intf
 
 
-def _b2_over_lam(b, log_lam):
-    """b^2/lam from log lam, at most 1, over arrays."""
-    def one(b, log_lam):
-        return 0.0 if b == 0.0 else math.exp(min(2.0 * math.log(abs(b)) - log_lam, 0.0))
-    return _each(one, b, log_lam)
-
-
 def _integrals_envelope(log_lam, mu, T):
     """Phase-averaged (lam_if2, ifd2, lam_iif2, iifd2); valid for l*T >> 1, error O(1/(l*T)).
 
@@ -478,7 +439,8 @@ def _integrals_envelope(log_lam, mu, T):
     range (the only regime that has to).
     """
     b = 0.5 * mu
-    b2_over_lam = _b2_over_lam(b, log_lam)
+    with np.errstate(divide="ignore"):  # b = 0: log 0 = -inf, so b^2/lam = 0
+        b2_over_lam = np.exp(np.minimum(2.0 * np.log(np.abs(b)) - log_lam, 0.0))  # at most 1
     if (b2_over_lam >= 0.5).any():
         raise ValueError("envelope integrals require mu^2 << 4 lam")
     lam_over_ell2 = 1.0 / (1.0 - b2_over_lam)
@@ -516,8 +478,8 @@ def _regime(lam, mu, T):
 
 
 def _log_lam(lam):
-    """log lam by math.log where lam > 0, and 0 elsewhere, over a float array."""
-    return _each(math.log, np.where(lam > 0.0, lam, 1.0))
+    """log lam where lam > 0, and 0 elsewhere, over a float array."""
+    return np.log(np.where(lam > 0.0, lam, 1.0))
 
 
 def scaled_mode_integrals(mu, T, log_lam):
@@ -546,7 +508,7 @@ def _scaled_integrals(lam, mu, T, log_lam):
     pos = lam > 0.0
     _check_exponent(mu[pos] * T)
     in_range = ~pos | (log_lam <= _EXP_MAX)  # beyond, lam leaves the float range and the envelope serves
-    lam = np.where(pos, _each(math.exp, np.where(pos & in_range, log_lam, 0.0)), lam)
+    lam = np.where(pos, np.exp(np.where(pos & in_range, log_lam, 0.0)), lam)
     ell, *tests = _regime(lam, mu, T)
     regime = np.where(in_range, np.select(tests, [_SERIES, _REAL, _COMPLEX], _ENVELOPE), _ENVELOPE)
 
@@ -564,7 +526,7 @@ def _scaled_integrals(lam, mu, T, log_lam):
 
     log_env = log_lam[envelope]
     rebuilt = in_range[envelope]  # the envelope of a float lam takes log(lam), as the closed forms take lam
-    log_env[rebuilt] = _each(math.log, lam[envelope][rebuilt])
+    log_env[rebuilt] = np.log(lam[envelope][rebuilt])
     out[:4, envelope] = _integrals_envelope(log_env, mu[envelope], T)
     out[4, envelope] = 0.0
     return out, envelope
@@ -652,14 +614,14 @@ class PsiValues:
 
 
 def _from_slog(s, l):
-    """s * e^l elementwise, by math.exp; 0 where l = -inf.
+    """s * e^l elementwise; 0 where l = -inf.
 
     Raises FundamentalOverflowError for the first e^l beyond the float range.
     """
     beyond = l[l > _LOG_FLOAT_MAX]
     if beyond.size:
         raise FundamentalOverflowError(float(beyond[0]))
-    return np.where(l > -math.inf, s * _each(math.exp, l), 0.0)
+    return np.where(l > -math.inf, s * np.exp(l), 0.0)
 
 
 def _psi_mode_terms(spec, params, ks):
@@ -689,9 +651,8 @@ def _psi_mode_terms(spec, params, ks):
     c1 = _from_slog(1.0, 2.0 * l_tau - l_lam)
     c12 = _from_slog(s_tau * s_nu, l_tau + l_nu - l_lam)
     m_log = m_func_log(T * mu[pos])
-    asym1 = np.where(l_tau > -math.inf,
-                     _each(math.exp, np.minimum(2.0 * l_tau - l_lam + m_log, _EXP_MAX)) * T ** 2, 0.0)
-    asym2 = nu * nu * T ** 2 * _each(math.exp, np.minimum(m_log, _EXP_MAX))
+    asym1 = np.where(l_tau > -math.inf, np.exp(np.minimum(2.0 * l_tau - l_lam + m_log, _EXP_MAX)) * T ** 2, 0.0)
+    asym2 = nu * nu * T ** 2 * np.exp(np.minimum(m_log, _EXP_MAX))
     out[pos] = np.column_stack([c1 * iif2[pos], nu * nu * iifd2[pos], -0.5 * c12 * f2[pos], asym1, asym2])
     return out
 

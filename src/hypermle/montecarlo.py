@@ -461,7 +461,9 @@ def verify_lln(config):
             "iota1_isometry": float(np.mean(batch.iota1[ok] ** 2) / pv.psi1),
             "iota2_isometry": float(np.mean(batch.iota2[ok] ** 2) / pv.psi2),
             "D_N_median": float(np.median(batch.D_N[ok])),
+            "route": batch.route,
             "underresolved_modes": batch.underresolved_modes,
+            "identity_max_rel": batch.identity_max_rel,
         })
     return out
 

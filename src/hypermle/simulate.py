@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fundamental import _EXP_MAX, _each, _log_lam, _scaled_integrals, _slog_lam, fund_solution
+from .fundamental import _EXP_MAX, _log_lam, _scaled_integrals, _slog_lam, fund_solution
 from .fundamental import scaled_mode_integrals  # perfbench/tracing.py wraps this name; nothing here calls it
 from .quadrature import integrate  # perfbench/tracing.py wraps this name; nothing here calls it
 from .spectrum import lambda_mu_slog
@@ -65,11 +65,14 @@ __all__ = [
 # replicate, mode) stream gives and what each one drives.  Version 2: each
 # step draws two normals for the state noise, and dw's remaining part is
 # sampled after them (n more normals for one path, two per replicate for
-# the Monte Carlo's dw sums); version 1 drew three normals per step.  The
-# paths also depend on the last bit of each lam: where ell*dt is near 1e15 and
-# beyond (sec5 from k = 43 at n = 4096) one ulp of lam moves P by over 10%, so
-# evaluating lam another way changes those paths as a new layout would.
-STREAM_VERSION = 2
+# the Monte Carlo's dw sums); version 1 drew three normals per step.
+# Version 3 draws the same normals as version 2, but evaluates the exp and
+# log of the array formulas (lam from its log form among them) with numpy,
+# not the math module.  The paths depend on the last bit of each lam: where
+# ell*dt is near 1e15 and beyond (sec5 from k = 43 at n = 4096) one ulp of
+# lam moves P by over 10%, so those paths changed as with a new layout;
+# elsewhere a path moved by rounding only.
+STREAM_VERSION = 3
 
 _LN2 = math.log(2.0)
 
@@ -223,7 +226,7 @@ def _scaled_transition(lam, mu, dt):
     f, fd = fund_solution(lam, mu, dt)
     g = fd - mu * f
     scale = _pow2_scale(log_lam)
-    lam_over_s2 = np.where(scale == 1.0, lam, _each(math.exp, log_lam - 2.0 * _each(math.log, scale)))
+    lam_over_s2 = np.where(scale == 1.0, lam, np.exp(log_lam - 2.0 * np.log(scale)))
     sf = scale * f
     (lam_if2, ifd2, _, _, sqlam_if), _ = _scaled_integrals(lam, mu, dt, log_lam)
     factor = np.where(lam > 0.0, lam_over_s2, 1.0)  # the integrals of lam <= 0 carry no lam factors

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .fundamental import _EXP_MAX, _each, m_func_log
+from .fundamental import _EXP_MAX, m_func_log
 
 __all__ = [
     "GENERATORS",
@@ -104,16 +104,6 @@ def _check_ks(ks):
     return ks
 
 
-def _or_inf(fn):
-    """fn, but +inf where it overflows (Python's float functions raise there)."""
-    def safe(*args):
-        try:
-            return fn(*args)
-        except OverflowError:
-            return math.inf
-    return safe
-
-
 def _first_outside(gen, ks, inside):
     """Raise naming the first k of ks where `inside` is False."""
     bad = ks[~inside]
@@ -154,7 +144,8 @@ class PowerLaw(_CoefficientLaw):
 
     def value_array(self, ks):
         ks = _check_ks(ks)
-        return self._product(ks, _each(_or_inf(pow), ks, self.exponent))  # k^exponent alone may overflow
+        with np.errstate(over="ignore"):  # k^exponent alone may overflow
+            return self._product(ks, np.power(ks, self.exponent))
 
     def power_law(self):
         return self.coefficient, self.exponent
@@ -173,7 +164,8 @@ class ExpLaw(_CoefficientLaw):
 
     def value_array(self, ks):
         ks = _check_ks(ks)
-        return self._product(ks, _each(_or_inf(math.exp), self.rate * ks))  # e^{rate k} alone may overflow
+        with np.errstate(over="ignore"):  # e^{rate k} alone may overflow
+            return self._product(ks, np.exp(self.rate * ks))
 
 
 @dataclass(frozen=True)
@@ -333,7 +325,12 @@ def lambda_mu_slog(spec, theta1, theta2, ks):
 
 
 def lambda_mu(spec, theta1, theta2, k):
-    """(lambda_k, mu_k) as floats; exact direct arithmetic within the float range."""
+    """(lambda_k, mu_k) as floats; exact direct arithmetic within the float range.
+
+    This is the direct-arithmetic twin of the lambda the simulator uses: a
+    simulation takes lambda_k from its log form (simulate._true_modes), which
+    can differ from kappa_k + theta1 * tau_k in the last bits.
+    """
     kap, tau, rho, nu = (float(g.value_array([k])[0]) for g in spec.generators().values())
     if math.isfinite(kap) and math.isfinite(tau):
         lam = kap + theta1 * tau

@@ -651,7 +651,7 @@ class TestSimulateEstimateRoundTrip:
         from hypermle import cli
         from hypermle.simulate import STREAM_VERSION
 
-        assert STREAM_VERSION == 2
+        assert STREAM_VERSION == 3
         common = ["--config", ex1_config, "--n-list", "2,4", "--replicates", "30", "--workers", "1"]
         for verb in ("consistency", "normality", "lln"):
             assert cli.main(["mc", verb, *common]) == 0
@@ -905,11 +905,18 @@ class TestMc:
                   "--replicates", "30", "--workers", "1", "--out", str(outdir)]
         for verb in ("consistency", "lln", "normality"):
             assert cli.main(["mc", verb, *common]) == 0
+        routes = ["stats" if c == 0 else "decomposition" for c in counts]
+        identities = []  # the identity check runs only where every mode is resolved
         for name in ("consistency", "lln"):
             rows = json.loads((outdir / f"{name}_summary.json").read_text())["rows"]
             assert [r["underresolved_modes"] for r in rows] == counts, name
+            assert [r["route"] for r in rows] == routes, name
+            assert [math.isfinite(r["identity_max_rel"]) for r in rows] == [c == 0 for c in counts], name
+            identities.append(rows[0]["identity_max_rel"])
+        assert identities[0] == identities[1]  # the same seed gives both verbs the same batch
         normality = json.loads((outdir / "normality_summary.json").read_text())
         assert normality["N"] == 12 and normality["underresolved_modes"] == counts[-1]
+        assert normality["route"] == routes[-1] and math.isnan(normality["identity_max_rel"])
 
     def test_tables_render(self, ex1_config, outdir):
         res = run_cli("mc", "tables", "--config", ex1_config)

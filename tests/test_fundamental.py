@@ -237,14 +237,13 @@ class TestMV:
             v_direct = num / (4 * x0 ** 4)
             assert v_taylor == pytest.approx(v_direct, rel=1e-10)
 
-    def test_horner_matches_polyval_bit_for_bit(self):
-        from hypermle.fundamental import _M_COEF, _V_COEF, _horner
+    def test_series_branch_matches_polyval_bit_for_bit(self):
+        from hypermle.fundamental import _M_COEF, _M_SWITCH, _V_COEF, _V_SWITCH
 
         x = np.concatenate([np.linspace(-0.2, 0.2, 100_001), [0.0, -0.0, 1e-300, -1e-300]])
-        for coef in (_M_COEF, _V_COEF):
-            want = np.polynomial.polynomial.polyval(x, coef)
-            assert _horner(x, coef).tobytes() == want.tobytes()
-            assert _horner(x[:0], coef).shape == (0,)
+        for fn, coef, switch in ((m_func, _M_COEF, _M_SWITCH), (v_func, _V_COEF, _V_SWITCH)):
+            xs = x[np.abs(x) < switch]
+            assert fn(xs).tobytes() == np.polynomial.polynomial.polyval(xs, coef).tobytes()
 
     def test_positive(self):
         x = np.linspace(-1000.0, 700.0, 4001)
@@ -559,7 +558,7 @@ def _assert_each_mode_alone_matches(lam, mu, T, log_lam=None):
 
     With log_lam given, it is the mode where lam > 0 (as psi_curve passes it).
     Beyond 2000 modes an even sample of 2000 goes alone; the whole batch
-    also goes in another order.
+    also goes in another order, and every other mode goes as a strided view.
     """
     lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
     if log_lam is None:
@@ -572,6 +571,9 @@ def _assert_each_mode_alone_matches(lam, mu, T, log_lam=None):
     order = np.random.default_rng(len(lam)).permutation(len(lam))
     shuffled, _ = fundamental._scaled_integrals(lam[order], mu[order], T, log_lam[order])
     assert shuffled.tobytes() == rows[:, order].tobytes()
+    assert fundamental._log_lam(lam[::2]).tobytes() == fundamental._log_lam(lam)[::2].tobytes()
+    strided, _ = fundamental._scaled_integrals(lam[::2], mu[::2], T, log_lam[::2])
+    assert strided.tobytes() == rows[:, ::2].tobytes()
 
 
 def _regimes(lam, mu, T):
@@ -647,7 +649,7 @@ class TestArrayIntegrals:
         _assert_each_mode_alone_matches(lam, mu, T, log_lam)
 
     def test_real_roots_whose_square_is_not_a_product(self):
-        # Python's r ** 2 goes through the C library's pow, which is not always r * r
+        # real-root modes, some of whose roots have r ** 2 != r * r in Python
         rng, n = np.random.default_rng(20261), 20000
         u = rng.uniform
         mu = -(10.0 ** u(-2.0, 3.0, n)) * rng.choice([1.0, -1e-2], n)
@@ -669,8 +671,8 @@ class TestArrayIntegrals:
         _assert_each_mode_alone_matches(lam, mu, 1.0)
 
     def test_envelope_takes_the_log_of_the_rebuilt_lambda(self):
-        # the envelope of a lam read from log_lam takes log(e^log_lam), which below
-        # lam = e can differ from log_lam
+        # the envelope of a lam read from log_lam takes log(e^log_lam); the sample
+        # keeps log_lam below 0.9 whose round trip through exp and log is not exact
         rng = np.random.default_rng(20263)
         log_lam = rng.uniform(-2.3, 0.9, 400000)
         log_lam = log_lam[[math.log(math.exp(x)) != x for x in log_lam.tolist()]]
@@ -687,18 +689,18 @@ class TestArrayIntegrals:
         assert str(batch_exc.value) == str(one_exc.value)
 
     def test_m_func_log_array_matches_scalar_formulas(self):
-        # np.log(M) differs from math.log(M) on about 1 argument in 2000
+        # the array pass equals the three formulas in numpy, one element at a time
         spread = np.random.default_rng(20264).uniform(-40.0, 40.0, 50000)
         x = np.concatenate([[-1e6, -30.5, -30.0, -1.0, 0.0, 1e-4, 29.9, 30.0, 30.5, 700.0], spread])
         got = m_func_log(x)
         want = []
-        for v in x.tolist():  # the scalar forms
+        for v in x:  # the scalar forms
             if abs(v) <= 30.0:
-                want.append(math.log(m_func(v)))
+                want.append(float(np.log(m_func(v))))
             elif v > 30.0:
-                want.append(v - math.log(2.0 * v * v) + math.log1p(-(v + 1.0) * math.exp(-v)))
+                want.append(float(v - np.log(2.0 * v * v) + np.log1p(-(v + 1.0) * np.exp(-v))))
             else:
-                want.append(math.log(-v - 1.0 + math.exp(v)) - math.log(2.0 * v * v))
+                want.append(float(np.log(-v - 1.0 + np.exp(v)) - np.log(2.0 * v * v)))
         assert got.tolist() == want
         assert [m_func_log(x[i:i + 1])[0] for i in range(10)] == want[:10]
 

@@ -368,6 +368,10 @@ class TestOneImplementation:
             assert _bits(one[0][0], one[1][0], gen.value_array([k])[0]) == _bits(s, l, v), k
         back = ks[::-3]  # any subset, in any order
         assert _bits(*gen.value_array(back)) == _bits(*values[back - ks[0]])
+        every_other = ks.astype(float)[::2]  # a strided view, not a contiguous copy
+        assert not every_other.flags.c_contiguous
+        (s2, l2), v2 = gen.slog_array(every_other), gen.value_array(every_other)
+        assert _bits(*s2, *l2, *v2) == _bits(*signs[::2], *logs[::2], *values[::2])
 
     @pytest.mark.parametrize("gen, k, want", [
         (PowerLaw(1e-200, 300.0), 10, 1e-200 * 10.0 ** 300),
