@@ -446,18 +446,27 @@ def _write_summary_json(path, cfg, summary):
 
 
 def _write_json(path, doc):
-    """Write doc to path as indented JSON and return the text written."""
-    text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+    """Write doc to path as indented, strict JSON and return the text written.
+
+    RFC 8259 has no NaN or infinity, so a non-finite float, Python's or
+    numpy's, is written as null (_strict); json.dumps refuses any left over.
+    """
+    text = json.dumps(_strict(doc), indent=2, allow_nan=False) + "\n"
     path.write_text(text)
     return text
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+def _strict(obj):
+    """obj with numpy scalars and arrays as Python values, and each non-finite float as None."""
+    if isinstance(obj, (np.ndarray, np.floating, np.integer)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _growth_str(gamma):

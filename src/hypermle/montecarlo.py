@@ -102,15 +102,21 @@ class _Workspace(NamedTuple):
     """What a mode task of M replicates over n steps writes into, reused from task to task."""
 
     gens: list             # M generators, re-keyed in place for each mode (mode_stream)
-    draws: np.ndarray      # (M, 2n + 2): each replicate's normals, contiguous
+    draws: np.ndarray      # (M, 2 span + 2): each replicate's normals for one fill, contiguous
     chain: tuple           # _run_chain's buffers for one chunk (_chain_buffers)
 
 
-def _workspace(M, n):
-    """A _Workspace for mode tasks of M replicates over n steps."""
+def _workspace(M, n, whole_path=False):
+    """A _Workspace for mode tasks of M replicates over n steps.
+
+    Its draw buffer holds span = n steps of normals per replicate with
+    whole_path, else one chunk's (_CHUNK steps, or n when shorter), and two
+    more for eta; _mode_task fills it span steps at a time.
+    """
+    span = n if whole_path else min(n, _CHUNK)
     # Philox(0) seeds through SeedSequence(0), not OS entropy; mode_stream re-keys it before any draw
     return _Workspace(gens=[np.random.Generator(np.random.Philox(0)) for _ in range(M)],
-                      draws=np.empty((M, 2 * n + 2)), chain=_chain_buffers(M, n))
+                      draws=np.empty((M, 2 * span + 2)), chain=_chain_buffers(M, n))
 
 
 def _mode_task(k, mode, grid, seed, M, residual, work=None):
@@ -124,12 +130,14 @@ def _mode_task(k, mode, grid, seed, M, residual, work=None):
     with it, so it can serve the next task at once.
 
     The M replicate streams are keyed first, each re-keying one generator of
-    the workspace, and then each gives its 2n path normals and two more, eta,
-    in one fill of its row of the draw buffer.
-    The chain runs through the buffer _CHUNK steps at a time, each chunk
-    starting from the state the previous one ended in, and _mode_sums
-    reduces each chunk's paths while they are in cache.  The running sums
-    add up over the chunks; the endpoint products come from the last one.
+    the workspace.  Then each fills its row of the draw buffer with its next
+    2 span path normals, span being the buffer's steps (see _workspace), and
+    the last fill also takes two more, eta; every stream gives its 2n + 2
+    normals in the same order whatever the span.  After each fill the chain
+    runs through the buffer _CHUNK steps at a time, each chunk starting from
+    the state the previous one ended in, and _mode_sums reduces each chunk's
+    paths while they are in cache.  The running sums add up over the
+    chunks; the endpoint products come from the last one.
     dw's free part sigma eta_i (see _psd_factor) enters only the sums over
     u_i and v_i, and given the path (sum u_i eta_i, sum v_i eta_i) is N(0, G)
     with G the Gram matrix of (u_0, v_0); so sigma L_G eta, L_G the Cholesky
@@ -141,28 +149,39 @@ def _mode_task(k, mode, grid, seed, M, residual, work=None):
     if work is None:
         work = _workspace(M, n)
 
-    # The fills run without the interpreter lock; with every stream keyed first,
-    # they come in one long stretch that other worker threads can overlap.
-    streams = [mode_stream(seed, m, k, gen) for m, gen in enumerate(work.gens)]
+    # The fills run without the interpreter lock, but each fill call takes it.
+    # A task that may run alongside others fills each replicate's whole path at
+    # once, in one long stretch that other worker threads can overlap: filling
+    # per chunk there (sec5, N = 100, M = 32, n = 4096, two workers on two
+    # vCPUs) raised the median wall time by 5 to 17% over sets of alternating
+    # runs.  A lone task fills one chunk at a time, at no measurable cost, so
+    # its draw buffer is a chunk's, not a path's.
+    fills = [mode_stream(seed, m, k, gen).standard_normal for m, gen in enumerate(work.gens)]
     draws = work.draws
-    for stream, row in zip(streams, draws):
-        stream.standard_normal(out=row)
-    xi = draws[:, :2 * n].reshape(M, n, 2).transpose(1, 2, 0)
-    eta = draws[:, 2 * n:]
+    span = draws.shape[1] // 2 - 1
+    rows = list(draws[:, :2 * span])
 
     # Every chunk's paths go into the workspace: a task allocates only these
     # operators (under 0.1 MiB) and one chunk's reductions at a time.
     ops = _chain_operators(P, S, n)
     x = np.zeros((2, M))
     sums = None
-    for t0 in range(0, n, _CHUNK):
-        u, v, dwp = _run_chain(ops, x, xi[t0:t0 + _CHUNK], work.chain)
-        part = _mode_sums(u, v, dwp, dt, lam / scale, mu, residual=residual)
-        if sums is not None:
-            for key in part.keys() - _ENDPOINT_KEYS:
-                part[key] += sums[key]
-        sums = part
-        x = np.stack((u[-1], v[-1]))  # a copy: the next chunk overwrites the buffer
+    for f0 in range(0, n, span):
+        steps = min(span, n - f0)
+        if f0 + steps == n:  # the last fill: eta after the path normals
+            rows = list(draws[:, :2 * steps + 2])
+        for fill, row in zip(fills, rows):
+            fill(out=row)
+        xi = draws[:, :2 * steps].reshape(M, steps, 2).transpose(1, 2, 0)
+        for t0 in range(0, steps, _CHUNK):
+            u, v, dwp = _run_chain(ops, x, xi[t0:t0 + _CHUNK], work.chain)
+            part = _mode_sums(u, v, dwp, dt, lam / scale, mu, residual=residual)
+            if sums is not None:
+                for key in part.keys() - _ENDPOINT_KEYS:
+                    part[key] += sums[key]
+            sums = part
+            x = np.stack((u[-1], v[-1]))  # a copy: the next chunk overwrites the buffer
+    eta = draws[:, 2 * steps:2 * steps + 2]
 
     # L_G = [[l11, 0], [l21, l22]]; G11 = 0 (a path still at rest) gives l11 = l21 = 0
     g11, g12, g22 = sums["su2s"] / dt, sums["suvs"] / dt, sums["sv2"] / dt
@@ -237,9 +256,11 @@ def run_replicates(spec, params, N, grid, seed, M, workers=1):
 
     # One workspace per task that can run at once, made on this thread: a task
     # takes one and puts it back, so no worker allocates a draw or path buffer.
+    # Several of them fill whole paths, a lone one a chunk at a time (_mode_task).
     free = SimpleQueue()
-    for _ in range(min(workers, N)):
-        free.put(_workspace(M, grid.n_steps))
+    slots = min(workers, N)
+    for _ in range(slots):
+        free.put(_workspace(M, grid.n_steps, whole_path=slots > 1))
 
     def task(k):
         work = free.get()

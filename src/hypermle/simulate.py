@@ -420,9 +420,11 @@ def _scan_chunk(ops, z, uv, scratch):
     rows = max(1, _BLAS_ONE_THREAD // (k * k))        # replicates per carry product
     for r in range(0, m, rows):
         np.matmul(ends[r:r + rows].reshape(-1, k), ops.HT[:k, :k], out=x[r:r + rows].reshape(-1, k))
-    corr = scratch[:, :full].reshape(m, nb, B)
+    corr = scratch[:, :full]
     for c in range(2):
-        blocks[c] += np.matmul(x[:, :nb], C[c], out=corr)
+        np.matmul(x[:, :nb], C[c], out=corr.reshape(m, nb, B))
+        # added as (m, full) views: numpy buffers a strided 3-d add in 0.4 MiB, a 2-d one in 0.2
+        uv[c, :, 1:full + 1] += corr
         # the remainder: leading rows and columns of L's component c
         uv[c, :, full + 1:] = (z[:, 2 * full:] @ LT[:2 * rem, c * B:c * B + rem]
                                + x[:, nb] @ C[c, :, :rem])

@@ -56,7 +56,8 @@ def test_captured_call_site_resolves(module, attr):
 
 
 def test_traced_counts_follow_the_draw_layout():
-    # the tracer counts path steps from _run_chain's draws and normals where they are drawn
+    # the tracer counts path steps from _run_chain's draws and normals where they are drawn,
+    # a chunk per fill at one worker and a path per fill at two
     from hypermle.equations import preset
     from hypermle.montecarlo import _CHUNK
     from hypermle.simulate import TimeGrid
@@ -66,19 +67,20 @@ def test_traced_counts_follow_the_draw_layout():
     spec, params = preset("alg_ex1", d=1)
     N, M, n = 3, 4, _CHUNK + 5  # two chunks per mode
     grid = TimeGrid(1.0, n)
-    tracer = load_tracing().Tracer()
-    tracer.install(modules)
-    try:
-        modules["montecarlo"].run_replicates(spec, params, N, grid, seed=5, M=M)
-        batch = dict(tracer.counts())
-        modules["simulate"].simulate_solution(spec, params, N, grid, seed=5)
-        total = tracer.counts()
-    finally:
-        tracer.uninstall()
-    assert batch["simulate.path_steps"] == N * M * n
-    assert batch["simulate.normals"] == N * M * (2 * n + 2)
-    assert total["simulate.path_steps"] - batch["simulate.path_steps"] == N * n
-    assert total["simulate.normals"] - batch["simulate.normals"] == N * 3 * n
+    for workers in (1, 2):
+        tracer = load_tracing().Tracer()
+        tracer.install(modules)
+        try:
+            modules["montecarlo"].run_replicates(spec, params, N, grid, seed=5, M=M, workers=workers)
+            batch = dict(tracer.counts())
+            modules["simulate"].simulate_solution(spec, params, N, grid, seed=5)
+            total = tracer.counts()
+        finally:
+            tracer.uninstall()
+        assert batch["simulate.path_steps"] == N * M * n, workers
+        assert batch["simulate.normals"] == N * M * (2 * n + 2), workers
+        assert total["simulate.path_steps"] - batch["simulate.path_steps"] == N * n, workers
+        assert total["simulate.normals"] - batch["simulate.normals"] == N * 3 * n, workers
 
 
 BENCHMARK = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())

@@ -28,6 +28,15 @@ def run_cli(*argv, cwd=None):
     return run_python("-m", "hypermle", *argv, cwd=cwd)
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def read_strict_json(path):
+    """The JSON document in path, refusing the NaN, Infinity and -Infinity that json.loads accepts."""
+    return json.loads(Path(path).read_text(), parse_constant=_no_constant)
+
+
 def write_config(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
@@ -664,6 +673,49 @@ class TestSimulateEstimateRoundTrip:
         assert all(e["stream_version"] == STREAM_VERSION for e in entries)
 
 
+class TestStrictJson:
+    def test_non_finite_floats_written_as_null(self, tmp_path):
+        from hypermle.cli import _write_json
+
+        doc = {"python": [math.nan, math.inf, -math.inf, 1.5], "float64": np.float64("nan"),
+               "float32": np.float32("-inf"), "array": np.array([1.0, np.nan, np.inf]),
+               "pair": (np.float64(2.0), np.int64(3)), "nested": {"x": [np.array([[np.nan]])]},
+               "scalar": np.array(-np.inf), "text": "NaN"}
+        text = _write_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_text() == text
+        assert read_strict_json(tmp_path / "doc.json") == {
+            "python": [None, None, None, 1.5], "float64": None, "float32": None,
+            "array": [1.0, None, None], "pair": [2.0, 3], "nested": {"x": [[[None]]]},
+            "scalar": None, "text": "NaN"}
+
+    def test_finite_values_keep_their_text(self, tmp_path):
+        from hypermle.cli import _write_json
+
+        doc = {"x": 0.1 + 0.2, "ci": (1e-300, -2.5e300), "k": 7, "ok": True, "none": None,
+               "critical": {0.01: 0.25}}
+        want = {**doc, "x": np.float64(doc["x"]), "k": np.int64(7), "ci": np.array(doc["ci"])}
+        assert _write_json(tmp_path / "doc.json", want) == json.dumps(doc, indent=2) + "\n"
+
+    def test_every_json_output_parses_strictly(self, tmp_path, outdir):
+        # sec5 on 256 steps leaves modes 7..12 underresolved: the decomposition route, whose
+        # identity_max_rel is not a number, in every mc summary
+        from hypermle import cli
+
+        common = ["--config", str(CONFIGS / "sec5_exponential.json"), "--n-list", "4,12", "--dt-steps", "256",
+                  "--out", str(outdir)]
+        for verb in ("consistency", "lln", "normality"):
+            assert cli.main(["mc", verb, *common, "--replicates", "30", "--workers", "1"]) == 0
+        assert cli.main(["simulate", *common]) == 0
+        assert cli.main(["estimate", *common, "--trajectories", str(outdir / "trajectories.csv")]) == 0
+        assert cli.main(["check", *common]) == 0
+        names = sorted(path.name for path in outdir.glob("*.json"))
+        assert names == ["check_report.json", "consistency_summary.json", "estimate.json",
+                         "lln_summary.json", "normality_summary.json"]
+        for name in names:
+            read_strict_json(outdir / name)
+        assert read_strict_json(outdir / "normality_summary.json")["identity_max_rel"] is None
+
+
 class TestStreamedReader:
     """The trajectory reader parses a file a batch of rows at a time, each row placed at its
     (k, t_index): batches of 1 row and of 7 (which does not divide a mode's 65 rows) find
@@ -908,15 +960,30 @@ class TestMc:
         routes = ["stats" if c == 0 else "decomposition" for c in counts]
         identities = []  # the identity check runs only where every mode is resolved
         for name in ("consistency", "lln"):
-            rows = json.loads((outdir / f"{name}_summary.json").read_text())["rows"]
+            rows = read_strict_json(outdir / f"{name}_summary.json")["rows"]
             assert [r["underresolved_modes"] for r in rows] == counts, name
             assert [r["route"] for r in rows] == routes, name
-            assert [math.isfinite(r["identity_max_rel"]) for r in rows] == [c == 0 for c in counts], name
+            # null where the check did not run: strict JSON has no NaN
+            assert [r["identity_max_rel"] is not None for r in rows] == [c == 0 for c in counts], name
+            assert all(math.isfinite(r["identity_max_rel"]) for r in rows[:1]), name
             identities.append(rows[0]["identity_max_rel"])
         assert identities[0] == identities[1]  # the same seed gives both verbs the same batch
-        normality = json.loads((outdir / "normality_summary.json").read_text())
+        normality = read_strict_json(outdir / "normality_summary.json")
         assert normality["N"] == 12 and normality["underresolved_modes"] == counts[-1]
-        assert normality["route"] == routes[-1] and math.isnan(normality["identity_max_rel"])
+        assert normality["route"] == routes[-1] and normality["identity_max_rel"] is None
+
+    def test_gate_hashes_flags_outputs_that_differ_by_worker_count(self):
+        import importlib.util
+
+        path = Path(__file__).resolve().parent.parent / "tools" / "gate_hashes.py"
+        spec = importlib.util.spec_from_file_location("gate_hashes", path)
+        gate_hashes = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gate_hashes)
+        hashes = {"mc_lln_w1/lln_summary.json": "a", "mc_lln_w2/lln_summary.json": "a",
+                  "mc_normality_w1/normality_summary.json": "b", "mc_normality_w2/normality_summary.json": "c",
+                  "mc_consistency_w1/consistency_summary.json": "d", "psi_w1/psi.csv": "e"}
+        assert gate_hashes._worker_mismatches(hashes) == [
+            "mc_normality_w1/normality_summary.json", "mc_consistency_w1/consistency_summary.json"]
 
     def test_tables_render(self, ex1_config, outdir):
         res = run_cli("mc", "tables", "--config", ex1_config)

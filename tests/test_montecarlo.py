@@ -434,13 +434,17 @@ class TestStreamedModeTask:
 
 
     def test_peak_memory_with_a_workspace(self):
-        # draws and paths go into the workspace; what a task allocates is one chunk's sums
+        # draws and paths go into the workspace; what a task allocates is one chunk's sums.  A
+        # lone task draws each chunk's normals just before its scan: its draw buffer holds one
+        # chunk's, and what it allocates on top stays below that, whatever the path length
         spec, params = preset("alg_ex1")
         grid = TimeGrid(1.0, 4096)
         M = 48
         mode = true_mode(spec, params, 10, grid.dt)
-        draw_bytes = M * (2 * grid.n_steps + 2) * 8
+        chunk_bytes = M * (2 * _CHUNK + 2) * 8
         work = _workspace(M, grid.n_steps)
+        assert work.draws.shape == (M, 2 * _CHUNK + 2)
+        assert _workspace(M, grid.n_steps, whole_path=True).draws.shape == (M, 2 * grid.n_steps + 2)
         _mode_task(10, mode, grid, 3, M, True, work)  # one-time allocations go first
         tracemalloc.start()
         try:
@@ -448,7 +452,33 @@ class TestStreamedModeTask:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * draw_bytes, peak / draw_bytes
+        assert peak < chunk_bytes, peak / chunk_bytes
+
+    # a path shorter than one chunk, one whole chunk, a short last chunk, eta after the last of three
+    @pytest.mark.parametrize("n", [_BLOCK - 3, _CHUNK, _CHUNK + 3 * _BLOCK + 5, 3 * _CHUNK])
+    def test_fills_per_chunk_and_per_path_agree(self, n):
+        # every stream gives its normals in the same order, however many fills take them
+        spec, params = preset("alg_ex1")
+        grid = TimeGrid(1.0, n)
+        mode = true_mode(spec, params, 4, grid.dt)
+        lone = _mode_task(4, mode, grid, 43, 5, True, _workspace(5, n))
+        whole = _mode_task(4, mode, grid, 43, 5, True, _workspace(5, n, whole_path=True))
+        for g, w in zip(lone, whole):
+            assert g.keys() == w.keys()
+            for key in w:
+                assert np.array_equal(g[key], w[key]), key
+
+    @pytest.mark.parametrize("n", [_BLOCK - 3, _CHUNK, _CHUNK + 3 * _BLOCK + 5, 3 * _CHUNK])
+    @pytest.mark.parametrize("preset_name", ["alg_ex1", "sec5_example"])
+    def test_one_and_two_workers_agree(self, n, preset_name):
+        # one worker fills per chunk, two per path
+        spec, params = preset(preset_name)
+        grid = TimeGrid(1.0, n)
+        a = run_replicates(spec, params, 5, grid, seed=702, M=4, workers=1)
+        b = run_replicates(spec, params, 5, grid, seed=702, M=4, workers=2)
+        for f in fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), f.name
 
     @pytest.mark.parametrize("n", [_BLOCK - 3, _CHUNK + 3 * _BLOCK + 5])
     def test_reused_workspace_gives_a_fresh_task(self, n):

@@ -12,7 +12,11 @@ one's), `check` on four and `mc tables`.  Prints one
 paths), with paths relative to the temporary directory.  A command that
 exits with another code than expected stops the script.  Outputs that must
 not change with a refactor or an optimization should print the same lines
-at the parent and at the change.
+at the parent and at the change.  After the lines, the script exits
+non-zero if an `mc` gate's output at `--workers 1` hashes differently from
+the same output at `--workers 2`: results are byte-identical at any worker
+count, and one worker fills its normals a chunk at a time, several a whole
+path at a time.
 """
 from __future__ import annotations
 
@@ -71,6 +75,12 @@ def _runs(tmp):
                                          "--trajectories", "reversed_alg_ex1.csv"])
 
 
+def _worker_mismatches(hashes):
+    """The mc outputs at --workers 1 whose hash differs from (or lacks) the same output's at --workers 2."""
+    return [name for name in hashes if name.startswith("mc_") and "_w1/" in name
+            and hashes[name] != hashes.get(name.replace("_w1/", "_w2/"))]
+
+
 def main():
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
@@ -83,9 +93,15 @@ def main():
                                  capture_output=True, text=True)
             if res.returncode != code:
                 sys.exit(f"{out}: exit {res.returncode}, expected {code}\n{res.stderr}")
+        hashes = {}
         for path in sorted(tmp.rglob("*")):
             if path.is_file() and path.parent != tmp and path.name != "manifest.jsonl":
-                print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(tmp)}")
+                name = path.relative_to(tmp).as_posix()
+                hashes[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"{hashes[name]}  {name}")
+    differ = _worker_mismatches(hashes)
+    if differ:
+        sys.exit("outputs that differ between --workers 1 and --workers 2: " + ", ".join(differ))
 
 
 if __name__ == "__main__":
